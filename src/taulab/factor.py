@@ -24,7 +24,7 @@ from .errors import PartialFactorizationError
 try:
     from gmpy2 import gcd as _gcd
     from gmpy2 import mpz
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is optional (the "gmpy" extra); rho then runs on Python ints
     from math import gcd as _gcd
 
     mpz = int

@@ -3,10 +3,13 @@
 The built-in form is the weight-12 level-1 cusp form whose coefficients
 are the tau values; its series comes from the eighth power of the cube
 identity sum((-1)^j (2j+1) x^(j(j+1)/2)), computed as one sparse square
-followed by two dense squarings.  The dense squarings pack the series
-into a single big integer (one fixed-width slot per coefficient) and
-let GMP multiply it, which keeps the whole series to 10^6 under a few
-seconds while staying exact.
+followed by two dense squarings.  Each dense squaring offsets the
+coefficients to be non-negative, packs them into one big decimal
+number (one fixed-width digit slot per coefficient) and squares it in
+the standard library's ``decimal`` module, whose libmpdec core switches
+to a number-theoretic transform for large operands.  The context traps
+every rounding signal, so the square is exact or raises, and the same
+path runs whether or not the optional gmpy2 package is installed.
 
 General forms are ingested from CSV tables of a_p values; prime-power
 coefficients then come from the weight-k recursion
@@ -17,19 +20,28 @@ Lucas sequence U_{m+1}(a(p), p^(k-1)).
 from __future__ import annotations
 
 import csv
+import decimal
 import threading
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Literal, NamedTuple
 
 from . import factor
 from .errors import BudgetExceededError, DataExhaustedError, TableFormatError
-
-try:
-    from gmpy2 import mpz
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    mpz = int
+from .factor import mpz  # noqa: F401  (kept as hecke.mpz for environment reports)
 
 DEFAULT_SERIES_CEILING = 10**7
+
+# Context of the series squarings.  With every rounding-related signal
+# trapped, a square that would lose a digit raises instead of returning
+# wrong coefficients.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow],
+)
+_PACK_CHUNK = 4096  # coefficients joined per string piece while packing
 
 
 def _eta_cube_sparse(out_len: int) -> list[tuple[int, int]]:
@@ -56,41 +68,42 @@ def _square_sparse(terms: list[tuple[int, int]], out_len: int) -> list[int]:
     return out
 
 
-def _square_dense(a: list[int], out_len: int) -> list[int]:
-    """Truncated square of a dense integer series via big-integer packing.
+def _square_dense(a: list[int]) -> list[int]:
+    """Square of a dense integer series, truncated to len(a) terms.
 
-    Signed coefficients are packed as a difference of two non-negative
-    packings; the square is unpacked with balanced base-2^s digits.
+    Each coefficient is offset by B = max|a_i| into [0, 2B] and packed as
+    one fixed-width decimal slot, a_0 in the most significant one.  A
+    slot of the packed square holds at most len(a) (2B)^2, so it never
+    carries into its neighbour; the offset is removed again per slot:
+    (a^2)_k = slot_k - 2B (a_0 + ... + a_k) - B^2 (k + 1).
     """
-    max_abs = max((abs(c) for c in a), default=0)
-    slot_bits = 2 * max(max_abs.bit_length(), 1) + len(a).bit_length() + 2
-    slot_bytes = (slot_bits + 7) // 8
-    slot_bits = slot_bytes * 8
-    half = 1 << (slot_bits - 1)
-    full = 1 << slot_bits
-
-    pos = bytearray(slot_bytes * len(a))
-    neg = bytearray(slot_bytes * len(a))
-    for i, c in enumerate(a):
-        if c > 0:
-            pos[i * slot_bytes : i * slot_bytes + slot_bytes] = c.to_bytes(slot_bytes, "little")
-        elif c < 0:
-            neg[i * slot_bytes : i * slot_bytes + slot_bytes] = (-c).to_bytes(slot_bytes, "little")
-    packed = int.from_bytes(bytes(pos), "little") - int.from_bytes(bytes(neg), "little")
-    square = int(mpz(packed) * mpz(packed))
-
-    raw = square.to_bytes(slot_bytes * (2 * len(a) + 2) + 16, "little")
-    out = [0] * out_len
-    carry = 0
-    for i in range(out_len):
-        v = int.from_bytes(raw[i * slot_bytes : (i + 1) * slot_bytes], "little") + carry
-        if v >= half:
-            v -= full
-            carry = 1
-        else:
-            carry = 0
-        out[i] = v
-    return out
+    n = len(a)
+    big = max(map(abs, a))
+    width = len(str(n * (2 * big) ** 2))
+    slot = f"%0{width}d"
+    chunks = [
+        "".join([slot % (c + big) for c in a[i : i + _PACK_CHUNK]])
+        for i in range(0, n, _PACK_CHUNK)
+    ]
+    # Each buffer is dropped once consumed: at 10^6 terms they are tens of MB.
+    packed = "".join(chunks)
+    del chunks
+    x = decimal.Decimal(packed)
+    del packed
+    square = _EXACT.multiply(x, x)
+    del x
+    # Keep the top n of the square's 2n - 1 slots: scaleb moves the point
+    # exactly, and to_integral_value drops the low slots without signalling
+    # Inexact or Rounded.
+    high = square.scaleb(-(n - 1) * width, _EXACT).to_integral_value(decimal.ROUND_DOWN, _EXACT)
+    del square
+    head = str(high).zfill(n * width)
+    del high
+    two_big, big_sq = 2 * big, big * big
+    return [
+        int(head[k * width : (k + 1) * width]) - two_big * prefix - big_sq * (k + 1)
+        for k, prefix in enumerate(accumulate(a))
+    ]
 
 
 def tau_series(limit: int, *, ceiling: int = DEFAULT_SERIES_CEILING) -> list[int]:
@@ -101,10 +114,11 @@ def tau_series(limit: int, *, ceiling: int = DEFAULT_SERIES_CEILING) -> list[int
         raise BudgetExceededError(
             f"series length {limit} above memory ceiling {ceiling}", needed=limit, cap=ceiling
         )
-    eta6 = _square_sparse(_eta_cube_sparse(limit), limit)
-    eta12 = _square_dense(eta6, limit)
-    eta24 = _square_dense(eta12, limit)
-    return [0] + eta24[:limit]
+    series = _square_sparse(_eta_cube_sparse(limit), limit)  # eta^6
+    series = _square_dense(series)  # eta^12
+    series = _square_dense(series)  # eta^24
+    series.insert(0, 0)
+    return series
 
 
 class _DeltaCache:
@@ -124,7 +138,7 @@ class _DeltaCache:
                     raise BudgetExceededError(
                         f"tau series request {n} above ceiling {ceiling}", needed=n, cap=ceiling
                     )
-                self._series = tau_series(target)
+                self._series = tau_series(target, ceiling=ceiling)
 
     def value(self, n: int) -> int:
         self.ensure(n)
@@ -345,12 +359,6 @@ def find_first_prime_tau(limit: int) -> tuple[int, int] | None:
         if av > 1 and factor.is_prime(av):
             return n, v
     return None
-
-
-def tau_unit_indices(limit: int) -> list[int]:
-    """All n <= limit with |tau(n)| = 1."""
-    series = delta_series_view(limit)
-    return [n for n in range(1, limit + 1) if abs(series[n]) == 1]
 
 
 def iter_prime_coeffs(f: EigenformSpec, x_bound: int) -> Iterable[tuple[int, int]]:

@@ -1,11 +1,12 @@
+import decimal
 import threading
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from taulab import factor
+from taulab import factor, hecke
 from taulab.cyclotomic import eval_poly, psi_poly
 from taulab.errors import BudgetExceededError, DataExhaustedError, TableFormatError
 from taulab.hecke import (
@@ -55,6 +56,50 @@ class TestSeries:
             for b in range(a + 1, 10**4 // a + 1):
                 if gcd(a, b) == 1:
                     assert series[a * b] == series[a] * series[b], (a, b)
+
+
+def _naive_truncated_square(a):
+    return [sum(a[i] * a[k - i] for i in range(k + 1)) for k in range(len(a))]
+
+
+class TestDenseSquare:
+    @given(
+        a=st.lists(
+            st.one_of(st.integers(-3, 3), st.integers(-(2**200), 2**200)),
+            min_size=1,
+            max_size=64,
+        )
+    )
+    @example(a=[0])
+    @example(a=[0] * 64)
+    @example(a=[-(2**200)])
+    @example(a=[2**200, -(2**200), 1, 0, -1])
+    @example(a=[7] * 64)  # slot 63 of the offset square reaches its bound 64 (2B)^2
+    @example(a=[-4, 0])  # offset series [0, 4]: every digit of its square lies past the kept slots
+    @settings(max_examples=300, deadline=None)
+    def test_matches_naive_convolution(self, a):
+        assert hecke._square_dense(a) == _naive_truncated_square(a)
+
+    def test_lossy_context_raises(self, monkeypatch):
+        lossy = hecke._EXACT.copy()
+        lossy.prec = 8
+        monkeypatch.setattr(hecke, "_EXACT", lossy)
+        with pytest.raises((decimal.Inexact, decimal.Rounded)):
+            hecke._square_dense([3, -1, 4, 1, -5, 9, -2, 6])
+
+
+class TestDeltaCache:
+    def test_warm_honours_ceiling(self, monkeypatch):
+        calls = []
+
+        def spy(limit, *, ceiling=hecke.DEFAULT_SERIES_CEILING):
+            calls.append((limit, ceiling))
+            return [0]
+
+        monkeypatch.setattr(hecke, "tau_series", spy)
+        monkeypatch.setattr(hecke, "_delta_cache", hecke._DeltaCache())
+        hecke.warm_delta_cache(10**7 + 1, ceiling=2 * 10**7)
+        assert calls == [(10**7 + 1, 2 * 10**7)]
 
 
 class TestPrimePowers:
