@@ -72,6 +72,10 @@ class RunConfig:
             raise ValueError(f"--eps must be >= 0, got {self.epsilon}")
         if self.workers < 1:
             raise ValueError(f"--workers must be >= 1, got {self.workers}")
+        if self.trial_bound < 1:
+            raise ValueError(f"--trial-bound must be >= 1, got {self.trial_bound}")
+        if self.rho_budget < 0:
+            raise ValueError(f"--rho-budget must be >= 0, got {self.rho_budget}")
 
     def form(self) -> hecke.EigenformSpec:
         if self.table:
@@ -170,21 +174,20 @@ def _cmd_chebotarev(cfg: RunConfig) -> int:
 
 def _cmd_scan(cfg: RunConfig) -> int:
     f = cfg.form()
-    rows, summary = scans.threshold_scan(
-        f,
-        cfg.two_n,
-        cfg.x_bound,
+    args = (f, cfg.two_n, cfg.x_bound)
+    budgets = dict(
         epsilon=None if cfg.grh_c is not None else cfg.epsilon,
         grh_c=cfg.grh_c,
         trial_bound=cfg.trial_bound,
         rho_budget=cfg.rho_budget,
     )
     if cfg.fmt == "csv":
+        rows, summary = scans.threshold_scan(*args, **budgets)
         _emit(cfg, "\n".join([scans.CSV_HEADER] + [r.csv_line() for r in rows]))
         sys.stderr.write(summary.to_json() + "\n")
-    elif cfg.fmt == "json":
-        _emit(cfg, summary.to_json())
     else:
+        # a summary prints verdict counts only, so rho runs only where a verdict needs it
+        summary = scans.ScanSummary.of(scans.scan_rows(*args, **budgets, pin=False))
         _emit(cfg, summary.to_json())
     return EXIT_BUDGET if summary.unknown_count else EXIT_OK
 

@@ -32,12 +32,15 @@ except ImportError:  # gmpy2 is optional (the "gmpy" extra); rho then runs on Py
 DEFAULT_TRIAL_BOUND = 10**6
 DEFAULT_RHO_BUDGET = 10**8
 
-# Smallest composite that fools Miller-Rabin on the first 12 prime bases
-# is above 3.3e24, so the test is deterministic below that.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_k, the smallest strong pseudoprime to all of the first k prime
+# bases, is 3.18e23 for k = 12 (bases up to 37) and 3.3e24 for k = 13
+# (up to 41), so Miller-Rabin on those bases is deterministic below them.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PSI_12 = 318665857834031151167461
 _MR_DETERMINISTIC_LIMIT = 3317044064679887385961981
-_MR_EXTRA_BASES = tuple(
-    p for p in (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113)
+# 30 fixed bases above the deterministic range
+_MR_PROBABLE_BASES = _MR_BASES + (
+    43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113
 )
 
 _sieve_lock = threading.Lock()
@@ -78,7 +81,12 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    bases = _MR_BASES if n < _MR_DETERMINISTIC_LIMIT else _MR_BASES + _MR_EXTRA_BASES
+    if n < _MR_PSI_12:
+        bases = _MR_BASES[:-1]
+    elif n < _MR_DETERMINISTIC_LIMIT:
+        bases = _MR_BASES
+    else:
+        bases = _MR_PROBABLE_BASES
     for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -201,8 +209,14 @@ def factorize(
     """Factor n completely, or raise carrying the partial result.
 
     Largest-prime conventions: 0 and +-1 factor into nothing, so their
-    largest prime factor reads as 1.
+    largest prime factor reads as 1.  A ``rho_budget`` of 0 skips rho:
+    trial division, the survivor-is-prime rule and one primality test
+    on the cofactor still run.
     """
+    if trial_bound < 1:
+        raise ValueError(f"trial bound must be >= 1, got {trial_bound}")
+    if rho_budget < 0:
+        raise ValueError(f"rho budget must be >= 0, got {rho_budget}")
     if n == 0:
         return Factorization(sign=0)
     sign = 1 if n > 0 else -1

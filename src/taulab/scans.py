@@ -9,11 +9,24 @@ division bound, which already clears the threshold.  Rows are marked
 ``exact`` (full factorization), ``partial`` (verdict certain, largest
 prime not pinned down), or ``unknown`` (verdict undecidable within
 budget).
+
+``scan_rows`` produces the rows and ``ScanSummary.of`` folds them into
+verdict counts.  A summary (the CLI's json and text output) needs no
+pinned P, so it runs rho only on rows that trial division leaves
+undecided; the CSV pins P on every row where the rho budget allows.
+Both give the same verdicts.
+
+An ``exact`` row's P is certified by Miller-Rabin (``factor.is_prime``),
+which is deterministic below 3.3e24 and uses 30 fixed bases above it, so
+a pinned P above 3.3e24 is a strong probable prime, not a proven one.
+At 2n = 2 the values pass 3.3e24 from p ~ 170.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import mpmath
@@ -83,6 +96,18 @@ class ScanSummary:
     unknown_count: int
     zero_rows: int
 
+    @classmethod
+    def of(cls, rows: Iterable[ScanRow]) -> ScanSummary:
+        """Fold rows into verdict counts (``scan_rows`` raises on a zero value)."""
+        counts = Counter(row.passes for row in rows)
+        return cls(
+            total_rows=sum(counts.values()),
+            pass_count=counts[True],
+            fail_count=counts[False],
+            unknown_count=counts[None],
+            zero_rows=0,
+        )
+
     @property
     def pass_fraction(self) -> float:
         decided = self.pass_count + self.fail_count
@@ -102,16 +127,36 @@ class ScanSummary:
         )
 
 
-def threshold_scan(
+def _row(p: int, two_n: int, value: int, bound: mpmath.mpf, fac: factor.Factorization) -> ScanRow:
+    if fac.is_complete:
+        lpf = fac.largest_known_prime()
+        return ScanRow(p, two_n, value, float(bound), "exact", lpf, lpf, lpf > bound)
+    # the surviving cofactor has no prime factor at or below the trial
+    # bound, so P(value) > cofactor_floor unconditionally
+    floor = max(fac.largest_known_prime(), fac.cofactor_floor)
+    passes = True if floor > bound else None
+    status = "partial" if passes is not None else "unknown"
+    return ScanRow(p, two_n, value, float(bound), status, None, floor, passes)
+
+
+def scan_rows(
     f: EigenformSpec,
     two_n: int,
     x_bound: int,
+    *,
     epsilon: float | None = 0.1,
     grh_c: float | None = None,
     trial_bound: int = factor.DEFAULT_TRIAL_BOUND,
     rho_budget: int = factor.DEFAULT_RHO_BUDGET,
-) -> tuple[list[ScanRow], ScanSummary]:
-    """Scan primes in [17, x] and compare P(a_f(p^(2n))) to the threshold.
+    pin: bool = True,
+) -> Iterator[ScanRow]:
+    """One row per prime p in [17, x]: P(a_f(p^(2n))) against the threshold.
+
+    With ``pin`` every row gets the full rho budget, so P is pinned
+    wherever the budget allows.  Without it a row first gets trial
+    division and one primality test on the cofactor, and rho runs only
+    when that leaves the verdict open; the verdicts are the same either
+    way, but a row that passes on its cofactor floor reads ``partial``.
 
     A vanishing coefficient would contradict the even-exponent
     nonvanishing law in this range and raises IdentityViolationError.
@@ -120,8 +165,6 @@ def threshold_scan(
         raise ValueError(f"exponent must be even and >= 2, got {two_n}")
     if grh_c is not None:
         epsilon = None
-    rows: list[ScanRow] = []
-    pass_count = fail_count = unknown_count = 0
     for p, _ap in iter_prime_coeffs(f, x_bound):
         if p < MIN_SCAN_PRIME:
             continue
@@ -131,32 +174,29 @@ def threshold_scan(
                 f"a(p^{two_n}) vanished at p={p}: even exponents cannot vanish here"
             )
         bound = bound_value(p, epsilon=epsilon, grh_c=grh_c)
+        if not pin:
+            row = _row(p, two_n, value, bound,
+                       factor.factorize(abs(value), trial_bound, 0, allow_partial=True))
+            if row.passes is not None:
+                yield row
+                continue
         fac = factor.factorize(abs(value), trial_bound, rho_budget, allow_partial=True)
-        if fac.is_complete:
-            lpf = fac.largest_known_prime()
-            row = ScanRow(p, two_n, value, float(bound), "exact", lpf, lpf, lpf > bound)
-        else:
-            # the surviving cofactor has no prime factor at or below the
-            # trial bound, so P(value) > cofactor_floor unconditionally
-            floor = max(fac.largest_known_prime(), fac.cofactor_floor)
-            passes = True if floor > bound else None
-            status = "partial" if passes is not None else "unknown"
-            row = ScanRow(p, two_n, value, float(bound), status, None, floor, passes)
-        if row.passes is True:
-            pass_count += 1
-        elif row.passes is False:
-            fail_count += 1
-        else:
-            unknown_count += 1
-        rows.append(row)
-    summary = ScanSummary(
-        total_rows=len(rows),
-        pass_count=pass_count,
-        fail_count=fail_count,
-        unknown_count=unknown_count,
-        zero_rows=0,
-    )
-    return rows, summary
+        yield _row(p, two_n, value, bound, fac)
+
+
+def threshold_scan(
+    f: EigenformSpec,
+    two_n: int,
+    x_bound: int,
+    epsilon: float | None = 0.1,
+    grh_c: float | None = None,
+    trial_bound: int = factor.DEFAULT_TRIAL_BOUND,
+    rho_budget: int = factor.DEFAULT_RHO_BUDGET,
+) -> tuple[list[ScanRow], ScanSummary]:
+    """Every pinned row of ``scan_rows`` and their summary."""
+    rows = list(scan_rows(f, two_n, x_bound, epsilon=epsilon, grh_c=grh_c,
+                          trial_bound=trial_bound, rho_budget=rho_budget, pin=True))
+    return rows, ScanSummary.of(rows)
 
 
 def check_divisibility_tower(f: EigenformSpec, p: int, n: int) -> bool:

@@ -51,7 +51,7 @@ from taulab.rings import (
     sym_pow_kernel_test,
     sym_pow_trace,
 )
-from taulab.scans import check_divisibility_tower, sato_tate_histogram, threshold_scan
+from taulab.scans import ScanSummary, check_divisibility_tower, sato_tate_histogram, scan_rows
 
 X_LARGE = 10**6
 
@@ -226,15 +226,17 @@ def test_criterion_09_sato_tate(delta_warm_million):
 
 
 def test_criterion_10_threshold_scan(delta_warm_million):
+    # the summary as `taulab scan --format json` computes it: verdicts only
     started = time.time()
-    rows, summary = threshold_scan(
+    summary = ScanSummary.of(scan_rows(
         delta_warm_million,
         2,
         10**4,
         epsilon=0.1,
         trial_bound=10**4,
         rho_budget=3 * 10**5,
-    )
+        pin=False,
+    ))
     assert summary.unknown_count == 0, summary
     assert summary.zero_rows == 0
     assert summary.pass_fraction >= 0.99, summary.pass_fraction

@@ -95,6 +95,25 @@ class TestScanCommands:
         assert len(lines) > 20
         assert json.loads(err)["unknown"] == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["--two-n", "2", "--x-bound", "300", "--trial-bound", "10000", "--rho-budget", "100000"],
+        ["--two-n", "2", "--x-bound", "400", "--grh-c", "1e7", "--trial-bound", "1000",
+         "--rho-budget", "100000"],
+    ], ids=["decided", "unknown-rows"])
+    def test_summary_equals_pinned(self, capsys, argv):
+        csv_code, _, pinned = run(capsys, "scan", *argv, "--format", "csv")
+        want = EXIT_BUDGET if json.loads(pinned)["unknown"] else EXIT_OK
+        assert csv_code == want
+        for fmt in ("json", "text"):
+            code, out, _ = run(capsys, "scan", *argv, "--format", fmt)
+            assert (code, out) == (want, pinned)
+
+    @pytest.mark.parametrize("flag, value", [("--trial-bound", "-100"), ("--trial-bound", "0"),
+                                             ("--rho-budget", "-1")])
+    def test_scan_rejects_bad_budgets(self, capsys, flag, value):
+        code, out, err = run(capsys, "scan", "--x-bound", "100", flag, value, "--format", "json")
+        assert code == EXIT_USAGE and out == "" and flag in err
+
     def test_tower(self, capsys):
         code, out, _ = run(capsys, "tower", "--p-max", "30", "--max-odd", "9")
         assert code == EXIT_OK and "verified" in out

@@ -88,3 +88,21 @@ class TestFactorize:
         a, b = 999999937, 999999893
         f = factor.factorize(a * b, trial_bound=10**4, rho_budget=10**6)
         assert f.factors == {a: 1, b: 1}
+
+    def test_rejects_bad_budgets(self):
+        # a negative trial bound once squared into a large one and passed 9 as prime
+        with pytest.raises(ValueError):
+            factor.factorize(9, trial_bound=-5)
+        with pytest.raises(ValueError):
+            factor.factorize(9, trial_bound=0)
+        with pytest.raises(ValueError):
+            factor.factorize(9, rho_budget=-1)
+
+    def test_zero_rho_budget(self):
+        big = (2**61 - 1) * (2**89 - 1)
+        f = factor.factorize(12 * big, trial_bound=100, rho_budget=0, allow_partial=True)
+        assert f.factors == {2: 2, 3: 1}
+        assert f.cofactor == big and f.cofactor_floor == 100
+        # the cofactor's primality test still runs without rho
+        f = factor.factorize(12 * (2**89 - 1), trial_bound=100, rho_budget=0)
+        assert f.factors == {2: 2, 3: 1, 2**89 - 1: 1}

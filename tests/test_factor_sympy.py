@@ -1,0 +1,80 @@
+"""Differential checks of factor.factorize and factor.is_prime against sympy."""
+
+import math
+import random
+
+import pytest
+
+from taulab import factor
+
+sympy = pytest.importorskip("sympy")
+
+SEED = 20240531
+
+CARMICHAEL = (
+    561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+    5394826801, 232250619601, 9746347772161,
+)
+# psi_k: the smallest strong pseudoprime to all of the first k prime bases,
+# for k = 1, 2, 3, 4, 5, 6, 7 (= psi_8), 9 (= psi_10 = psi_11), 12, 13
+STRONG_PSEUDOPRIMES = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051, 318665857834031151167461,
+    3317044064679887385961981,
+)
+
+
+def check_factorization(n: int, trial_bound: int, rho_budget: int) -> factor.Factorization:
+    """factorize(n) agrees with sympy, completely or as far as it got."""
+    f = factor.factorize(n, trial_bound, rho_budget, allow_partial=True)
+    assert f.value() == n
+    if f.is_complete:
+        assert f.factors == sympy.factorint(abs(n)), n
+        return f
+    for p, e in f.factors.items():
+        assert sympy.isprime(p)
+        assert n % p**e == 0 and n % p ** (e + 1)
+    assert not sympy.isprime(f.cofactor)
+    assert math.gcd(f.cofactor, math.prod(factor.primes_up_to(f.cofactor_floor))) == 1
+    return f
+
+
+def test_random_integers_up_to_2_100():
+    rnd = random.Random(SEED)
+    complete = 0
+    for _ in range(60):
+        n = rnd.randrange(2, 2**100)
+        assert factor.is_prime(n) == sympy.isprime(n), n
+        complete += check_factorization(n, 10**4, 10**5).is_complete
+    # most 100-bit integers have no two prime factors above 2^34
+    assert complete >= 45
+
+
+def test_semiprimes_of_40_bit_primes():
+    rnd = random.Random(SEED + 1)
+    for _ in range(3):
+        p, q = (sympy.nextprime(rnd.getrandbits(40) | 1 << 39) for _ in range(2))
+        assert factor.is_prime(p) and factor.is_prime(q)
+        assert not factor.is_prime(p * q)
+        assert check_factorization(p * q, 10**4, 10**8).is_complete
+
+
+@pytest.mark.parametrize("n", CARMICHAEL + STRONG_PSEUDOPRIMES)
+def test_pseudoprimes(n):
+    assert factor.is_prime(n) is sympy.isprime(n) is False
+    assert check_factorization(n, 10**4, 10**7).is_complete
+
+
+@pytest.mark.parametrize(
+    "center", [STRONG_PSEUDOPRIMES[-2], factor._MR_DETERMINISTIC_LIMIT], ids=["psi12", "limit"]
+)
+def test_both_sides_of_deterministic_limits(center):
+    window = range(center - 3000, center + 3000)
+    primes = [n for n in window if sympy.isprime(n)]
+    assert [n for n in window if factor.is_prime(n)] == primes
+    assert min(primes) < center < max(primes)
+    rnd = random.Random(SEED + center % 997)
+    for n in rnd.sample(window, 20):
+        check_factorization(n, 10**4, 10**5)
+    # products of primes from both sides straddle the limit
+    assert not factor.is_prime(primes[0] * primes[-1])

@@ -7,13 +7,24 @@ from taulab.hecke import coeff_prime_power
 from taulab.scans import (
     CSV_HEADER,
     MIN_SCAN_PRIME,
+    ScanRow,
+    ScanSummary,
     bound_value,
     check_divisibility_tower,
     odd_exponent_divisor_check,
     sato_tate_histogram,
+    scan_rows,
     threshold_scan,
     st_measure,
 )
+
+# (2n, x, threshold, budgets): the GRH constant lifts the threshold above
+# the trial bound, so trial division leaves some verdicts open and those
+# rows fall back to rho; the scan has pass, fail and unknown rows
+SUMMARY_CASES = [
+    (2, 400, dict(grh_c=1e7, trial_bound=1000, rho_budget=10**5)),
+    (4, 300, dict(epsilon=0.1, trial_bound=10**4, rho_budget=10**5)),
+]
 
 
 class TestBoundValue:
@@ -94,6 +105,45 @@ class TestThresholdScan:
         # thresholds ~ p^(1/14) log(p)^(2/7) stay far below the trial bound
         assert summary.unknown_count == 0
         assert all(r.bound < 20 for r in rows)
+
+
+class TestSummaryPath:
+    @pytest.mark.parametrize("two_n, x_bound, kwargs", SUMMARY_CASES)
+    def test_summary_equals_pinned(self, delta_warm_small, two_n, x_bound, kwargs):
+        _, pinned = threshold_scan(delta_warm_small, two_n, x_bound, **kwargs)
+        summary = ScanSummary.of(scan_rows(delta_warm_small, two_n, x_bound, pin=False, **kwargs))
+        assert summary.to_json() == pinned.to_json()
+
+    def test_grh_case_takes_every_branch(self, delta_warm_small):
+        two_n, x_bound, kwargs = SUMMARY_CASES[0]
+        _, pinned = threshold_scan(delta_warm_small, two_n, x_bound, **kwargs)
+        assert pinned.pass_count and pinned.fail_count and pinned.unknown_count
+        rows = list(scan_rows(delta_warm_small, two_n, x_bound, pin=False, **kwargs))
+        fallback = [r for r in rows if not factor.factorize(
+            abs(r.value), kwargs["trial_bound"], 0, allow_partial=True).is_complete
+            and r.status != "partial"]
+        # rho pinned some undecided rows and gave up on others
+        assert {r.status for r in fallback} == {"exact", "unknown"}
+
+    def test_unpinned_rows_keep_verdicts(self, delta_warm_small):
+        pinned, _ = threshold_scan(delta_warm_small, 2, 300, trial_bound=10**4, rho_budget=10**5)
+        rows = list(scan_rows(delta_warm_small, 2, 300, trial_bound=10**4, rho_budget=10**5,
+                              pin=False))
+        assert [r.passes for r in rows] == [r.passes for r in pinned]
+        # desk-scale thresholds: trial division decides every row
+        assert {r.status for r in rows} <= {"exact", "partial"}
+        assert any(r.status == "partial" for r in rows)
+        for row, ref in zip(rows, pinned):
+            assert row.known_prime_floor <= (ref.largest_prime_factor or ref.known_prime_floor)
+
+    def test_fold_counts(self):
+        rows = [ScanRow(17, 2, 1, 1.0, "exact", 1, 1, False),
+                ScanRow(19, 2, 6, 1.0, "exact", 3, 3, True),
+                ScanRow(23, 2, 10**30, 1e9, "unknown", None, 10, None)]
+        summary = ScanSummary.of(iter(rows))
+        assert (summary.total_rows, summary.pass_count, summary.fail_count,
+                summary.unknown_count, summary.zero_rows) == (3, 1, 1, 1, 0)
+        assert ScanSummary.of([]).pass_fraction == 0.0
 
 
 class TestDivisibilityTower:
