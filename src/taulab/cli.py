@@ -389,7 +389,8 @@ _COMMANDS = {
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", help="write output to this path instead of stdout")
     sp.add_argument("--format", dest="fmt", choices=("text", "csv", "json"), default="text")
-    sp.add_argument("--workers", type=int, default=1, help="worker processes; never changes results")
+    sp.add_argument("--workers", type=int, default=1,
+                    help="accepted for compatibility; never changes results or work")
     sp.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     sp.add_argument("--config", help="key=value file supplying defaults")
 
@@ -460,7 +461,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grh-c", type=float, help="use the power-threshold mode with this constant")
     p.add_argument("--x-bound", type=int, default=10**3)
     p.add_argument("--trial-bound", type=int, default=factor.DEFAULT_TRIAL_BOUND)
-    p.add_argument("--rho-budget", type=int, default=factor.DEFAULT_RHO_BUDGET)
+    p.add_argument("--rho-budget", type=int, default=factor.DEFAULT_RHO_BUDGET,
+                   help="rho iterations per cofactor, checked between Brent's doubling "
+                   "rounds, so a run can spend up to 2*BUDGET+2")
     p.add_argument("--weight", type=int, default=12)
     p.add_argument("--level", type=int, default=1)
     p.add_argument("--table")

@@ -7,11 +7,18 @@ by the order of the full determinant-constrained group.  Closed forms
 exist at n = 1 (split by l mod q) and lift by a factor 1/l per level
 for l != q.
 
-Enumeration never loops over matrix entries: it walks (trace, det)
-pairs and multiplies by the exact fiber size, which is classical for
-n = 1 (quadratic character of the discriminant) and a short valuation
-sum for n >= 2.  A literal four-loop enumerator is kept as an oracle
-for small moduli.
+Enumeration never loops over matrix entries: it walks the matching
+(trace, det) pairs and multiplies by the exact fiber size.  psi_q is
+homogeneous and every det is a unit, so psi_q(t^2, det) = 0 mod l^n
+exactly when t^2 / det lies in R = {r : psi_q(r, 1) = 0 mod l^n}; R is
+found once, and for each det and r in R only the t with t^2 = r det
+are visited.  For odd l the fiber size depends only on the class of
+the discriminant t^2 - 4 det under unit squares (its l-valuation capped
+at n, and below n whether its unit part is a square mod l), so one
+fiber sum per class serves every pair in it; at n = 1 those classes
+are the conjugacy types of the class tally.  For l = 2 each pair gets
+its own fiber sum.  A literal four-loop enumerator is kept as an
+oracle for small moduli.
 
 Empirical side: walk primes p <= x, reduce a_f(p^(q-1)) mod d through
 the trace polynomial, and compare the hit frequency against the
@@ -21,7 +28,6 @@ density with a binomial noise band.
 from __future__ import annotations
 
 import json
-import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -168,24 +174,70 @@ def _squares_mod(ell: int) -> frozenset[int]:
     return frozenset(x * x % ell for x in range(1, ell))
 
 
-def _tally_level_one(q: int, ell: int, weight: int) -> tuple[int, dict[str, int]]:
-    """Exact |D'| and per-conjugacy-type tally over GL2(F_ell), ell odd."""
+def _fiber_class(t: int, det: int, ell: int, n: int, squares: frozenset[int]):
+    """A key on which the fiber size of (t, det) mod l^n depends alone.
+
+    For odd l, a(t-a) - det = D/4 - s^2 with D = t^2 - 4 det and
+    s = a - t/2, and s -> u s for a unit u shows that D and u^2 D have
+    equal fibers; the unit-square classes of Z/l^n are the valuation
+    min(v_l(D), n) and, below n, whether the unit part of D is a square
+    mod l.  For l = 2 the pair itself is the key.
+    """
+    if ell == 2:
+        return t, det
+    m = ell**n
+    disc = (t * t - 4 * det) % m
+    v = 0
+    while v < n and disc % ell == 0:
+        disc //= ell
+        v += 1
+    if v == n:
+        return n, 0
+    return v, 1 if disc % ell in squares else -1
+
+
+def _match_classes(q: int, ell: int, n: int, weight: int) -> dict:
+    """Matching (t, det) pairs mod l^n, grouped by fiber class.
+
+    Maps each class key to [pair count, t, det] with (t, det) the first
+    pair of the class.  Only the t with t^2 = r det for a root r of
+    psi_q(X, 1) mod l^n are visited (see the module docstring).
+    """
     psi = psi_poly(q)
-    dets = unit_power_subgroup(ell, weight - 1)
+    m = ell**n
+    roots = [r for r in range(m) if eval_poly_mod(psi, r, 1, m) == 0]
+    square_roots: dict[int, list[int]] = {}
+    for t in range(m):
+        square_roots.setdefault(t * t % m, []).append(t)
     squares = _squares_mod(ell)
-    tally = dict.fromkeys(_CLASS_KEYS, 0)
-    for det in dets:
-        for t in range(ell):
-            if eval_poly_mod(psi, t * t % ell, det, ell) != 0:
-                continue
-            disc = (t * t - 4 * det) % ell
-            if disc == 0:
-                tally["central"] += 1
-                tally["nonsemisimple"] += ell * ell - 1
-            elif disc in squares:
-                tally["splitSemisimple"] += ell * ell + ell
-            else:
-                tally["nonsplitSemisimple"] += ell * ell - ell
+    classes: dict = {}
+    for det in unit_power_subgroup(m, weight - 1):
+        for r in roots:
+            for t in square_roots.get(r * det % m, ()):
+                key = _fiber_class(t, det, ell, n, squares)
+                entry = classes.get(key)
+                if entry is None:
+                    classes[key] = [1, t, det]
+                else:
+                    entry[0] += 1
+    return classes
+
+
+def _tally_level_one(q: int, ell: int, weight: int) -> tuple[int, dict[str, int]]:
+    """Exact |D'| and per-conjugacy-type tally over GL2(F_ell), ell odd.
+
+    A zero discriminant is one central matrix and l^2 - 1 nonsemisimple
+    ones; a nonzero square splits (l^2 + l matrices), a nonsquare does
+    not (l^2 - l).
+    """
+    pairs = {key: entry[0] for key, entry in _match_classes(q, ell, 1, weight).items()}
+    ramified = pairs.get((1, 0), 0)
+    tally = {
+        "central": ramified,
+        "nonsemisimple": ramified * (ell * ell - 1),
+        "splitSemisimple": pairs.get((0, 1), 0) * (ell * ell + ell),
+        "nonsplitSemisimple": pairs.get((0, -1), 0) * (ell * ell - ell),
+    }
     return sum(tally.values()), tally
 
 
@@ -225,7 +277,7 @@ def _bc_solution_table(ell: int, n: int) -> list[int]:
 
 
 def _fiber_count_lift(t: int, det: int, ell: int, n: int, bc_table: list[int]) -> int:
-    """# of matrices mod l^n with given trace and determinant (n >= 2)."""
+    """# of matrices mod l^n with given trace and determinant."""
     m = ell**n
     total = 0
     for a in range(m):
@@ -239,16 +291,12 @@ def _fiber_count_lift(t: int, det: int, ell: int, n: int, bc_table: list[int]) -
 
 
 def _match_count_lift(q: int, ell: int, n: int, weight: int) -> int:
-    psi = psi_poly(q)
-    m = ell**n
-    dets = unit_power_subgroup(m, weight - 1)
+    """One fiber sum per fiber class, times the matching pairs in it."""
     bc_table = _bc_solution_table(ell, n)
-    total = 0
-    for det in dets:
-        for t in range(m):
-            if eval_poly_mod(psi, t * t % m, det, m) == 0:
-                total += _fiber_count_lift(t, det, ell, n, bc_table)
-    return total
+    return sum(
+        count * _fiber_count_lift(t, det, ell, n, bc_table)
+        for count, t, det in _match_classes(q, ell, n, weight).values()
+    )
 
 
 def enumerate_density(
@@ -261,7 +309,11 @@ def enumerate_density(
 
     Raises BudgetExceededError when the nominal candidate space l^(4n)
     is above ``budget``; pass a larger budget explicitly to proceed.
+    ``workers`` (>= 1) is accepted for compatibility and changes neither
+    the result nor the work done.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if query.cells > budget:
         raise BudgetExceededError(
             f"candidate space {query.ell}^{4 * query.n} = {query.cells} exceeds budget {budget}",
@@ -277,8 +329,6 @@ def enumerate_density(
             match, tally = _tally_level_one(q, ell, k)
         if not with_classes:
             tally = None
-    elif workers > 1:
-        match = _match_count_lift_parallel(q, ell, n, k, workers)
     else:
         match = _match_count_lift(q, ell, n, k)
     return DensityReport(
@@ -298,31 +348,6 @@ def class_counts(query: DensityQuery, budget: int = DEFAULT_ENUM_BUDGET) -> dict
     if query.n != 1:
         raise ValueError("class tallies are defined at level exponent 1")
     return enumerate_density(query, budget=budget).class_tally
-
-
-def _det_chunk_count(args) -> int:
-    q, ell, n, k, det_chunk = args
-    psi = psi_poly(q)
-    m = ell**n
-    bc_table = _bc_solution_table(ell, n)
-    total = 0
-    for det in det_chunk:
-        for t in range(m):
-            if eval_poly_mod(psi, t * t % m, det, m) == 0:
-                total += _fiber_count_lift(t, det, ell, n, bc_table)
-    return total
-
-
-def _match_count_lift_parallel(q: int, ell: int, n: int, k: int, workers: int) -> int:
-    dets = sorted(unit_power_subgroup(ell**n, k - 1))
-    chunks = [dets[i::workers] for i in range(workers)]
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-fork platforms fall back
-        return _match_count_lift(q, ell, n, k)
-    with ctx.Pool(workers) as pool:
-        parts = pool.map(_det_chunk_count, [(q, ell, n, k, ch) for ch in chunks])
-    return sum(parts)
 
 
 def enumerate_density_bruteforce(query: DensityQuery) -> int:

@@ -212,6 +212,11 @@ def factorize(
     largest prime factor reads as 1.  A ``rho_budget`` of 0 skips rho:
     trial division, the survivor-is-prime rule and one primality test
     on the cofactor still run.
+
+    ``rho_budget`` is checked between Brent's doubling rounds, not
+    inside them: a round of length r costs 2r iterations and starts
+    whenever fewer than ``rho_budget`` have been spent, so one run can
+    spend up to 2 * rho_budget + 2 iterations (524286 against 300000).
     """
     if trial_bound < 1:
         raise ValueError(f"trial bound must be >= 1, got {trial_bound}")

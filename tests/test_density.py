@@ -8,6 +8,10 @@ from taulab import factor
 from taulab.density import (
     DELTA_EXCEPTIONAL_PRIMES,
     DensityQuery,
+    _bc_solution_table,
+    _fiber_class,
+    _fiber_count_lift,
+    _squares_mod,
     chebotarev_sample,
     class_counts,
     closed_form_density,
@@ -141,9 +145,46 @@ class TestDetSubgroup:
 
 class TestLifts:
     def test_lift_level_two_against_bruteforce(self):
-        for q, ell in [(3, 3), (3, 5), (5, 5)]:
-            query = DensityQuery(q, ell, 2, 12)
-            assert enumerate_density(query).match_count == enumerate_density_bruteforce(query)
+        # every l^n in {4, 8, 9, 16, 25, 27}: l = 2 (one fiber sum per pair),
+        # l = q = 3, and odd l with both fiber-class characters
+        for q in (3, 5):
+            for ell, n in [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)]:
+                query = DensityQuery(q, ell, n, 12)
+                assert enumerate_density(query).match_count == enumerate_density_bruteforce(
+                    query
+                ), (q, ell, n)
+
+    def test_fiber_size_constant_on_discriminant_classes(self):
+        # the count sums one fiber per class, so every (t, det) in a class
+        # must have the same fiber, matching or not
+        for ell, n in [(3, 1), (5, 1), (3, 2), (5, 2), (7, 2), (3, 3)]:
+            m = ell**n
+            bc_table = _bc_solution_table(ell, n)
+            squares = _squares_mod(ell)
+            fibers = {}
+            for det in range(m):
+                if det % ell == 0:
+                    continue
+                for t in range(m):
+                    key = _fiber_class(t, det, ell, n, squares)
+                    fibers.setdefault(key, set()).add(_fiber_count_lift(t, det, ell, n, bc_table))
+            assert len(fibers) == 2 * n + 1, (ell, n)
+            assert all(len(sizes) == 1 for sizes in fibers.values()), (ell, n, fibers)
+
+    def test_closed_form_grid_above_level_one(self):
+        for q in (3, 5, 7):
+            for ell in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+                for n in (2, 3):
+                    r = enumerate_density(DensityQuery(q, ell, n, 12), budget=10**20)
+                    if r.closed_form is not None:
+                        assert r.agrees, (q, ell, n, r.delta, r.closed_form)
+
+    def test_q3_ell3_lift_counts_pinned(self):
+        # no closed form at powers of 3 for q = 3; 11664 is also the four-loop count mod 27
+        for n, match in [(2, 432), (3, 11664)]:
+            r = enumerate_density(DensityQuery(3, 3, n, 12))
+            assert r.closed_form is None
+            assert r.match_count == match
 
     def test_lift_ratio_one_over_ell(self):
         for q, ell in [(3, 5), (3, 7)]:
@@ -189,6 +230,10 @@ class TestLifts:
             == enumerate_density(q, workers=2).match_count
             == enumerate_density(q, workers=3).match_count
         )
+
+    def test_workers_validated(self):
+        with pytest.raises(ValueError):
+            enumerate_density(DensityQuery(3, 5, 2, 12), workers=0)
 
 
 class TestReports:

@@ -106,3 +106,13 @@ class TestFactorize:
         # the cofactor's primality test still runs without rho
         f = factor.factorize(12 * (2**89 - 1), trial_bound=100, rho_budget=0)
         assert f.factors == {2: 2, 3: 1, 2**89 - 1: 1}
+
+    def test_rho_run_spends_at_most_twice_its_budget(self):
+        # the budget is checked between Brent's doubling rounds, so a run
+        # may overshoot it, but never past 2 * budget + 2 iterations
+        hard = (2**61 - 1) * (2**89 - 1)
+        for budget in (1, 2, 3, 5, 64, 127, 128, 129, 1000, 3000, 300000):
+            for attempt in (0, 1):
+                found, spent = factor._brent_rho(hard, attempt, budget)
+                assert found is None
+                assert 0 < spent <= 2 * budget + 2, (budget, attempt, spent)
