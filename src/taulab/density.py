@@ -20,22 +20,27 @@ are the conjugacy types of the class tally.  For l = 2 each pair gets
 its own fiber sum.  A literal four-loop enumerator is kept as an
 oracle for small moduli.
 
-Empirical side: walk primes p <= x, reduce a_f(p^(q-1)) mod d through
-the trace polynomial, and compare the hit frequency against the
-density with a binomial noise band.
+Empirical side: walk primes p <= x and test whether d divides
+a_f(p^(q-1)) = psi_q(a_f(p)^2, p^(k-1)).  By the same homogeneity, for
+p not dividing d that holds exactly when a_f(p)^2 p^(1-k) mod d is a
+root of psi_q(X, 1) mod d, so each prime costs one modular power and a
+lookup, and psi_q is evaluated at most once per residue mod d.  The hit
+frequency is compared against the density with a binomial noise band.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 from . import factor
 from .cyclotomic import eval_poly_mod, psi_poly
 from .errors import BudgetExceededError
-from .hecke import EigenformSpec, coeff_prime_power, iter_prime_coeffs
+from .hecke import EigenformSpec, _coeff_from_ap, iter_prime_coeffs
 
 DEFAULT_ENUM_BUDGET = 10**8
 
@@ -196,6 +201,16 @@ def _fiber_class(t: int, det: int, ell: int, n: int, squares: frozenset[int]):
     return v, 1 if disc % ell in squares else -1
 
 
+def _psi_root_test(q: int, m: int) -> Callable[[int], bool]:
+    """r -> whether psi_q(r, 1) = 0 mod m, one evaluation per residue r.
+
+    psi_q is homogeneous, so for a unit v mod m, psi_q(u, v) = 0 mod m
+    exactly when u / v mod m passes this test.
+    """
+    psi = psi_poly(q)
+    return cache(lambda r: eval_poly_mod(psi, r, 1, m) == 0)
+
+
 def _match_classes(q: int, ell: int, n: int, weight: int) -> dict:
     """Matching (t, det) pairs mod l^n, grouped by fiber class.
 
@@ -203,9 +218,8 @@ def _match_classes(q: int, ell: int, n: int, weight: int) -> dict:
     pair of the class.  Only the t with t^2 = r det for a root r of
     psi_q(X, 1) mod l^n are visited (see the module docstring).
     """
-    psi = psi_poly(q)
     m = ell**n
-    roots = [r for r in range(m) if eval_poly_mod(psi, r, 1, m) == 0]
+    roots = list(filter(_psi_root_test(q, m), range(m)))
     square_roots: dict[int, list[int]] = {}
     for t in range(m):
         square_roots.setdefault(t * t % m, []).append(t)
@@ -514,17 +528,19 @@ def chebotarev_sample(
 ) -> ChebotarevSample:
     """Count primes p <= x with d | a_f(p^(q-1)) and the value nonzero.
 
-    The coefficient is reduced through psi_q(a_f(p)^2, p^(k-1)) mod d,
-    never materialized.  Nonzero-ness is automatic for even exponents
-    away from p | 6N; the finitely many small primes are checked
-    exactly.
+    a_f(p^(q-1)) = psi_q(a_f(p)^2, p^(k-1)) is never materialized: p^(k-1)
+    is a unit mod d, so d divides it exactly when a_f(p)^2 p^(1-k) mod d
+    is a root of psi_q(X, 1) mod d, and each residue is tested once.
+    Nonzero-ness is automatic for even exponents away from p | 6N; the
+    finitely many small primes are checked exactly.
     """
     if x_bound < 10**3:
         raise ValueError(f"x bound must be at least 1000, got {x_bound}")
     ell, n = _factor_prime_power(d)
     DensityQuery(q, ell, n, f.weight)  # validates q and ell
-    psi = psi_poly(q)
+    is_root = _psi_root_test(q, d)
     target = closed_form_density(q, ell, n, f.weight)
+    k = f.weight
     hits = 0
     total = 0
     zero_excluded = 0
@@ -532,9 +548,9 @@ def chebotarev_sample(
         if d % p == 0:
             continue
         total += 1
-        if eval_poly_mod(psi, ap * ap, pow(p, f.weight - 1, d), d) != 0:
+        if not is_root(ap * ap * pow(p, 1 - k, d) % d):
             continue
-        if 6 % p == 0 and coeff_prime_power(f, p, q - 1) == 0:
+        if 6 % p == 0 and _coeff_from_ap(ap, p, k, q - 1) == 0:
             zero_excluded += 1
             continue
         hits += 1

@@ -24,7 +24,7 @@ import decimal
 import threading
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterable, Literal, NamedTuple
+from typing import Iterator, Literal, NamedTuple
 
 from . import factor
 from .errors import BudgetExceededError, DataExhaustedError, TableFormatError
@@ -202,20 +202,24 @@ class EigenformSpec:
         return self.table.ap(p)
 
 
+def _coeff_from_ap(ap: int, p: int, weight: int, m: int) -> int:
+    """a(p^m) for m >= 0 from a(p) = ap by the weight-k recursion."""
+    if m == 0:
+        return 1
+    q = p ** (weight - 1)
+    prev, cur = 1, ap
+    for _ in range(m - 1):
+        prev, cur = cur, ap * cur - q * prev
+    return cur
+
+
 def coeff_prime_power(f: EigenformSpec, p: int, m: int) -> int:
     """a_f(p^m) by the weight-k second-order recursion; a_f(p^0) = 1."""
     if m < 0:
         raise ValueError(f"exponent must be >= 0, got {m}")
     if m == 0:
         return 1
-    ap = f.ap(p)
-    if m == 1:
-        return ap
-    q = p ** (f.weight - 1)
-    prev, cur = 1, ap
-    for _ in range(m - 1):
-        prev, cur = cur, ap * cur - q * prev
-    return cur
+    return _coeff_from_ap(f.ap(p), p, f.weight, m)
 
 
 def coeff_lucas(f: EigenformSpec, p: int, m: int) -> int:
@@ -325,10 +329,8 @@ def export_table(f: EigenformSpec, path, bound: int) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# weight={f.weight} level={f.level} label={f.label}\n")
         fh.write("p,a_p\n")
-        for p in factor.primes_up_to(bound):
-            if f.level % p == 0:
-                continue
-            fh.write(f"{p},{f.ap(p)}\n")
+        for p, ap in iter_prime_coeffs(f, bound):
+            fh.write(f"{p},{ap}\n")
 
 
 def warm_delta_cache(limit: int, ceiling: int = DEFAULT_SERIES_CEILING) -> None:
@@ -361,11 +363,23 @@ def find_first_prime_tau(limit: int) -> tuple[int, int] | None:
     return None
 
 
-def iter_prime_coeffs(f: EigenformSpec, x_bound: int) -> Iterable[tuple[int, int]]:
-    """(p, a_f(p)) for primes p <= x_bound not dividing the level."""
-    if f.is_builtin:
-        warm_delta_cache(x_bound)
-    for p in factor.primes_up_to(x_bound):
-        if f.level % p == 0:
-            continue
-        yield p, f.ap(p)
+def iter_prime_coeffs(f: EigenformSpec, x_bound: int) -> Iterator[tuple[int, int]]:
+    """(p, a_f(p)) for primes p <= x_bound not dividing the level.
+
+    The primes come from the sieve (``factor.primes_up_to``), which
+    already proves them prime, so unlike ``EigenformSpec.ap`` the walk
+    does not re-test them: a_p is read straight from the warm tau series
+    (the built-in form has level 1) or from the table, whose ``ap`` still
+    raises DataExhaustedError past its bound.
+    """
+    primes = factor.primes_up_to(x_bound)
+    if f.table is None:
+        _delta_cache.ensure(x_bound)
+        series = _delta_cache._series
+        for p in primes:
+            yield p, series[p]
+        return
+    table, level = f.table, f.level
+    for p in primes:
+        if level % p:
+            yield p, table.ap(p)

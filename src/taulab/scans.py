@@ -33,7 +33,7 @@ import mpmath
 
 from . import factor
 from .errors import IdentityViolationError
-from .hecke import EigenformSpec, coeff_prime_power, iter_prime_coeffs
+from .hecke import EigenformSpec, _coeff_from_ap, coeff_prime_power, iter_prime_coeffs
 
 # log log p > 1 from the first prime past e^e, so the threshold is a
 # positive real from here on
@@ -165,10 +165,10 @@ def scan_rows(
         raise ValueError(f"exponent must be even and >= 2, got {two_n}")
     if grh_c is not None:
         epsilon = None
-    for p, _ap in iter_prime_coeffs(f, x_bound):
+    for p, ap in iter_prime_coeffs(f, x_bound):
         if p < MIN_SCAN_PRIME:
             continue
-        value = coeff_prime_power(f, p, two_n)
+        value = _coeff_from_ap(ap, p, f.weight, two_n)
         if value == 0:
             raise IdentityViolationError(
                 f"a(p^{two_n}) vanished at p={p}: even exponents cannot vanish here"

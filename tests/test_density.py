@@ -25,7 +25,9 @@ from taulab.density import (
     unit_power_group_order,
     unit_power_subgroup,
 )
+from taulab.cyclotomic import eval_poly_mod, psi_poly
 from taulab.errors import BudgetExceededError
+from taulab.hecke import coeff_prime_power, delta_series_view
 
 
 class TestQueryValidation:
@@ -277,6 +279,41 @@ class TestChebotarev:
         payload = sample.to_json_dict()
         assert payload["empirical"]["total"] == sample.total_primes
         assert payload["target"] == "1/5"
+
+    @pytest.mark.parametrize(
+        "q,d", [(5, 11), (3, 7), (13, 53), (3, 9), (3, 125), (5, 25), (7, 8), (3, 691)]
+    )
+    def test_matches_per_prime_evaluation(self, delta, q, d):
+        """Oracle: evaluate psi_q(a_p^2, p^(k-1)) mod d at every prime p <= 10^5."""
+        x = 10**5
+        series = delta_series_view(x)
+        psi = psi_poly(q)
+        hits = total = zeros = 0
+        for p in factor.primes_up_to(x):
+            if d % p == 0:
+                continue
+            total += 1
+            ap = series[p]
+            if eval_poly_mod(psi, ap * ap, pow(p, 11, d), d) != 0:
+                continue
+            if coeff_prime_power(delta, p, q - 1) == 0:
+                zeros += 1
+            else:
+                hits += 1
+        sample = chebotarev_sample(delta, q, d, x)
+        assert (sample.hits, sample.total_primes, sample.zero_excluded) == (hits, total, zeros)
+
+    def test_walk_runs_no_primality_tests(self, delta_warm_small, monkeypatch):
+        calls = []
+        real = factor.is_prime
+        monkeypatch.setattr(factor, "is_prime", lambda n: calls.append(n) or real(n))
+        counts = []
+        for x in (10**3, 10**4):
+            calls.clear()
+            chebotarev_sample(delta_warm_small, 5, 11, x)
+            counts.append(len(calls))
+        # only q and the modulus are validated: nothing per walked prime
+        assert counts[0] == counts[1] <= 2
 
     def test_prime_power_modulus_accepted(self, delta_warm_small):
         sample = chebotarev_sample(delta_warm_small, 3, 121, 10**4)

@@ -19,6 +19,7 @@ from taulab.hecke import (
     export_table,
     find_first_prime_tau,
     ingest_table,
+    iter_prime_coeffs,
     tau_series,
 )
 
@@ -244,6 +245,24 @@ class TestIngestion:
     def test_builtin_forces_weight_and_level(self):
         with pytest.raises(ValueError):
             EigenformSpec(weight=4, level=1)
+
+
+class TestPrimeWalk:
+    def test_builtin_walk_equals_ap(self, delta_warm_small):
+        walk = list(iter_prime_coeffs(delta_warm_small, 10**4))
+        assert walk == [(p, delta_warm_small.ap(p)) for p in factor.primes_up_to(10**4)]
+
+    def test_table_walk_skips_level_and_equals_ap(self, tmp_path, delta_warm_small):
+        path = tmp_path / "level10.csv"
+        rows = [f"{p},{delta_warm_small.ap(p)}" for p in factor.primes_up_to(500) if 10 % p]
+        path.write_text("p,a_p\n" + "\n".join(rows) + "\n")
+        form = ingest_table(path, 12, 10, label="level10")
+        walk = list(iter_prime_coeffs(form, 500))
+        assert walk == [(p, form.ap(p)) for p in factor.primes_up_to(500) if 10 % p]
+        with pytest.raises(DataExhaustedError):
+            list(iter_prime_coeffs(form, 503))
+        with pytest.raises(DataExhaustedError):
+            form.ap(503)
 
 
 class TestPrimeValues:

@@ -202,6 +202,14 @@ class TestSatoTate:
         hist = sato_tate_histogram(delta_warm_small, 10**4, bins=20)
         assert hist.max_deviation <= 0.05
 
+    def test_walk_runs_no_primality_tests(self, delta_warm_small, monkeypatch):
+        calls = []
+        real = factor.is_prime
+        monkeypatch.setattr(factor, "is_prime", lambda n: calls.append(n) or real(n))
+        hist = sato_tate_histogram(delta_warm_small, 10**4, bins=20)
+        assert hist.sample_size == len(factor.primes_up_to(10**4))
+        assert calls == []
+
     def test_validation(self, delta):
         with pytest.raises(ValueError):
             sato_tate_histogram(delta, 100, 20)
