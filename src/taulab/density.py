@@ -40,7 +40,7 @@ from math import gcd
 from . import factor
 from .cyclotomic import eval_poly_mod, psi_poly
 from .errors import BudgetExceededError
-from .hecke import EigenformSpec, _coeff_from_ap, iter_prime_coeffs
+from .hecke import EigenformSpec, iter_prime_coeffs
 
 DEFAULT_ENUM_BUDGET = 10**8
 
@@ -531,8 +531,13 @@ def chebotarev_sample(
     a_f(p^(q-1)) = psi_q(a_f(p)^2, p^(k-1)) is never materialized: p^(k-1)
     is a unit mod d, so d divides it exactly when a_f(p)^2 p^(1-k) mod d
     is a root of psi_q(X, 1) mod d, and each residue is tested once.
-    Nonzero-ness is automatic for even exponents away from p | 6N; the
-    finitely many small primes are checked exactly.
+
+    The value is never zero, so ``zero_excluded`` is always 0 (the JSON
+    key stays for a stable schema).  a(p^m) = U_(m+1)(a_p, p^(k-1)) is a
+    Lucas term, zero only when the ratio of the Frobenius roots is a
+    root of unity of order r dividing m + 1, with r in {2, 3, 4, 6}.
+    For even k, p^(k-1) is not a square, so r = 3 is impossible and r
+    is even; m + 1 = q is odd, so no such r divides it.
     """
     if x_bound < 10**3:
         raise ValueError(f"x bound must be at least 1000, got {x_bound}")
@@ -543,17 +548,12 @@ def chebotarev_sample(
     k = f.weight
     hits = 0
     total = 0
-    zero_excluded = 0
     for p, ap in iter_prime_coeffs(f, x_bound):
         if d % p == 0:
             continue
         total += 1
-        if not is_root(ap * ap * pow(p, 1 - k, d) % d):
-            continue
-        if 6 % p == 0 and _coeff_from_ap(ap, p, k, q - 1) == 0:
-            zero_excluded += 1
-            continue
-        hits += 1
+        if is_root(ap * ap * pow(p, 1 - k, d) % d):
+            hits += 1
     return ChebotarevSample(
         f_label=f.label or ("builtin" if f.is_builtin else "table"),
         q=q,
@@ -561,7 +561,7 @@ def chebotarev_sample(
         x_bound=x_bound,
         hits=hits,
         total_primes=total,
-        zero_excluded=zero_excluded,
+        zero_excluded=0,
         target=target,
         exceptional=f.is_builtin and ell in DELTA_EXCEPTIONAL_PRIMES,
     )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import threading
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .errors import PartialFactorizationError
@@ -33,11 +33,24 @@ DEFAULT_TRIAL_BOUND = 10**6
 DEFAULT_RHO_BUDGET = 10**8
 
 # psi_k, the smallest strong pseudoprime to all of the first k prime
-# bases, is 3.18e23 for k = 12 (bases up to 37) and 3.3e24 for k = 13
-# (up to 41), so Miller-Rabin on those bases is deterministic below them.
+# bases (OEIS A014233): Miller-Rabin on the first k primes is
+# deterministic below psi_k.  Each pair is (psi_k, k); psi_8 = psi_7 and
+# psi_10 = psi_11 = psi_9, so those k are skipped.  The last limit,
+# psi_13 = 3.3e24 (bases up to 41), ends the deterministic range.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_PSI_12 = 318665857834031151167461
 _MR_DETERMINISTIC_LIMIT = 3317044064679887385961981
+_MR_PSI_TABLE = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+    (_MR_DETERMINISTIC_LIMIT, 13),
+)
 # 30 fixed bases above the deterministic range
 _MR_PROBABLE_BASES = _MR_BASES + (
     43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113
@@ -66,13 +79,24 @@ def primes_up_to(n: int) -> list[int]:
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin: deterministic below 3.3e24, fixed 30 bases above.
+    """Exact below 3.3e24: a sieve lookup, else Miller-Rabin on few bases.
 
-    Above the deterministic range this is a strong probable-prime test
-    with error below 4^-30, reproducible because the bases are fixed.
+    Up to the limit of the cached sieve (grown only by `primes_up_to`)
+    the answer is a bisection of the sieve's primes.  Above it,
+    Miller-Rabin uses the first k prime bases for the smallest k with
+    n < psi_k (one base below 2047, two below 1373653, ..., nine below
+    3.8e18, twelve below 3.2e23, thirteen below 3.3e24), which is
+    deterministic.  Above 3.3e24 it is a strong probable-prime test on
+    30 fixed bases, with error below 4^-30 and reproducible.
     """
     if n < 2:
         return False
+    # primes_up_to publishes the list before the limit, so the list read
+    # after the limit covers it even while another thread grows the sieve
+    if n <= _sieve_limit:
+        primes = _sieve_primes
+        i = bisect_left(primes, n)
+        return i < len(primes) and primes[i] == n
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
@@ -81,12 +105,11 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    if n < _MR_PSI_12:
-        bases = _MR_BASES[:-1]
-    elif n < _MR_DETERMINISTIC_LIMIT:
-        bases = _MR_BASES
-    else:
-        bases = _MR_PROBABLE_BASES
+    bases = _MR_PROBABLE_BASES
+    for psi, k in _MR_PSI_TABLE:
+        if n < psi:
+            bases = _MR_BASES[:k]
+            break
     for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:

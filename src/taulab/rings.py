@@ -17,9 +17,10 @@ from math import comb, gcd
 from .cyclotomic import f_poly
 from .errors import SingularMatrixError
 
-# Orbit enumeration cost grows like n * 2^n; this cap keeps every
-# supported call desk-scale.  Degrees needed in practice are q - 1 for
-# small odd primes q.
+# sym_pow costs O(n^3) small-integer products; the cap bounds what the
+# CLI prints, (n+1)^2 entries, and the degrees the orbit-sum oracle,
+# whose cost grows like n * 2^n, may be asked for.  Degrees needed in
+# practice are q - 1 for small odd primes q.
 MAX_SYM_DEGREE = 32
 
 
@@ -239,42 +240,43 @@ def sym_pow(mat: RingMatrix, n: int) -> RingMatrix:
     """Symmetric n-th power of an invertible 2x2 matrix.
 
     Entry (i, j) is the orbit sum over all arrangements s of the j-th
-    standard multi-index of the products a[r_i[u], s[u]].  Arrangements
-    with the same number of twos in each of the two blocks of r_i give
-    equal products, so the sum is accumulated per block split with its
-    binomial multiplicity.
+    standard multi-index of the products a[r_i[u], s[u]].  Counting the
+    twos of s in each of the two blocks of r_i turns that sum into the
+    coefficient of X^(j-1) in (a + bX)^(n-i+1) (c + dX)^(i-1), so each
+    row is one convolution of two rows of binomial powers.  The work is
+    done on plain integers (reduced mod m along the way over Z/mZ) and
+    each entry is normalized once; ring operations are homomorphic, so
+    this is the same orbit sum.
     """
     _require_sym_args(mat, n)
     ring = mat.ring
     (a, b), (c, d) = mat.entries
-    mul = ring.mul
-    pa = _power_table(ring, a, n)
-    pb = _power_table(ring, b, n)
-    pc = _power_table(ring, c, n)
-    pd = _power_table(ring, d, n)
+    m = ring.modulus
+    left = _binomial_powers(a, b, n, m)
+    right = _binomial_powers(c, d, n, m)
     rows = []
-    for i in range(1, n + 2):
-        ones = n - i + 1  # leading block of r_i, entries equal to 1
-        twos = i - 1
-        row = []
-        for j in range(1, n + 2):
-            total = ring.zero
-            for alpha in range(max(0, j - 1 - twos), min(j - 1, ones) + 1):
-                beta = j - 1 - alpha
-                term = mul(pa[ones - alpha], pb[alpha])
-                term = mul(term, mul(pc[twos - beta], pd[beta]))
-                mult = comb(ones, alpha) * comb(twos, beta)
-                total = ring.add(total, ring.normalize(mult * term))
-            row.append(total)
-        rows.append(tuple(row))
+    for twos in range(n + 1):
+        row = [0] * (n + 1)
+        for s, x in enumerate(left[n - twos]):
+            if x:
+                for t, y in enumerate(right[twos], s):
+                    row[t] += x * y
+        rows.append(tuple(row) if m is None else tuple(e % m for e in row))
     return RingMatrix(ring, tuple(rows))
 
 
-def _power_table(ring, x, n: int) -> list:
-    t = [ring.one]
+def _binomial_powers(x: int, y: int, n: int, modulus: int | None) -> list[list[int]]:
+    """Coefficient lists of (x + yX)^k for k = 0..n, reduced mod modulus if given."""
+    powers = [[1]]
     for _ in range(n):
-        t.append(ring.mul(t[-1], x))
-    return t
+        prev = powers[-1]
+        nxt = [x * prev[0]]
+        nxt += [x * hi + y * lo for lo, hi in zip(prev, prev[1:])]
+        nxt.append(y * prev[-1])
+        if modulus is not None:
+            nxt = [v % modulus for v in nxt]
+        powers.append(nxt)
+    return powers
 
 
 def sym_pow_via_orbits(mat: RingMatrix, n: int) -> RingMatrix:

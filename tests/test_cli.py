@@ -1,8 +1,12 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from taulab.cli import EXIT_BUDGET, EXIT_IDENTITY, EXIT_OK, EXIT_USAGE, main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -50,6 +54,20 @@ class TestCoeffAndPsi:
         code, out, _ = run(capsys, "sympow", "--n", "2", "--entries", "1,1,0,1",
                            "--mod", "5", "--format", "json")
         assert json.loads(out)["rows"] == [[1, 2, 1], [0, 1, 1], [0, 0, 1]]
+
+    def test_sympow_golden_grid(self, capsys):
+        # sha256 of stdout for ZZ and mod 2, 6, 7, 9 at n in {1, 2, 5, 8, 16, 32},
+        # text and json, recorded from the per-term orbit-sum implementation
+        golden = json.loads((DATA / "sympow_golden.json").read_text())
+        assert len(golden) == 96
+        for case in golden:
+            argv = ["sympow", "--n", str(case["n"]), f"--entries={case['entries']}",
+                    "--format", case["format"]]
+            if case["mod"]:
+                argv += ["--mod", case["mod"]]
+            code, out, _ = run(capsys, *argv)
+            assert code == case["exit"], argv
+            assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"], argv
 
 
 class TestDensityCommands:

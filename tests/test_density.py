@@ -27,7 +27,7 @@ from taulab.density import (
 )
 from taulab.cyclotomic import eval_poly_mod, psi_poly
 from taulab.errors import BudgetExceededError
-from taulab.hecke import coeff_prime_power, delta_series_view
+from taulab.hecke import coeff_prime_power, delta_series_view, ingest_table
 
 
 class TestQueryValidation:
@@ -302,6 +302,29 @@ class TestChebotarev:
                 hits += 1
         sample = chebotarev_sample(delta, q, d, x)
         assert (sample.hits, sample.total_primes, sample.zero_excluded) == (hits, total, zeros)
+
+    def test_no_zero_at_even_exponents(self, delta, tmp_path):
+        """Why zero_excluded is always 0: a(p^(q-1)) never vanishes.
+
+        Zeros of a(p^m) need a root-of-unity ratio of Frobenius roots of
+        order r in {2, 4, 6} (r = 3 needs p^(k-1) square, so odd k), hence
+        odd m.  The small primes where a_p^2 = 2 * 2^(k-1) or 3 * 3^(k-1)
+        can occur vanish at m = 3 and m = 5, never at m = q - 1.
+        """
+        odd_primes = (3, 5, 7, 11, 13)
+        for p in (2, 3):
+            for q in odd_primes:
+                assert coeff_prime_power(delta, p, q - 1) != 0
+        path = tmp_path / "weight2.csv"
+        path.write_text("2,2\n3,3\n")
+        f = ingest_table(path, 2, 1)
+        assert f.ap(2) ** 2 == 2 * 2 ** (f.weight - 1)
+        assert f.ap(3) ** 2 == 3 * 3 ** (f.weight - 1)
+        assert coeff_prime_power(f, 2, 3) == 0
+        assert coeff_prime_power(f, 3, 5) == 0
+        for p in (2, 3):
+            for q in odd_primes:
+                assert coeff_prime_power(f, p, q - 1) != 0
 
     def test_walk_runs_no_primality_tests(self, delta_warm_small, monkeypatch):
         calls = []

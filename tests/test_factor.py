@@ -31,6 +31,16 @@ class TestPrimesAndPrimality:
         # strong pseudoprime to base 2 alone
         assert not factor.is_prime(2047)
 
+    def test_sieve_path_matches_miller_rabin(self, monkeypatch):
+        window = range(-3, 20000)
+        expected = factor.primes_up_to(window[-1])
+        assert factor._sieve_limit >= window[-1]
+        assert [n for n in window if factor.is_prime(n)] == expected
+        # an empty sieve sends the same n through Miller-Rabin
+        monkeypatch.setattr(factor, "_sieve_primes", [])
+        monkeypatch.setattr(factor, "_sieve_limit", 0)
+        assert [n for n in window if factor.is_prime(n)] == expected
+
 
 class TestFactorize:
     def test_conventions(self):

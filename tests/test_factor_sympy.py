@@ -65,11 +65,17 @@ def test_pseudoprimes(n):
     assert check_factorization(n, 10**4, 10**7).is_complete
 
 
+# is_prime changes its number of Miller-Rabin bases at each psi_k it uses
 @pytest.mark.parametrize(
-    "center", [STRONG_PSEUDOPRIMES[-2], factor._MR_DETERMINISTIC_LIMIT], ids=["psi12", "limit"]
+    "center",
+    [*STRONG_PSEUDOPRIMES[:-2], STRONG_PSEUDOPRIMES[-2], factor._MR_DETERMINISTIC_LIMIT],
+    ids=["psi1", "psi2", "psi3", "psi4", "psi5", "psi6", "psi7", "psi9", "psi12", "limit"],
 )
-def test_both_sides_of_deterministic_limits(center):
-    window = range(center - 3000, center + 3000)
+def test_both_sides_of_deterministic_limits(center, monkeypatch):
+    # an empty sieve sends every n through Miller-Rabin, even near psi_1
+    monkeypatch.setattr(factor, "_sieve_primes", [])
+    monkeypatch.setattr(factor, "_sieve_limit", 0)
+    window = range(max(2, center - 3000), center + 3000)
     primes = [n for n in window if sympy.isprime(n)]
     assert [n for n in window if factor.is_prime(n)] == primes
     assert min(primes) < center < max(primes)

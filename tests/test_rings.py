@@ -27,6 +27,18 @@ def all_invertible(modulus):
             yield mat
 
 
+def bezout(a, b):
+    """(x, y) with a x + b y = 1, for coprime a and b."""
+    old_r, r, old_x, x, old_y, y = a, b, 1, 0, 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_x, x = x, old_x - q * x
+        old_y, y = y, old_y - q * y
+    assert abs(old_r) == 1
+    return old_r * old_x, old_r * old_y
+
+
 def random_invertible(rnd, ring, modulus):
     while True:
         mat = RingMatrix.make(ring, [[rnd.randrange(modulus) for _ in range(2)] for _ in range(2)])
@@ -121,15 +133,32 @@ class TestSymPow:
         import random
 
         rnd = random.Random(seed)
-        modulus = rnd.choice([5, 7, 9, 12])
+        modulus = rnd.choice([4, 5, 7, 8, 9, 12, 25])
         mat = random_invertible(rnd, Zmod(modulus), modulus)
-        n = rnd.randrange(1, 7)
+        n = rnd.randrange(1, 9)
         assert sym_pow(mat, n).entries == sym_pow_via_orbits(mat, n).entries
 
     def test_matches_orbit_enumeration_over_integers(self):
         mat = RingMatrix.make(ZZ, [[3, 7], [2, 5]])  # det 1
         for n in range(1, 7):
             assert sym_pow(mat, n).entries == sym_pow_via_orbits(mat, n).entries
+
+    @given(
+        st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(lambda ab: gcd(*ab) == 1),
+        st.integers(-3, 3),
+        st.sampled_from([1, -1]),
+        st.integers(1, 12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_orbit_enumeration_integer_units(self, first_row, shift, sign, n):
+        # complete a primitive first row to det 1, shear the second row by a
+        # multiple of the first, then give the matrix determinant sign
+        a, b = first_row
+        x, y = bezout(a, b)
+        c, d = -y + shift * a, x + shift * b
+        mat = RingMatrix.make(ZZ, [[a, b], [sign * c, sign * d]])
+        assert mat.det() == sign
+        assert sym_pow(mat, n).entries == sym_pow_via_orbits(mat, n).entries
 
     def test_monomial_basis_conjugation(self):
         # D * sym_pow(A, n) == P(A, n) * D where P's (i, j) entry is the
