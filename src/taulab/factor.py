@@ -2,7 +2,11 @@
 
 Strategy per value: strip small primes by trial division against a
 cached sieve, then split the remaining cofactor with Brent-cycle
-Pollard rho, certifying every reported prime with Miller-Rabin.  Both
+Pollard rho, certifying every reported prime with Miller-Rabin.  Trial
+division takes the sieve's primes in blocks of 64 and tests each block
+with one gcd against the block's product, cached beside the sieve (the
+batch-gcd idea of Bernstein's product trees); only a block that shares
+a factor with the value is divided prime by prime.  Both
 stages take explicit budgets; when a composite cofactor survives them
 the result is returned (or raised) as a partial factorization that
 still knows a lower bound on any prime hiding in the cofactor.
@@ -14,6 +18,7 @@ global RNG, so results are identical across runs and worker layouts.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from bisect import bisect_left, bisect_right
@@ -56,9 +61,15 @@ _MR_PROBABLE_BASES = _MR_BASES + (
     43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113
 )
 
+# Trial division tests this many consecutive sieve primes with one gcd.
+_BLOCK = 64
+
 _sieve_lock = threading.Lock()
 _sieve_limit = 0
 _sieve_primes: list[int] = []
+# _block_products[b] is the product of _sieve_primes[_BLOCK*b : _BLOCK*(b+1)];
+# only full blocks are cached, and the list only ever grows.
+_block_products: list[int] = []
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -72,10 +83,58 @@ def primes_up_to(n: int) -> list[int]:
                 flags[0:2] = b"\x00\x00"
                 for i in range(2, math.isqrt(limit) + 1):
                     if flags[i]:
-                        flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-                _sieve_primes = [i for i in range(limit + 1) if flags[i]]
+                        flags[i * i :: i] = bytes((limit - i * i) // i + 1)
+                primes = list(itertools.compress(range(limit + 1), flags))
+                # extend the products before publishing the list and the
+                # limit, so a reader that sees the new limit finds them cached
+                for b in range(len(_block_products), len(primes) // _BLOCK):
+                    _block_products.append(math.prod(primes[_BLOCK * b : _BLOCK * (b + 1)]))
+                _sieve_primes = primes
                 _sieve_limit = limit
     return _sieve_primes[: bisect_right(_sieve_primes, n)]
+
+
+def _trial_divide(n: int, bound: int, factors: dict[int, int]) -> int:
+    """Divide the sieve primes <= bound out of n; return what is left.
+
+    Primes are tested a block at a time: one gcd of n against the block's
+    product, and only a block with a common factor is walked prime by
+    prime.  The walk ends at the first block whose smallest prime p has
+    p * p above the remaining n, which is then 1 or a prime (the caller's
+    survivor rule takes it).  Found primes go into ``factors`` in
+    ascending order with full exponents.
+    """
+    if bound > _sieve_limit:
+        primes_up_to(bound)
+    # read the list after the limit (see is_prime); a growth racing this call
+    # only lengthens the products, and at most count // _BLOCK of them are used
+    primes = _sieve_primes
+    products = _block_products
+    count = bisect_right(primes, bound)
+    cached = min(count // _BLOCK, len(products))
+    for start in range(0, count, _BLOCK):
+        p = primes[start]
+        if p * p > n:
+            break
+        b = start // _BLOCK
+        if b < cached:
+            g = math.gcd(n, products[b])
+        else:
+            g = math.gcd(n, math.prod(primes[start : min(start + _BLOCK, count)]))
+        if g == 1:
+            continue
+        # every prime of g lies in this block, so the walk stops inside it
+        for p in primes[start : start + _BLOCK]:
+            if g % p == 0:
+                e = 0
+                while n % p == 0:
+                    n //= p
+                    e += 1
+                factors[p] = e
+                g //= p
+                if g == 1:
+                    break
+    return n
 
 
 def is_prime(n: int) -> bool:
@@ -231,6 +290,12 @@ def factorize(
 ) -> Factorization:
     """Factor n completely, or raise carrying the partial result.
 
+    Trial division runs over the primes up to min(trial_bound, isqrt(n) + 1)
+    a block of 64 at a time: one gcd with the block's product decides
+    whether any of them divides n, and the walk stops at the first block
+    whose smallest prime squared exceeds what is left of n.  A survivor
+    at most trial_bound^2 is then prime.
+
     Largest-prime conventions: 0 and +-1 factor into nothing, so their
     largest prime factor reads as 1.  A ``rho_budget`` of 0 skips rho:
     trial division, the survivor-is-prime rule and one primality test
@@ -253,15 +318,7 @@ def factorize(
     if n == 1:
         return result
 
-    for p in primes_up_to(min(trial_bound, math.isqrt(n) + 1)):
-        if p * p > n:
-            break
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            result.factors[p] = e
+    n = _trial_divide(n, min(trial_bound, math.isqrt(n) + 1), result.factors)
     if 1 < n <= trial_bound * trial_bound:
         # survivor of trial division below bound^2 must be prime
         result.factors[n] = result.factors.get(n, 0) + 1

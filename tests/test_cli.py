@@ -126,6 +126,18 @@ class TestScanCommands:
             code, out, _ = run(capsys, "scan", *argv, "--format", fmt)
             assert (code, out) == (want, pinned)
 
+    def test_scan_golden_default_trial_bound(self, capsys):
+        # trial-only rows at the default trial bound of 10^6, recorded from
+        # trial division by one n % p per sieve prime
+        code, out, err = run(capsys, "scan", "--two-n", "2", "--x-bound", "300",
+                             "--format", "csv", "--rho-budget", "0")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f6e1f2f97e0111b23c569693d1074c644548e259a414283c8731cb70fcdc5d84"
+        )
+        assert err == ('{"fail": 0, "pass": 56, "passFraction": 1.0, "rows": 56, '
+                       '"unknown": 0, "zeroRows": 0}\n')
+
     @pytest.mark.parametrize("flag, value", [("--trial-bound", "-100"), ("--trial-bound", "0"),
                                              ("--rho-budget", "-1")])
     def test_scan_rejects_bad_budgets(self, capsys, flag, value):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,6 +42,85 @@ class TestPrimesAndPrimality:
         monkeypatch.setattr(factor, "_sieve_primes", [])
         monkeypatch.setattr(factor, "_sieve_limit", 0)
         assert [n for n in window if factor.is_prime(n)] == expected
+
+    def test_block_products_follow_sieve_growth(self, monkeypatch):
+        monkeypatch.setattr(factor, "_sieve_primes", [])
+        monkeypatch.setattr(factor, "_sieve_limit", 0)
+        monkeypatch.setattr(factor, "_block_products", [])
+        size = factor._BLOCK
+        for limit in (1024, 2048, 10**5):
+            factor.primes_up_to(limit)
+            products = factor._block_products
+            assert len(products) == len(factor._sieve_primes) // size
+            for b, product in enumerate(products):
+                assert product == math.prod(factor._sieve_primes[size * b : size * (b + 1)])
+
+
+def _trial_oracle(n, trial_bound):
+    """factorize(n, trial_bound, 0, allow_partial=True) with one n % p per prime."""
+    n = abs(n)
+    factors = {}
+    if n <= 1:
+        return [], 1, 1
+    for p in factor.primes_up_to(min(trial_bound, math.isqrt(n) + 1)):
+        if p * p > n:
+            break
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            factors[p] = e
+    if 1 < n <= trial_bound * trial_bound:
+        factors[n] = factors.get(n, 0) + 1
+        n = 1
+    # a zero rho budget still tests primality and perfect powers
+    cofactor = 1
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if factor.is_prime(m):
+            factors[m] = factors.get(m, 0) + 1
+        elif (root := factor._perfect_root(m)) is not None:
+            pending.extend([root[0]] * root[1])
+        else:
+            cofactor *= m
+    return list(factors.items()), cofactor, trial_bound if cofactor > 1 else 1
+
+
+def _assert_trial_matches(n, trial_bound):
+    f = factor.factorize(n, trial_bound, 0, allow_partial=True)
+    got = (list(f.factors.items()), f.cofactor, f.cofactor_floor)
+    assert got == _trial_oracle(n, trial_bound), (n, trial_bound)
+
+
+class TestBlockTrialDivision:
+    """The block-gcd trial stage against one n % p per sieve prime."""
+
+    @given(st.integers(-(2**200), 2**200),
+           st.one_of(st.integers(1, 3), st.integers(1, 10**3), st.integers(1, 10**5)))
+    @settings(max_examples=300, deadline=None)
+    def test_random(self, n, trial_bound):
+        _assert_trial_matches(n, trial_bound)
+
+    def test_block_edges(self):
+        size = factor._BLOCK
+        primes = factor.primes_up_to(10**5)
+        firsts = [primes[size * b] for b in range(4)]
+        lasts = [primes[size * b + size - 1] for b in range(4)]
+        big = 2**89 - 1
+        values = [p * q for p in firsts + lasts for q in firsts + lasts]
+        values += [p * p for p in firsts] + [p * p * big for p in firsts]
+        values += [p**3 * q**2 * big for p, q in zip(firsts, lasts)]
+        values += [primes[size * b] ** 2 for b in range(4, 40)]
+        bounds = [1, 2, 3, 10**5]
+        for k in range(1, 5):
+            # trial bounds whose prime count is 64k - 1, 64k and 64k + 1
+            bounds += primes[size * k - 2 : size * k + 1]
+            values += [math.prod(primes[size * k - 3 : size * k + 2]), primes[size * k] * big]
+        for n in values:
+            for trial_bound in bounds:
+                _assert_trial_matches(n, trial_bound)
 
 
 class TestFactorize:
