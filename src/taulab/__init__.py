@@ -8,6 +8,7 @@ Modules:
 * ``density``    -- trace-zero densities over GL2 of finite rings, Chebotarev scans
 * ``factor``     -- factorization and primality plumbing
 * ``scans``      -- largest-prime-factor scans, divisibility towers, value histograms
+* ``identities`` -- the identity checks behind ``taulab verify`` and the acceptance suite
 * ``cli``        -- every operation as a subcommand
 """
 

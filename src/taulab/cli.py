@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from . import cyclotomic, density, factor, hecke, scans
+from . import cyclotomic, density, factor, hecke, identities, scans
 from .errors import (
     BudgetExceededError,
     DataExhaustedError,
@@ -147,7 +145,7 @@ def _cmd_sympow(cfg: RunConfig) -> int:
 
 def _cmd_density(cfg: RunConfig) -> int:
     query = density.DensityQuery(cfg.q, cfg.ell, cfg.n, cfg.weight)
-    report = density.enumerate_density(query, budget=cfg.budget, workers=cfg.workers)
+    report = density.enumerate_density(query, budget=cfg.budget)
     _emit(cfg, report.to_json())
     return EXIT_OK
 
@@ -216,160 +214,26 @@ def _cmd_sato_tate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _verify_identities(limit: int, report) -> bool:
-    ok = True
-    for n in range(3, limit + 1):
-        lhs = cyclotomic.substitute_square_product(cyclotomic.psi_poly(n))
-        if lhs.coeffs != cyclotomic.phi_poly(n).coeffs:
-            report(f"FAIL square-product identity at n={n}")
-            ok = False
-        rhs = cyclotomic.substitute_square_product(cyclotomic.f_poly(n))
-        if n % 2 == 0:
-            rhs = cyclotomic.multiply_by_x_plus_y(rhs)
-        if rhs.coeffs != cyclotomic.geometric_sum_poly(n).coeffs:
-            report(f"FAIL geometric-sum identity at n={n}")
-            ok = False
-    report(f"PASS square-product and geometric-sum identities for n <= {limit}" if ok else "")
-    euler_ok = True
-    for q in [p for p in factor.primes_up_to(101) if p % 2]:
-        psi = cyclotomic.psi_poly(q)
-        dx, dy = cyclotomic.partial_derivatives(psi)
-        m = psi.degree
-        lhs_c = [0] * (m + 1)
-        for i, c in enumerate(dx.coeffs):
-            lhs_c[i] += c
-        for i, c in enumerate(dy.coeffs):
-            lhs_c[i + 1] += c
-        if tuple(x * 1 for x in lhs_c) != tuple(m * c for c in psi.coeffs):
-            report(f"FAIL scaling identity for partials at q={q}")
-            euler_ok = False
-    if euler_ok:
-        report("PASS partial-derivative scaling identity for odd primes q <= 101")
-    disc_ok = True
-    for q in (3, 5, 7, 11, 13, 17, 19):
-        tilde = cyclotomic.psi_poly(q).to_univariate()
-        if abs(cyclotomic.discriminant(tilde)) != q ** ((q - 3) // 2) or abs(tilde(0)) != 1:
-            report(f"FAIL discriminant law at q={q}")
-            disc_ok = False
-    if disc_ok:
-        report("PASS discriminant magnitude law for q <= 19")
-    return ok and euler_ok and disc_ok
-
-
-def _verify_sympow(seed: int, report) -> bool:
-    from .rings import RingMatrix, Zmod, is_torsion_scalar, sym_pow, sym_pow_trace
-
-    ok = True
-    for mod in (3, 5):
-        ring = Zmod(mod)
-        mats = [
-            RingMatrix.make(ring, [[a, b], [c, d]])
-            for a in range(mod)
-            for b in range(mod)
-            for c in range(mod)
-            for d in range(mod)
-        ]
-        mats = [m for m in mats if m.is_invertible()]
-        for mat in mats:
-            for n in range(2, 6):
-                power = sym_pow(mat, n)
-                if power.trace() != sym_pow_trace(mat, n):
-                    report(f"FAIL trace law mod {mod} at {mat.entries}, n={n}")
-                    ok = False
-                if power.is_identity() != is_torsion_scalar(mat, n):
-                    report(f"FAIL kernel law mod {mod} at {mat.entries}, n={n}")
-                    ok = False
-    if ok:
-        report("PASS trace and kernel laws exhaustively mod 3 and mod 5, n <= 5")
-    rnd = random.Random(seed)
-    ring = Zmod(11)
-
-    def rand_invertible():
-        while True:
-            mat = RingMatrix.make(ring, [[rnd.randrange(11) for _ in range(2)] for _ in range(2)])
-            if mat.is_invertible():
-                return mat
-
-    fun_ok = True
-    for _ in range(200):
-        x, y = rand_invertible(), rand_invertible()
-        n = rnd.randrange(1, 11)
-        if sym_pow(x @ y, n).entries != (sym_pow(x, n) @ sym_pow(y, n)).entries:
-            report(f"FAIL functoriality at {x.entries} * {y.entries}, n={n}")
-            fun_ok = False
-    if fun_ok:
-        report("PASS functoriality on 200 seeded random pairs mod 11")
-    return ok and fun_ok
-
-
-def _verify_density(report) -> bool:
-    ok = True
-    for q in (3, 5, 7):
-        for ell in (2, 3, 5, 7, 11, 13):
-            r = density.enumerate_density(density.DensityQuery(q, ell, 1, 12))
-            if not r.agrees:
-                report(f"FAIL closed form at q={q}, ell={ell}: {r.delta} != {r.closed_form}")
-                ok = False
-    if ok:
-        report("PASS density closed forms for q in {3,5,7}, ell <= 13")
-    lift_ok = True
-    for q, ell in ((3, 5), (3, 7)):
-        r = density.lift_factor(q, ell, 12)
-        if r.ratio != Fraction(1, ell):
-            report(f"FAIL lift ratio at (q={q}, ell={ell}): {r.ratio}")
-            lift_ok = False
-    if lift_ok:
-        report("PASS lift ratio 1/ell at (3,5) and (3,7)")
-    return ok and lift_ok
-
-
-def _verify_tau(limit: int, report) -> bool:
-    series = hecke.tau_series(limit)
-    delta = hecke.EigenformSpec.delta()
-    ok = True
-    for p in factor.primes_up_to(limit):
-        pm = p * p
-        m = 2
-        while pm <= limit:
-            if series[pm] != hecke.coeff_prime_power(delta, p, m):
-                report(f"FAIL series/recursion mismatch at {p}^{m}")
-                ok = False
-            pm *= p
-            m += 1
-    if ok:
-        report(f"PASS series agrees with the recursion at all prime powers <= {limit}")
-    psi_ok = True
-    for q in (3, 5, 7):
-        for p in (2, 3, 5, 7, 11, 13):
-            lhs = hecke.coeff_prime_power(delta, p, q - 1)
-            rhs = cyclotomic.eval_poly(cyclotomic.psi_poly(q), delta.ap(p) ** 2, p**11)
-            if lhs != rhs:
-                report(f"FAIL trace-polynomial identity at q={q}, p={p}")
-                psi_ok = False
-    if psi_ok:
-        report("PASS coefficient identity a(p^(q-1)) = psi_q(a(p)^2, p^(k-1)) spot checks")
-    return ok and psi_ok
-
-
 def _cmd_verify(cfg: RunConfig) -> int:
+    suites = {
+        "identities": [
+            (identities.square_product, {"n_max": min(cfg.limit, 200) if cfg.limit > 3 else 200}),
+            (identities.partial_scaling, {}),
+            (identities.discriminant_law, {}),
+        ],
+        "sympow": [(identities.trace_kernel_laws, {}), (identities.functoriality, {"seed": cfg.seed})],
+        "density": [(identities.density_closed_forms, {}), (identities.lift_ratio, {})],
+        "tau": [(identities.series_recursion, {"limit": max(cfg.limit, 1000)}),
+                (identities.psi_coefficients, {})],
+    }
     suite = cfg.extra.get("suite", "all")
     lines: list[str] = []
-
-    def report(msg: str) -> None:
-        if msg:
-            lines.append(msg)
-
-    results = []
-    if suite in ("identities", "all"):
-        results.append(_verify_identities(min(cfg.limit, 200) if cfg.limit > 3 else 200, report))
-    if suite in ("sympow", "all"):
-        results.append(_verify_sympow(cfg.seed, report))
-    if suite in ("density", "all"):
-        results.append(_verify_density(report))
-    if suite in ("tau", "all"):
-        results.append(_verify_tau(max(cfg.limit, 1000), report))
+    for name, checks in suites.items():
+        if suite in (name, "all"):
+            for check, kw in checks:
+                lines += list(check(**kw)) or [check.passed.format(**kw)]
     _emit(cfg, "\n".join(lines))
-    return EXIT_OK if all(results) else EXIT_IDENTITY
+    return EXIT_IDENTITY if any(line.startswith("FAIL") for line in lines) else EXIT_OK
 
 
 _COMMANDS = {
@@ -492,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, default=100)
     _add_common(p)
 
-    parser.subcommand_parsers = {name: sp for name, sp in sub.choices.items()}
     return parser
 
 
@@ -501,10 +364,12 @@ def _load_config(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
             line = raw.strip()
-            if not line or line.startswith("#") or "=" not in line:
+            if not line or line.startswith("#"):
                 continue
+            if "=" not in line:
+                raise ValueError(f"expected key=value, got {line!r}")
             key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+            out[key.strip().replace("_", "-")] = value.strip()
     return out
 
 
@@ -520,33 +385,19 @@ def _config_from_namespace(ns: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> None:
-    """A key=value file supplies defaults; explicit flags still win."""
-    if "--config" not in argv:
-        return
-    path = argv[argv.index("--config") + 1]
-    overlay = {}
-    for key, value in _load_config(path).items():
-        for cast in (int, float, str):
-            try:
-                overlay[key] = cast(value)
-                break
-            except ValueError:
-                continue
-    for sp in getattr(parser, "subcommand_parsers", {}).values():
-        known = {action.dest for action in sp._actions}
-        sp.set_defaults(**{k: v for k, v in overlay.items() if k in known})
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        _apply_config_defaults(parser, argv)
         ns = parser.parse_args(argv)
+        if ns.config:
+            # the file's lines become flags just after the subcommand, so explicit flags win
+            at = argv.index(ns.command) + 1
+            config = [f"--{key}={value}" for key, value in _load_config(ns.config).items()]
+            ns = parser.parse_args(argv[:at] + config + argv[at:])
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    except (OSError, IndexError) as exc:
+    except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: bad --config: {exc}\n")
         return EXIT_USAGE
     try:

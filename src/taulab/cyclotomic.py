@@ -211,11 +211,6 @@ def f_poly(n: int) -> BivariatePoly:
     return _halved_from_palindromic(uni)
 
 
-def epsilon(n: int) -> int:
-    """Parity flag used by the F identity: 1 when n is even."""
-    return 1 if n % 2 == 0 else 0
-
-
 def eval_poly(p: BivariatePoly, x: int, y: int) -> int:
     """Exact value sum c_i x^(m-i) y^i."""
     acc = p.coeffs[0]

@@ -317,17 +317,12 @@ def enumerate_density(
     query: DensityQuery,
     budget: int = DEFAULT_ENUM_BUDGET,
     with_classes: bool = True,
-    workers: int = 1,
 ) -> DensityReport:
     """Exhaustive density report for one (q, l^n, k) query.
 
     Raises BudgetExceededError when the nominal candidate space l^(4n)
     is above ``budget``; pass a larger budget explicitly to proceed.
-    ``workers`` (>= 1) is accepted for compatibility and changes neither
-    the result nor the work done.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     if query.cells > budget:
         raise BudgetExceededError(
             f"candidate space {query.ell}^{4 * query.n} = {query.cells} exceeds budget {budget}",

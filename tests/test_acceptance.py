@@ -16,25 +16,12 @@ from math import gcd
 
 import pytest
 
-from taulab import factor
-from taulab.cyclotomic import (
-    classify_psi_prime_power,
-    discriminant,
-    dump_poly_line,
-    eval_poly,
-    f_poly,
-    geometric_sum_poly,
-    multiply_by_x_plus_y,
-    partial_derivatives,
-    phi_poly,
-    psi_poly,
-    substitute_square_product,
-)
+from taulab import factor, identities
+from taulab.cyclotomic import classify_psi_prime_power, eval_poly, psi_poly
 from taulab.density import (
     DensityQuery,
     chebotarev_sample,
     enumerate_density,
-    lift_factor,
     psi_insoluble_mod_q_squared,
 )
 from taulab.hecke import (
@@ -42,14 +29,6 @@ from taulab.hecke import (
     coeff_prime_power,
     delta_series_view,
     find_first_prime_tau,
-)
-from taulab.rings import (
-    RingMatrix,
-    Zmod,
-    is_torsion_scalar,
-    sym_pow,
-    sym_pow_kernel_test,
-    sym_pow_trace,
 )
 from taulab.scans import ScanSummary, check_divisibility_tower, sato_tate_histogram, scan_rows
 
@@ -62,81 +41,43 @@ def _report(name: str, started: float, limit_s: float, detail: str = ""):
     assert elapsed < limit_s, f"{name} exceeded its {limit_s}s ceiling ({elapsed:.1f}s)"
 
 
+def _holds(check, **ranges):
+    failures = list(check(**ranges))
+    assert not failures, failures[:5]
+
+
 def test_criterion_01_symbolic_identities():
     started = time.time()
-    for n in range(3, 201):
-        assert substitute_square_product(psi_poly(n)).coeffs == phi_poly(n).coeffs, n
-        lhs = substitute_square_product(f_poly(n))
-        if n % 2 == 0:
-            lhs = multiply_by_x_plus_y(lhs)
-        assert lhs.coeffs == geometric_sum_poly(n).coeffs, n
+    _holds(identities.square_product, n_max=200)
+    _holds(identities.partial_scaling, q_max=101)
     for q in [p for p in factor.primes_up_to(101) if p % 2]:
-        psi = psi_poly(q)
-        dx, dy = partial_derivatives(psi)
-        m = psi.degree
-        assert m == (q - 1) // 2
-        recombined = [0] * (m + 1)
-        for i, c in enumerate(dx.coeffs):
-            recombined[i] += c
-        for i, c in enumerate(dy.coeffs):
-            recombined[i + 1] += c
-        assert tuple(recombined) == tuple(m * c for c in psi.coeffs), q
+        assert psi_poly(q).degree == (q - 1) // 2, q
     _report("01 symbolic identities (n <= 200, partials q <= 101)", started, 60)
 
 
 def test_criterion_02_discriminant_law():
     started = time.time()
-    for q in (3, 5, 7, 11, 13, 17, 19):
-        tilde = psi_poly(q).to_univariate()
-        assert abs(tilde(0)) == 1, q
-        assert abs(discriminant(tilde)) == q ** ((q - 3) // 2), q
+    _holds(identities.discriminant_law, qs=(3, 5, 7, 11, 13, 17, 19))
     _report("02 discriminant law (q <= 19)", started, 10)
 
 
 def test_criterion_03_symmetric_power_laws():
     started = time.time()
-    import itertools
-    import random
-
     for modulus in (3, 5):
-        ring = Zmod(modulus)
-        mats = [
-            RingMatrix.make(ring, [[a, b], [c, d]])
-            for a, b, c, d in itertools.product(range(modulus), repeat=4)
-        ]
-        mats = [m for m in mats if m.is_invertible()]
-        assert len(mats) == (modulus**2 - 1) * (modulus**2 - modulus)
-        for mat in mats:
-            for n in range(2, 9):
-                assert sym_pow(mat, n).trace() == sym_pow_trace(mat, n)
-                assert sym_pow_kernel_test(mat, n) == is_torsion_scalar(mat, n)
-    ring = Zmod(11)
-    rnd = random.Random(0)
-
-    def rand_invertible():
-        while True:
-            mat = RingMatrix.make(ring, [[rnd.randrange(11) for _ in range(2)] for _ in range(2)])
-            if mat.is_invertible():
-                return mat
-
-    for _ in range(1000):
-        x, y = rand_invertible(), rand_invertible()
-        n = rnd.randrange(1, 11)
-        assert sym_pow(x @ y, n).entries == (sym_pow(x, n) @ sym_pow(y, n)).entries
+        assert len(identities.invertible_matrices(modulus)) == (modulus**2 - 1) * (modulus**2 - modulus)
+    _holds(identities.trace_kernel_laws, n_max=8)
+    _holds(identities.functoriality, seed=0, pairs=1000)
     _report("03 symmetric-power laws (GL2(F3), GL2(F5), n in 2..8; 1000 pairs mod 11)", started, 60)
 
 
 def test_criterion_04_density_closed_forms():
     started = time.time()
-    expected_spot = {
-        (3, 7): Fraction(1, 6),
-        (3, 3): Fraction(3, 8),
-        (5, 7): Fraction(0),
-    }
-    for q in (3, 5, 7):
-        for ell in (2, 3, 5, 7, 11, 13):
+    qs, ells = (3, 5, 7), (2, 3, 5, 7, 11, 13)
+    _holds(identities.density_closed_forms, qs=qs, ells=ells)
+    expected_spot = {(3, 7): Fraction(1, 6), (3, 3): Fraction(3, 8), (5, 7): Fraction(0)}
+    for q in qs:
+        for ell in ells:
             report = enumerate_density(DensityQuery(q, ell, 1, 12))
-            assert report.agrees, (q, ell, report.delta, report.closed_form)
             if (q, ell) in expected_spot:
                 assert report.delta == expected_spot[(q, ell)], (q, ell)
             if report.class_tally is not None:
@@ -146,9 +87,7 @@ def test_criterion_04_density_closed_forms():
 
 def test_criterion_05_lift_law():
     started = time.time()
-    for q, ell in ((3, 5), (3, 7), (5, 11)):
-        report = lift_factor(q, ell, 12, budget=3 * 10**8)
-        assert report.ratio == Fraction(1, ell), (q, ell, report.ratio)
+    _holds(identities.lift_ratio, cases=((3, 5), (3, 7), (5, 11)), budget=3 * 10**8)
     for q in (5, 7):
         assert psi_insoluble_mod_q_squared(q), q
         lifted = enumerate_density(DensityQuery(q, q, 2, 12))

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from taulab import cyclotomic, density, hecke, identities, rings
 from taulab.cli import EXIT_BUDGET, EXIT_IDENTITY, EXIT_OK, EXIT_USAGE, main
 
 DATA = Path(__file__).parent / "data"
@@ -95,6 +96,10 @@ class TestDensityCommands:
         _, out2, _ = run(capsys, "density", "--q", "3", "--ell", "3", "--n", "2", "--workers", "2")
         assert out1 == out2
 
+    def test_workers_validated(self, capsys):
+        code, _, err = run(capsys, "density", "--q", "3", "--ell", "5", "--workers", "0")
+        assert code == EXIT_USAGE and "--workers" in err
+
     def test_chebotarev(self, capsys):
         code, out, _ = run(capsys, "chebotarev", "--q", "5", "--d", "11", "--x-bound", "2000")
         payload = json.loads(out)
@@ -171,6 +176,55 @@ class TestVerify:
         assert code1 == code2 == EXIT_OK
         assert out1 == out2
 
+    def test_verify_golden_grid(self, capsys):
+        # sha256 of stdout for every suite at seeds 0, 1, 7 and limits default, 40,
+        # 3 (falls back to 200) and 2000 (widens the tau check), recorded from the
+        # per-suite verify loops in cli.py
+        golden = json.loads((DATA / "verify_golden.json").read_text())
+        assert len(golden) == 60
+        for case in golden:
+            argv = ["verify", "--suite", case["suite"], "--seed", str(case["seed"])]
+            if case["limit"] is not None:
+                argv += ["--limit", str(case["limit"])]
+            code, out, _ = run(capsys, *argv)
+            assert code == case["exit"], argv
+            assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"], argv
+
+
+# One planted fault per verify check: (check, suite, module, function, fault),
+# where fault(real) returns a stand-in for the function that is wrong at one input.
+PLANTED_FAULTS = [
+    ("square_product", "identities", cyclotomic, "phi_poly",
+     lambda real: lambda n: real(8 if n == 7 else n)),
+    ("partial_scaling", "identities", cyclotomic, "partial_derivatives",
+     lambda real: lambda p: real(cyclotomic.BivariatePoly(p.coeffs[:-1] + (0,)) if p.degree == 5 else p)),
+    ("discriminant_law", "identities", cyclotomic, "discriminant",
+     lambda real: lambda f: real(f) + (f.degree == 3)),
+    ("trace_kernel_laws", "sympow", rings, "sym_pow_trace",
+     lambda real: lambda mat, n: real(mat, n) + (n == 4 and mat.is_identity())),
+    ("functoriality", "sympow", rings, "sym_pow",
+     lambda real: lambda mat, n: real(mat @ mat if mat.ring.modulus == 11 else mat, n)),
+    ("density_closed_forms", "density", density, "closed_form_density",
+     lambda real: lambda q, ell, n=1, k=12: real(q, ell, n, k) + ((q, ell) == (5, 11))),
+    ("lift_ratio", "density", density, "lift_factor",
+     lambda real: lambda q, ell, *a, **kw: real(q, 5 if ell == 7 else ell, *a, **kw)),
+    ("series_recursion", "tau", hecke, "coeff_prime_power",
+     lambda real: lambda f, p, m: real(f, p, m) + ((p, m) == (3, 3))),
+    ("psi_coefficients", "tau", hecke, "coeff_prime_power",
+     lambda real: lambda f, p, m: real(f, p, m) + ((p, m) == (13, 6))),
+]
+
+
+@pytest.mark.parametrize("check, suite, module, name, fault", PLANTED_FAULTS,
+                         ids=[fault[0] for fault in PLANTED_FAULTS])
+def test_verify_catches_planted_fault(capsys, monkeypatch, check, suite, module, name, fault):
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    code, out, _ = run(capsys, "verify", "--suite", suite)
+    passed = getattr(identities, check).passed.split("{")[0]
+    lines = out.splitlines()
+    assert code == EXIT_IDENTITY and any(line.startswith("FAIL ") for line in lines)
+    assert not any(line.startswith(passed) for line in lines)
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, capsys, tmp_path):
@@ -189,3 +243,22 @@ class TestConfigFile:
     def test_missing_config(self, capsys, tmp_path):
         code, _, err = run(capsys, "tau", "--config", str(tmp_path / "nope.conf"))
         assert code == EXIT_USAGE
+
+    def test_keys_are_flag_names(self, capsys, tmp_path):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("k = 4\n")
+        code, out, _ = run(capsys, "density", "--q", "3", "--ell", "7", f"--config={cfg}")
+        assert code == EXIT_OK and json.loads(out)["query"]["k"] == 4
+        cfg.write_text("format=json\n")
+        code, out, _ = run(capsys, "coeff", "--p", "2", "--m", "2", "--config", str(cfg))
+        assert json.loads(out) == {"p": 2, "m": 2, "value": "-1472"}
+        cfg.write_text("x_bound=100\neps=-1\n")
+        code, _, err = run(capsys, "scan", "--config", str(cfg))
+        assert code == EXIT_USAGE and "--eps" in err
+
+    @pytest.mark.parametrize("text", ["limt=4\n", "limit=four\n", "format=xml\n", "limit 4\n"])
+    def test_bad_entries_rejected(self, capsys, tmp_path, text):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(text)
+        code, out, _ = run(capsys, "tau", "--config", str(cfg))
+        assert code == EXIT_USAGE and out == ""

@@ -225,18 +225,6 @@ class TestLifts:
         report = enumerate_density(DensityQuery(5, 11, 2, 12), budget=3 * 10**8)
         assert report.delta == Fraction(1, 55)
 
-    def test_worker_determinism(self):
-        q = DensityQuery(3, 5, 2, 12)
-        assert (
-            enumerate_density(q, workers=1).match_count
-            == enumerate_density(q, workers=2).match_count
-            == enumerate_density(q, workers=3).match_count
-        )
-
-    def test_workers_validated(self):
-        with pytest.raises(ValueError):
-            enumerate_density(DensityQuery(3, 5, 2, 12), workers=0)
-
 
 class TestReports:
     def test_json_schema_keys(self):
