@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -66,8 +67,10 @@ class RunConfig:
             raise ValueError(f"--ell must be prime, got {self.ell}")
         if self.two_n % 2 or self.two_n < 2:
             raise ValueError(f"--two-n must be even and >= 2, got {self.two_n}")
-        if self.epsilon < 0:
-            raise ValueError(f"--eps must be >= 0, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError(f"--eps must be finite and >= 0, got {self.epsilon}")
+        if self.grh_c is not None and not (math.isfinite(self.grh_c) and self.grh_c > 0):
+            raise ValueError(f"--grh-c must be finite and > 0, got {self.grh_c}")
         if self.workers < 1:
             raise ValueError(f"--workers must be >= 1, got {self.workers}")
         if self.trial_bound < 1:
@@ -184,7 +187,7 @@ def _cmd_scan(cfg: RunConfig) -> int:
         _emit(cfg, "\n".join([scans.CSV_HEADER] + [r.csv_line() for r in rows]))
         sys.stderr.write(summary.to_json() + "\n")
     else:
-        # a summary prints verdict counts only, so rho runs only where a verdict needs it
+        # a summary prints verdict counts only, so each row does only the work its verdict needs
         summary = scans.ScanSummary.of(scans.scan_rows(*args, **budgets, pin=False))
         _emit(cfg, summary.to_json())
     return EXIT_BUDGET if summary.unknown_count else EXIT_OK
@@ -325,7 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", dest="epsilon", type=float, default=0.1)
     p.add_argument("--grh-c", type=float, help="use the power-threshold mode with this constant")
     p.add_argument("--x-bound", type=int, default=10**3)
-    p.add_argument("--trial-bound", type=int, default=factor.DEFAULT_TRIAL_BOUND)
+    p.add_argument("--trial-bound", type=int, default=factor.DEFAULT_TRIAL_BOUND,
+                   help="largest prime tried by division before rho; json and text "
+                   "summaries try only primes up to the threshold's floor while that "
+                   "is below TRIAL_BOUND")
     p.add_argument("--rho-budget", type=int, default=factor.DEFAULT_RHO_BUDGET,
                    help="rho iterations per cofactor, checked between Brent's doubling "
                    "rounds, so a run can spend up to 2*BUDGET+2")

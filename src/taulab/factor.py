@@ -137,6 +137,23 @@ def _trial_divide(n: int, bound: int, factors: dict[int, int]) -> int:
     return n
 
 
+def smooth_largest_prime(n: int, cut: int) -> int | None:
+    """P(n) when no prime above cut divides n >= 1, else None.
+
+    One trial division by the sieve primes <= cut decides it.  What is
+    left is 1, a prime (the walk stopped early) or a product of primes
+    above cut, so n is cut-smooth exactly when the rest is at most cut.
+    Nothing past cut is factored and no primality test runs.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    factors: dict[int, int] = {}
+    rest = _trial_divide(n, cut, factors)
+    if rest > max(cut, 1):
+        return None
+    return max(rest, max(factors, default=1))
+
+
 def is_prime(n: int) -> bool:
     """Exact below 3.3e24: a sieve lookup, else Miller-Rabin on few bases.
 

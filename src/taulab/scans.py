@@ -1,30 +1,37 @@
 """Largest-prime-factor scans, divisibility towers, and value histograms.
 
 The headline scan walks primes p and asks whether the largest prime
-factor of a_f(p^(2n)) clears a slowly growing threshold.  At desk
-scale the threshold is tiny (below 2 for p up to 10^4), so a row's
-verdict is certain as soon as factorization either completes or leaves
-a composite cofactor: every prime in such a cofactor exceeds the trial
-division bound, which already clears the threshold.  Rows are marked
-``exact`` (full factorization), ``partial`` (verdict certain, largest
+factor of a_f(p^(2n)) clears a slowly growing threshold.  Rows are
+marked ``exact`` (P pinned), ``partial`` (verdict certain, largest
 prime not pinned down), or ``unknown`` (verdict undecidable within
 budget).
 
 ``scan_rows`` produces the rows and ``ScanSummary.of`` folds them into
-verdict counts.  A summary (the CLI's json and text output) needs no
-pinned P, so it runs rho only on rows that trial division leaves
-undecided; the CSV pins P on every row where the rho budget allows.
-Both give the same verdicts.
+verdict counts.  The CSV pins P on every row where the rho budget
+allows: trial division to the trial bound, then rho, and a composite
+cofactor left over still clears the threshold when the trial bound
+does, since all its primes exceed that bound.  A summary (the CLI's
+json and text output) needs no pinned P.  P(v) > bound holds exactly
+when v has a prime factor above cut = floor(bound), so while cut is
+below the trial bound one trial division by the primes <= cut decides
+the row (``factor.smooth_largest_prime``); at desk scale cut is 1 (the
+threshold is below 2 for p up to 10^4) and no prime is tried at all.
+Rows with cut at or above the trial bound take the CSV's path, with rho
+only where trial division and one primality test leave the verdict
+open.  Both give the same verdicts.
 
 An ``exact`` row's P is certified by Miller-Rabin (``factor.is_prime``),
 which is deterministic below 3.3e24 and uses 30 fixed bases above it, so
 a pinned P above 3.3e24 is a strong probable prime, not a proven one.
-At 2n = 2 the values pass 3.3e24 from p ~ 170.
+At 2n = 2 the values pass 3.3e24 from p ~ 170.  A summary row decided
+below the trial bound reads ``exact`` only when its value is
+cut-smooth, so its P is proven by trial division alone.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -53,17 +60,21 @@ def bound_value(
 
     * ``epsilon`` given: (log p)^(1/8) (log log p)^(3/8 - epsilon)
     * ``grh_c`` given:  c p^(1/14) (log p)^(2/7)
+
+    epsilon must be finite and >= 0, c finite and > 0.
     """
     if (epsilon is None) == (grh_c is None):
         raise ValueError("pass exactly one of epsilon or grh_c")
+    if grh_c is not None and not (math.isfinite(grh_c) and grh_c > 0):
+        raise ValueError(f"grh_c must be finite and > 0, got {grh_c}")
+    if epsilon is not None and not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     if p < MIN_SCAN_PRIME:
         raise ValueError(f"threshold needs p >= {MIN_SCAN_PRIME}, got {p}")
     with mpmath.workprec(_BOUND_PRECISION_BITS):
         lp = mpmath.log(p)
         if epsilon is None:
             return +(mpmath.mpf(grh_c) * mpmath.power(p, mpmath.mpf(1) / 14) * lp ** (mpmath.mpf(2) / 7))
-        if epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {epsilon}")
         exp2 = mpmath.mpf(3) / 8 - mpmath.mpf(epsilon)
         return +(lp ** (mpmath.mpf(1) / 8) * mpmath.log(lp) ** exp2)
 
@@ -153,10 +164,14 @@ def scan_rows(
     """One row per prime p in [17, x]: P(a_f(p^(2n))) against the threshold.
 
     With ``pin`` every row gets the full rho budget, so P is pinned
-    wherever the budget allows.  Without it a row first gets trial
-    division and one primality test on the cofactor, and rho runs only
-    when that leaves the verdict open; the verdicts are the same either
-    way, but a row that passes on its cofactor floor reads ``partial``.
+    wherever the budget allows.  Without it a row whose cut =
+    floor(bound) is below ``trial_bound`` is decided by one trial
+    division by the primes <= cut, with no primality test or rho: it
+    reads ``partial`` with floor cut + 1 when P > cut, else ``exact``
+    with its P.  Any other row first gets trial division to the trial
+    bound and one primality test on the cofactor, and rho runs only
+    when that leaves the verdict open.  The verdicts are the same
+    either way.
 
     A vanishing coefficient would contradict the even-exponent
     nonvanishing law in this range and raises IdentityViolationError.
@@ -175,6 +190,14 @@ def scan_rows(
             )
         bound = bound_value(p, epsilon=epsilon, grh_c=grh_c)
         if not pin:
+            cut = int(bound)  # the bound is positive, so this is its floor
+            if cut < trial_bound:
+                lpf = factor.smooth_largest_prime(abs(value), cut)
+                if lpf is None:
+                    yield ScanRow(p, two_n, value, float(bound), "partial", None, cut + 1, True)
+                else:
+                    yield ScanRow(p, two_n, value, float(bound), "exact", lpf, lpf, lpf > bound)
+                continue
             row = _row(p, two_n, value, bound,
                        factor.factorize(abs(value), trial_bound, 0, allow_partial=True))
             if row.passes is not None:

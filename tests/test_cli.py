@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from taulab import cyclotomic, density, hecke, identities, rings
+from taulab import cyclotomic, density, factor, hecke, identities, rings
 from taulab.cli import EXIT_BUDGET, EXIT_IDENTITY, EXIT_OK, EXIT_USAGE, main
 
 DATA = Path(__file__).parent / "data"
@@ -148,6 +148,36 @@ class TestScanCommands:
     def test_scan_rejects_bad_budgets(self, capsys, flag, value):
         code, out, err = run(capsys, "scan", "--x-bound", "100", flag, value, "--format", "json")
         assert code == EXIT_USAGE and out == "" and flag in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--grh-c", "nan"), ("--grh-c", "inf"), ("--grh-c", "0"),
+        ("--grh-c", "-1"), ("--eps", "nan"), ("--eps", "inf"),
+    ])
+    def test_scan_rejects_bad_thresholds(self, capsys, flag, value):
+        for fmt in ("json", "csv"):
+            code, out, err = run(capsys, "scan", "--x-bound", "100", flag, value,
+                                 "--format", fmt)
+            assert code == EXIT_USAGE and out == "" and flag in err
+
+    def test_summary_runs_no_factorization_below_trial_bound(self, capsys, monkeypatch):
+        # the benchmark's summary size: every threshold is below 2, so no
+        # prime is tried, nothing is tested for primality and the sieve
+        # stays as the walk to x left it
+        factor.primes_up_to(1000)
+        limit = factor._sieve_limit
+        sieved = []
+        real_sieve = factor.primes_up_to
+        monkeypatch.setattr(factor, "primes_up_to", lambda n: sieved.append(n) or real_sieve(n))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("summary factored a value")
+
+        for name in ("factorize", "is_prime", "_brent_rho"):
+            monkeypatch.setattr(factor, name, forbidden)
+        code, out, _ = run(capsys, "scan", "--two-n", "2", "--x-bound", "1000",
+                           "--trial-bound", "10000", "--format", "json")
+        assert (code, json.loads(out)["pass"]) == (EXIT_OK, 162)
+        assert max(sieved) <= 1000 and factor._sieve_limit == limit
 
     def test_tower(self, capsys):
         code, out, _ = run(capsys, "tower", "--p-max", "30", "--max-odd", "9")

@@ -84,3 +84,38 @@ def test_both_sides_of_deterministic_limits(center, monkeypatch):
         check_factorization(n, 10**4, 10**5)
     # products of primes from both sides straddle the limit
     assert not factor.is_prime(primes[0] * primes[-1])
+
+
+def smooth_oracle(n: int, cut: int) -> int | None:
+    factors = sympy.factorint(n)
+    return None if any(p > cut for p in factors) else max(factors, default=1)
+
+
+def test_smooth_largest_prime_edges():
+    primes = factor.primes_up_to(10**4)
+    # the last prime of a 64-prime block and the first of the next, each +-1
+    edges = [primes[64 * k + d] + s for k in (1, 2, 5) for d in (-1, 0) for s in (-1, 0, 1)]
+    for cut in [0, 1, 2, 3, 4, *edges]:
+        near = [p for p in primes if abs(p - cut) <= 40 or p <= 7]
+        below = [p for p in primes if p <= cut]
+        cases = [1, *near, *(p * p for p in near), *(p * q for p in near for q in near[:4])]
+        if below:
+            cases += [math.prod(below[-3:]), below[-1] ** 3 * 2, math.prod(below[:5]) * below[-1]]
+        for n in cases:
+            assert factor.smooth_largest_prime(n, cut) == smooth_oracle(n, cut), (n, cut)
+    # the walk stops at 313, the first prime of block 1, since 313^2 > 997:
+    # what is left is the prime 997 itself, still below the cut
+    assert factor.smooth_largest_prime(2 * 997, 1000) == 997
+    assert factor.smooth_largest_prime(2 * 1009, 1000) is None
+    with pytest.raises(ValueError):
+        factor.smooth_largest_prime(0, 10)
+
+
+def test_smooth_largest_prime_random():
+    rnd = random.Random(SEED + 2)
+    primes = factor.primes_up_to(5000)
+    for _ in range(2000):
+        cut = rnd.choice([rnd.randrange(0, 20), rnd.randrange(0, 5000)])
+        n = math.prod(rnd.choices(primes[:rnd.randrange(1, 200)], k=rnd.randrange(0, 6)))
+        n *= rnd.choice([1, 1, rnd.randrange(1, 10**6), rnd.randrange(1, 2**48)])
+        assert factor.smooth_largest_prime(n, cut) == smooth_oracle(n, cut), (n, cut)

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from taulab import factor
+from taulab.cli import EXIT_BUDGET, EXIT_OK, main
 from taulab.hecke import coeff_prime_power
 from taulab.scans import (
     CSV_HEADER,
@@ -58,6 +59,14 @@ class TestBoundValue:
             bound_value(101, epsilon=0.1, grh_c=1.0)
         with pytest.raises(ValueError):
             bound_value(101, epsilon=-0.5)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(grh_c=math.nan), dict(grh_c=math.inf), dict(grh_c=0.0), dict(grh_c=-1.0),
+        dict(epsilon=math.nan), dict(epsilon=math.inf),
+    ])
+    def test_rejects_non_finite_and_non_positive(self, kwargs):
+        with pytest.raises(ValueError):
+            bound_value(101, **kwargs)
 
 
 class TestThresholdScan:
@@ -135,6 +144,40 @@ class TestSummaryPath:
         assert any(r.status == "partial" for r in rows)
         for row, ref in zip(rows, pinned):
             assert row.known_prime_floor <= (ref.largest_prime_factor or ref.known_prime_floor)
+
+    @pytest.mark.parametrize("cut_71", [189_743, 199_999, 200_000, 205_000])
+    def test_grh_grid_around_trial_bound(self, delta_warm_small, capsys, cut_71):
+        # P(a(71^2)) = 189743 is its only prime above 1013; c puts floor(bound)
+        # at p = 71 on P itself, just below, at, or above the trial bound, so
+        # that row fails on the smooth branch or on trial division, and the
+        # other rows fall on either side of the trial bound
+        trial_bound = 200_000
+        grh_c = (cut_71 + 0.5) / float(bound_value(71, grh_c=1.0))
+        assert int(bound_value(71, grh_c=grh_c)) == cut_71
+        kwargs = dict(grh_c=grh_c, trial_bound=trial_bound, rho_budget=10**6)
+        pinned, want = threshold_scan(delta_warm_small, 2, 80, **kwargs)
+        rows = list(scan_rows(delta_warm_small, 2, 80, pin=False, **kwargs))
+        assert ScanSummary.of(rows).to_json() == want.to_json()
+        assert all(ref.status == "exact" for ref in pinned)
+        smooth = [(row, ref) for row, ref in zip(rows, pinned) if int(row.bound) < trial_bound]
+        assert smooth and (cut_71 < trial_bound) == (71 in [row.p for row, _ in smooth])
+        for row, ref in smooth:
+            assert row.passes == ref.passes
+            if row.passes:
+                assert row.status == "partial"
+                assert row.bound < row.known_prime_floor <= ref.largest_prime_factor
+            else:
+                assert row.status == "exact"
+                assert row.largest_prime_factor == ref.largest_prime_factor
+        failing = [row.p for row in rows if row.passes is False]
+        assert 71 in failing
+        args = ["scan", "--two-n", "2", "--x-bound", "80", "--grh-c", repr(grh_c),
+                "--trial-bound", str(trial_bound), "--rho-budget", str(10**6)]
+        code = EXIT_BUDGET if want.unknown_count else EXIT_OK
+        for fmt in ("json", "text", "csv"):
+            assert main(args + ["--format", fmt]) == code
+            captured = capsys.readouterr()
+            assert (captured.err if fmt == "csv" else captured.out) == want.to_json() + "\n"
 
     def test_fold_counts(self):
         rows = [ScanRow(17, 2, 1, 1.0, "exact", 1, 1, False),
