@@ -245,22 +245,40 @@ def partial_derivatives(p: BivariatePoly) -> tuple[BivariatePoly, BivariatePoly]
     return BivariatePoly(dx), BivariatePoly(dy)
 
 
+def unpack_signed(packed: int, width: int, count: int) -> list[int]:
+    """The integers c_0..c_{count-1} with packed = sum c_j 2^(width*j).
+
+    Each |c_j| must be below 2^(width-1): a slot whose top bit is set is
+    read as negative and borrows one from the slot above it.
+    """
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    out = []
+    for _ in range(count):
+        slot = packed & mask
+        if slot >= half:
+            slot -= 1 << width
+        out.append(slot)
+        packed = (packed - slot) >> width
+    return out
+
+
 def substitute_square_product(p: BivariatePoly) -> BivariatePoly:
     """Expand P((X+Y)^2, XY) exactly as a homogeneous polynomial of degree 2m.
 
     Computed through the Y=1 slice sum c_i (x+1)^(2(m-i)) x^i, which
-    determines the homogeneous result uniquely.
+    determines the homogeneous result uniquely, by Horner's rule in
+    (x+1)^2: H_i = H_(i-1) (x+1)^2 + c_i x^i.  The polynomials are packed
+    into one integer at x = 2^K, so each step is three shifts and
+    additions, and the result is read back K bits per coefficient.
     """
     m = p.degree
-    out = [0] * (2 * m + 1)
+    # (x+1)^(2e) has coefficient sum 4^e, which bounds every output coefficient
+    width = sum(abs(c) << 2 * (m - i) for i, c in enumerate(p.coeffs)).bit_length() + 2
+    acc = 0
     for i, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
-        e = m - i
-        for j in range(2 * e + 1):
-            out[j + i] += c * comb(2 * e, j)
+        acc = (acc << 2 * width) + (acc << width + 1) + acc + (c << width * i)
     # coefficient of x^j lifts to X^j Y^(2m-j), stored at index 2m-j
-    return BivariatePoly(tuple(reversed(out)))
+    return BivariatePoly(tuple(reversed(unpack_signed(acc, width, 2 * m + 1))))
 
 
 def geometric_sum_poly(n: int) -> BivariatePoly:

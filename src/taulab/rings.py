@@ -14,10 +14,10 @@ import itertools
 from dataclasses import dataclass
 from math import comb, gcd
 
-from .cyclotomic import f_poly
+from .cyclotomic import f_poly, unpack_signed
 from .errors import SingularMatrixError
 
-# sym_pow costs O(n^3) small-integer products; the cap bounds what the
+# sym_pow costs n + 1 big-integer products of O(n^2 log(entry)) bits; the cap bounds what the
 # CLI prints, (n+1)^2 entries, and the degrees the orbit-sum oracle,
 # whose cost grows like n * 2^n, may be asked for.  Degrees needed in
 # practice are q - 1 for small odd primes q.
@@ -172,15 +172,23 @@ class RingMatrix:
         return t
 
     def det(self):
-        # Entries are canonical integers, so the exact integer
-        # determinant reduced into the ring is the ring determinant.
+        """Determinant in the ring: ad - bc at dim 2, fraction-free Bareiss above.
+
+        Entries are canonical integers, so the exact integer determinant
+        reduced into the ring is the ring determinant.
+        """
+        if self.dim == 2:
+            (a, b), (c, d) = self.entries
+            return self.ring.normalize(a * d - b * c)
         return self.ring.normalize(_int_det(self.entries))
 
     def is_invertible(self) -> bool:
         return self.ring.is_unit(self.det())
 
     def is_identity(self) -> bool:
-        return self == RingMatrix.identity(self.ring, self.dim)
+        one, zero = self.ring.one, self.ring.zero
+        return all(row[i] == one and row.count(zero) == len(row) - 1
+                   for i, row in enumerate(self.entries))
 
     def __matmul__(self, other: "RingMatrix") -> "RingMatrix":
         if self.ring != other.ring or self.dim != other.dim:
@@ -242,41 +250,24 @@ def sym_pow(mat: RingMatrix, n: int) -> RingMatrix:
     Entry (i, j) is the orbit sum over all arrangements s of the j-th
     standard multi-index of the products a[r_i[u], s[u]].  Counting the
     twos of s in each of the two blocks of r_i turns that sum into the
-    coefficient of X^(j-1) in (a + bX)^(n-i+1) (c + dX)^(i-1), so each
-    row is one convolution of two rows of binomial powers.  The work is
-    done on plain integers (reduced mod m along the way over Z/mZ) and
-    each entry is normalized once; ring operations are homomorphic, so
-    this is the same orbit sum.
+    coefficient of X^(j-1) in (a + bX)^(n-i+1) (c + dX)^(i-1).  Each row
+    is that product taken as one big-integer product at X = 2^K
+    (Kronecker substitution) and read back K bits per coefficient.  The
+    work is done on the canonical integer entries and each entry is
+    normalized once; ring operations are homomorphic, so this is the
+    same orbit sum.
     """
     _require_sym_args(mat, n)
     ring = mat.ring
     (a, b), (c, d) = mat.entries
-    m = ring.modulus
-    left = _binomial_powers(a, b, n, m)
-    right = _binomial_powers(c, d, n, m)
+    # every coefficient is at most (|a|+|b|)^(n-i) (|c|+|d|)^i in size
+    width = (max(abs(a) + abs(b), abs(c) + abs(d)) ** n).bit_length() + 2
+    left, right = a + (b << width), c + (d << width)
     rows = []
     for twos in range(n + 1):
-        row = [0] * (n + 1)
-        for s, x in enumerate(left[n - twos]):
-            if x:
-                for t, y in enumerate(right[twos], s):
-                    row[t] += x * y
-        rows.append(tuple(row) if m is None else tuple(e % m for e in row))
+        row = unpack_signed(left ** (n - twos) * right**twos, width, n + 1)
+        rows.append(tuple(row) if ring.modulus is None else tuple(e % ring.modulus for e in row))
     return RingMatrix(ring, tuple(rows))
-
-
-def _binomial_powers(x: int, y: int, n: int, modulus: int | None) -> list[list[int]]:
-    """Coefficient lists of (x + yX)^k for k = 0..n, reduced mod modulus if given."""
-    powers = [[1]]
-    for _ in range(n):
-        prev = powers[-1]
-        nxt = [x * prev[0]]
-        nxt += [x * hi + y * lo for lo, hi in zip(prev, prev[1:])]
-        nxt.append(y * prev[-1])
-        if modulus is not None:
-            nxt = [v % modulus for v in nxt]
-        powers.append(nxt)
-    return powers
 
 
 def sym_pow_via_orbits(mat: RingMatrix, n: int) -> RingMatrix:
