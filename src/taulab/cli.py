@@ -218,15 +218,17 @@ def _cmd_sato_tate(cfg: RunConfig) -> int:
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
+    if not 3 <= cfg.limit <= 200:
+        raise ValueError(f"--limit for verify must be in [3, 200], got {cfg.limit}")
     suites = {
         "identities": [
-            (identities.square_product, {"n_max": min(cfg.limit, 200) if cfg.limit > 3 else 200}),
+            (identities.square_product, {"n_max": cfg.limit}),
             (identities.partial_scaling, {}),
             (identities.discriminant_law, {}),
         ],
         "sympow": [(identities.trace_kernel_laws, {}), (identities.functoriality, {"seed": cfg.seed})],
         "density": [(identities.density_closed_forms, {}), (identities.lift_ratio, {})],
-        "tau": [(identities.series_recursion, {"limit": max(cfg.limit, 1000)}),
+        "tau": [(identities.series_recursion, {"limit": 1000}),
                 (identities.psi_coefficients, {})],
     }
     suite = cfg.extra.get("suite", "all")
@@ -359,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run built-in identity suites (exit 3 on failure)")
     p.add_argument("--suite", choices=("identities", "sympow", "density", "tau", "all"),
                    default="all")
-    p.add_argument("--limit", type=int, default=100)
+    p.add_argument("--limit", type=int, default=100,
+                   help="check the square-product identities for 3 <= n <= LIMIT, in [3, 200]")
     _add_common(p)
 
     return parser

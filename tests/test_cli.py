@@ -206,10 +206,24 @@ class TestVerify:
         assert code1 == code2 == EXIT_OK
         assert out1 == out2
 
+    @pytest.mark.parametrize("limit", ["-1", "0", "2", "201", "2000"])
+    def test_verify_rejects_limit_out_of_range(self, capsys, limit):
+        for suite in ("identities", "tau"):
+            code, out, err = run(capsys, "verify", "--suite", suite, "--limit", limit)
+            assert code == EXIT_USAGE and out == ""
+            assert "[3, 200]" in err and limit in err
+
+    @pytest.mark.parametrize("limit", [3, 200])
+    def test_verify_limit_bounds_only_square_product(self, capsys, limit):
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--limit", str(limit))
+        assert code == EXIT_OK
+        assert f"PASS square-product and geometric-sum identities for n <= {limit}" in out
+        assert "PASS series agrees with the recursion at all prime powers <= 1000" in out
+
     def test_verify_golden_grid(self, capsys):
         # sha256 of stdout for every suite at seeds 0, 1, 7 and limits default, 40,
-        # 3 (falls back to 200) and 2000 (widens the tau check), recorded from the
-        # per-suite verify loops in cli.py
+        # 3 (the smallest square-product range) and 2000 (out of range: exit 1,
+        # no stdout), recorded from the per-suite verify loops in cli.py
         golden = json.loads((DATA / "verify_golden.json").read_text())
         assert len(golden) == 60
         for case in golden:

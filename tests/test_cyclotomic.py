@@ -1,4 +1,5 @@
-from math import gcd
+import random
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
@@ -23,11 +24,42 @@ from taulab.cyclotomic import (
     primitive_divisor_scan,
     psi_poly,
     substitute_square_product,
+    unpack_signed,
 )
 
 DATA = Path(__file__).parent / "data"
 
 ODD_PRIMES_TO_101 = [p for p in factor.primes_up_to(101) if p % 2]
+
+
+def binomial_substitute_square_product(p):
+    """P((X+Y)^2, XY) as the sum over i of c_i C(2(m-i), j) x^(i+j) at Y = 1.
+
+    The direct binomial expansion, kept as an independent reference for
+    the Horner construction in substitute_square_product.
+    """
+    m = p.degree
+    out = [0] * (2 * m + 1)
+    for i, c in enumerate(p.coeffs):
+        if c == 0:
+            continue
+        e = m - i
+        for j in range(2 * e + 1):
+            out[j + i] += c * comb(2 * e, j)
+    return BivariatePoly(tuple(reversed(out)))
+
+
+def test_unpack_signed_slot_edges():
+    rnd = random.Random(11)
+    for width in range(2, 130):
+        half = 1 << (width - 1)
+        edges = [-half, -half + 1, -1, 0, 1, half - 1]
+        for count in (1, 2, 3, 17):
+            coeffs = [rnd.choice(edges + [rnd.randrange(-half, half)]) for _ in range(count)]
+            packed = sum(c << width * j for j, c in enumerate(coeffs))
+            assert unpack_signed(packed, width, count) == coeffs
+        # a run of top-of-range negatives borrows through every slot
+        assert unpack_signed(sum(-half << width * j for j in range(5)), width, 5) == [-half] * 5
 
 
 class TestConstruction:
@@ -93,6 +125,17 @@ class TestIdentities:
             if n % 2 == 0:
                 lhs = multiply_by_x_plus_y(lhs)
             assert lhs.coeffs == geometric_sum_poly(n).coeffs
+
+    def test_substitution_matches_binomial_expansion(self):
+        for n in range(3, 201):
+            for poly in (psi_poly(n), f_poly(n)):
+                assert substitute_square_product(poly) == binomial_substitute_square_product(poly)
+
+    @given(st.lists(st.integers(-10**40, 10**40) | st.sampled_from([0, 1, -1]), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_substitution_matches_binomial_expansion_random(self, coeffs):
+        poly = BivariatePoly(tuple(coeffs))
+        assert substitute_square_product(poly) == binomial_substitute_square_product(poly)
 
     def test_psi_at_4_1_is_the_prime(self):
         for q in ODD_PRIMES_TO_101:

@@ -1,4 +1,5 @@
 import itertools
+import random
 from math import comb, gcd
 
 import pytest
@@ -6,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taulab.errors import SingularMatrixError
+from taulab.identities import invertible_matrices
 from taulab.rings import (
+    MAX_SYM_DEGREE,
     ZZ,
     MultiIndexOrbit,
     RingMatrix,
     Zmod,
+    _int_det,
     is_torsion_scalar,
     sym_pow,
     sym_pow_kernel_test,
@@ -46,6 +50,49 @@ def random_invertible(rnd, ring, modulus):
             return mat
 
 
+def binomial_powers(x, y, n, modulus):
+    """Coefficient lists of (x + yX)^k for k = 0..n, reduced mod modulus if given."""
+    powers = [[1]]
+    for _ in range(n):
+        prev = powers[-1]
+        nxt = [x * prev[0]]
+        nxt += [x * hi + y * lo for lo, hi in zip(prev, prev[1:])]
+        nxt.append(y * prev[-1])
+        if modulus is not None:
+            nxt = [v % modulus for v in nxt]
+        powers.append(nxt)
+    return powers
+
+
+def convolution_rows(left, right, n, modulus):
+    """Rows of Sym^n: row i convolves (a + bX)^(n-i) with (c + dX)^i.
+
+    left and right are binomial_powers tables of the two matrix rows, of
+    degree n or more.
+    """
+    rows = []
+    for twos in range(n + 1):
+        row = [0] * (n + 1)
+        for s, x in enumerate(left[n - twos]):
+            if x:
+                for t, y in enumerate(right[twos], s):
+                    row[t] += x * y
+        rows.append(tuple(row) if modulus is None else tuple(e % modulus for e in row))
+    return tuple(rows)
+
+
+def convolution_sym_pow(entries, n, modulus=None):
+    """Entries of Sym^n by O(n^3) binomial convolution: the reference for sym_pow.
+
+    Takes the integer entries ((a, b), (c, d)) and does not ask for an
+    invertible matrix, so with modulus None it also gives the unreduced
+    integer coefficients behind a Z/m power.
+    """
+    (a, b), (c, d) = entries
+    return convolution_rows(binomial_powers(a, b, n, modulus), binomial_powers(c, d, n, modulus),
+                            n, modulus)
+
+
 class TestRings:
     def test_modulus_validation(self):
         with pytest.raises(ValueError):
@@ -78,6 +125,37 @@ class TestRings:
         mat = RingMatrix.make(ZZ, [[2, 3], [1, 4]])
         assert mat.det() == 5
         assert RingMatrix.identity(Zmod(7), 4).det() == 1
+
+    def test_det_closed_form_matches_bareiss(self):
+        rnd = random.Random(2)
+        for _ in range(3000):
+            span = rnd.choice([1, 3, 10**6, 10**30])
+            entries = [[rnd.randint(-span, span) for _ in range(2)] for _ in range(2)]
+            if rnd.random() < 0.3:
+                entries[0][0] = 0  # Bareiss must swap rows for this pivot
+            modulus = rnd.choice([None, 2, 6, 11, 10**9 + 7])
+            ring = ZZ if modulus is None else Zmod(modulus)
+            mat = RingMatrix.make(ring, entries)
+            assert mat.det() == ring.normalize(_int_det(mat.entries))
+        for modulus in (None, 5, 12):
+            ring = ZZ if modulus is None else Zmod(modulus)
+            for top in itertools.product(range(-2, 3), repeat=2):
+                for bottom in itertools.product(range(-2, 3), repeat=2):
+                    mat = RingMatrix.make(ring, [[0, top[1]], bottom] if top[0] else [top, bottom])
+                    assert mat.det() == ring.normalize(_int_det(mat.entries))
+
+    @pytest.mark.parametrize("ring", [ZZ, Zmod(2), Zmod(7), Zmod(10**12)], ids=repr)
+    def test_is_identity_under_one_entry_perturbations(self, ring):
+        for dim in range(1, 5):
+            ident = RingMatrix.identity(ring, dim)
+            assert ident.is_identity()
+            for i, j in itertools.product(range(dim), repeat=2):
+                for delta in (1, -1, 2, 5):
+                    rows = [list(r) for r in ident.entries]
+                    rows[i][j] += delta
+                    mat = RingMatrix.make(ring, rows)
+                    assert mat.is_identity() == (mat == ident)
+                    assert mat.is_identity() == (mat.entries == ident.entries)
 
 
 class TestOrbits:
@@ -224,6 +302,45 @@ class TestSymPow:
                     s = sym_pow(mat, n)
                     assert s.is_invertible()
                     assert s.det() == ring.pow(mat.det(), n * (n + 1) // 2)
+
+
+class TestSymPowReference:
+    def test_every_invertible_matrix_mod_2_to_11(self):
+        for modulus in range(2, 12):
+            tables = {(x, y): binomial_powers(x, y, 8, modulus)
+                      for x in range(modulus) for y in range(modulus)}
+            for mat in invertible_matrices(modulus):
+                (a, b), (c, d) = mat.entries
+                for n in range(1, 9):
+                    expected = convolution_rows(tables[a, b], tables[c, d], n, modulus)
+                    assert sym_pow(mat, n).entries == expected, (mat.entries, n)
+
+    def test_integer_matrices_with_small_entries(self):
+        mats = [e for e in itertools.product(range(-6, 7), repeat=4) if abs(e[0] * e[3] - e[1] * e[2]) == 1]
+        assert any(0 in e for e in mats) and any(min(e) == -6 for e in mats)
+        for idx, (a, b, c, d) in enumerate(mats):
+            mat = RingMatrix.make(ZZ, [[a, b], [c, d]])
+            for n in {1 + idx % MAX_SYM_DEGREE, MAX_SYM_DEGREE - idx % 8}:
+                assert sym_pow(mat, n).entries == convolution_sym_pow(mat.entries, n)
+
+    @pytest.mark.parametrize("modulus", [None, 3, 11, 2**61 - 1, 10**30])
+    def test_coefficient_at_the_size_bound(self, modulus):
+        # a diagonal or antidiagonal matrix has monomial row powers, so its
+        # largest unreduced coefficient is exactly +-max(|a|+|b|, |c|+|d|)^n
+        ring = ZZ if modulus is None else Zmod(modulus)
+        units = (1, -1) if modulus is None else (1, modulus - 1)
+        hit_negative = False
+        for x, y in itertools.product(units, repeat=2):
+            for entries in ([[x, 0], [0, y]], [[0, x], [y, 0]]):
+                mat = RingMatrix.make(ring, entries)
+                (a, b), (c, d) = mat.entries
+                for n in range(1, MAX_SYM_DEGREE + 1):
+                    bound = max(abs(a) + abs(b), abs(c) + abs(d)) ** n
+                    unreduced = [e for row in convolution_sym_pow(mat.entries, n) for e in row]
+                    assert max(map(abs, unreduced)) == bound
+                    hit_negative |= -bound in unreduced
+                    assert sym_pow(mat, n).entries == convolution_sym_pow(mat.entries, n, modulus)
+        assert hit_negative == (modulus is None)
 
 
 class TestTraceLaw:
