@@ -245,7 +245,7 @@ def partial_derivatives(p: BivariatePoly) -> tuple[BivariatePoly, BivariatePoly]
     return BivariatePoly(dx), BivariatePoly(dy)
 
 
-def unpack_signed(packed: int, width: int, count: int) -> list[int]:
+def _unpack_signed(packed: int, width: int, count: int) -> list[int]:
     """The integers c_0..c_{count-1} with packed = sum c_j 2^(width*j).
 
     Each |c_j| must be below 2^(width-1): a slot whose top bit is set is
@@ -278,7 +278,7 @@ def substitute_square_product(p: BivariatePoly) -> BivariatePoly:
     for i, c in enumerate(p.coeffs):
         acc = (acc << 2 * width) + (acc << width + 1) + acc + (c << width * i)
     # coefficient of x^j lifts to X^j Y^(2m-j), stored at index 2m-j
-    return BivariatePoly(tuple(reversed(unpack_signed(acc, width, 2 * m + 1))))
+    return BivariatePoly(tuple(reversed(_unpack_signed(acc, width, 2 * m + 1))))
 
 
 def geometric_sum_poly(n: int) -> BivariatePoly:

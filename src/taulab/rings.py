@@ -14,12 +14,12 @@ import itertools
 from dataclasses import dataclass
 from math import comb, gcd
 
-from .cyclotomic import f_poly, unpack_signed
+from .cyclotomic import _unpack_signed, f_poly
 from .errors import SingularMatrixError
 
-# sym_pow costs n + 1 big-integer products of O(n^2 log(entry)) bits; the cap bounds what the
-# CLI prints, (n+1)^2 entries, and the degrees the orbit-sum oracle,
-# whose cost grows like n * 2^n, may be asked for.  Degrees needed in
+# sym_pow costs n + 1 big-integer products of O(n^2 log(entry)) bits; the
+# cap bounds what the CLI prints, (n+1)^2 entries, and the degrees the
+# orbit-sum oracle, whose cost grows like n * 2^n, may be asked for.  Degrees needed in
 # practice are q - 1 for small odd primes q.
 MAX_SYM_DEGREE = 32
 
@@ -251,22 +251,23 @@ def sym_pow(mat: RingMatrix, n: int) -> RingMatrix:
     standard multi-index of the products a[r_i[u], s[u]].  Counting the
     twos of s in each of the two blocks of r_i turns that sum into the
     coefficient of X^(j-1) in (a + bX)^(n-i+1) (c + dX)^(i-1).  Each row
-    is that product taken as one big-integer product at X = 2^K
-    (Kronecker substitution) and read back K bits per coefficient.  The
-    work is done on the canonical integer entries and each entry is
-    normalized once; ring operations are homomorphic, so this is the
-    same orbit sum.
+    is that product evaluated at X = 2^K as one big-integer product
+    (Kronecker substitution) and read back K bits per coefficient, with
+    K wide enough for max(|a|+|b|, |c|+|d|)^n and a sign.  The work is
+    done on the canonical integer entries and each entry is normalized
+    once; ring operations are homomorphic, so this is the same orbit sum.
     """
     _require_sym_args(mat, n)
     ring = mat.ring
     (a, b), (c, d) = mat.entries
-    # every coefficient is at most (|a|+|b|)^(n-i) (|c|+|d|)^i in size
+    m = ring.modulus
+    # every coefficient of row i is at most (|a|+|b|)^(n-i) (|c|+|d|)^i in size
     width = (max(abs(a) + abs(b), abs(c) + abs(d)) ** n).bit_length() + 2
     left, right = a + (b << width), c + (d << width)
     rows = []
     for twos in range(n + 1):
-        row = unpack_signed(left ** (n - twos) * right**twos, width, n + 1)
-        rows.append(tuple(row) if ring.modulus is None else tuple(e % ring.modulus for e in row))
+        row = _unpack_signed(left ** (n - twos) * right**twos, width, n + 1)
+        rows.append(tuple(row) if m is None else tuple(e % m for e in row))
     return RingMatrix(ring, tuple(rows))
 
 

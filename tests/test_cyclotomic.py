@@ -11,6 +11,7 @@ from taulab.cyclotomic import (
     BivariatePoly,
     PsiPrimePowerClass,
     UnivariatePoly,
+    _unpack_signed,
     classify_psi_prime_power,
     discriminant,
     dump_poly_line,
@@ -24,7 +25,6 @@ from taulab.cyclotomic import (
     primitive_divisor_scan,
     psi_poly,
     substitute_square_product,
-    unpack_signed,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -57,9 +57,9 @@ def test_unpack_signed_slot_edges():
         for count in (1, 2, 3, 17):
             coeffs = [rnd.choice(edges + [rnd.randrange(-half, half)]) for _ in range(count)]
             packed = sum(c << width * j for j, c in enumerate(coeffs))
-            assert unpack_signed(packed, width, count) == coeffs
+            assert _unpack_signed(packed, width, count) == coeffs
         # a run of top-of-range negatives borrows through every slot
-        assert unpack_signed(sum(-half << width * j for j in range(5)), width, 5) == [-half] * 5
+        assert _unpack_signed(sum(-half << width * j for j in range(5)), width, 5) == [-half] * 5
 
 
 class TestConstruction:
