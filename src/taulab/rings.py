@@ -19,8 +19,8 @@ from .errors import SingularMatrixError
 
 # sym_pow costs n + 1 big-integer products of O(n^2 log(entry)) bits; the
 # cap bounds what the CLI prints, (n+1)^2 entries, and the degrees the
-# orbit-sum oracle, whose cost grows like n * 2^n, may be asked for.  Degrees needed in
-# practice are q - 1 for small odd primes q.
+# orbit-sum oracle, whose cost grows like n * 2^n, may be asked for.
+# Degrees needed in practice are q - 1 for small odd primes q.
 MAX_SYM_DEGREE = 32
 
 

@@ -211,7 +211,7 @@ class TestVerify:
         for suite in ("identities", "tau"):
             code, out, err = run(capsys, "verify", "--suite", suite, "--limit", limit)
             assert code == EXIT_USAGE and out == ""
-            assert "[3, 200]" in err and limit in err
+            assert "[3, 200]" in err and f"got {limit}" in err
 
     @pytest.mark.parametrize("limit", [3, 200])
     def test_verify_limit_bounds_only_square_product(self, capsys, limit):

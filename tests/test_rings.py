@@ -139,10 +139,9 @@ class TestRings:
             assert mat.det() == ring.normalize(_int_det(mat.entries))
         for modulus in (None, 5, 12):
             ring = ZZ if modulus is None else Zmod(modulus)
-            for top in itertools.product(range(-2, 3), repeat=2):
-                for bottom in itertools.product(range(-2, 3), repeat=2):
-                    mat = RingMatrix.make(ring, [[0, top[1]], bottom] if top[0] else [top, bottom])
-                    assert mat.det() == ring.normalize(_int_det(mat.entries))
+            for b, c, d in itertools.product(range(-2, 3), repeat=3):
+                mat = RingMatrix.make(ring, [[0, b], [c, d]])
+                assert mat.det() == ring.normalize(_int_det(mat.entries))
 
     @pytest.mark.parametrize("ring", [ZZ, Zmod(2), Zmod(7), Zmod(10**12)], ids=repr)
     def test_is_identity_under_one_entry_perturbations(self, ring):
@@ -155,7 +154,6 @@ class TestRings:
                     rows[i][j] += delta
                     mat = RingMatrix.make(ring, rows)
                     assert mat.is_identity() == (mat == ident)
-                    assert mat.is_identity() == (mat.entries == ident.entries)
 
 
 class TestOrbits:
@@ -316,7 +314,8 @@ class TestSymPowReference:
                     assert sym_pow(mat, n).entries == expected, (mat.entries, n)
 
     def test_integer_matrices_with_small_entries(self):
-        mats = [e for e in itertools.product(range(-6, 7), repeat=4) if abs(e[0] * e[3] - e[1] * e[2]) == 1]
+        mats = [e for e in itertools.product(range(-6, 7), repeat=4)
+                if abs(e[0] * e[3] - e[1] * e[2]) == 1]
         assert any(0 in e for e in mats) and any(min(e) == -6 for e in mats)
         for idx, (a, b, c, d) in enumerate(mats):
             mat = RingMatrix.make(ZZ, [[a, b], [c, d]])
