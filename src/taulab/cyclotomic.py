@@ -73,9 +73,6 @@ class UnivariatePoly:
             return -1
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return self.degree < 0
-
     def __call__(self, x: int) -> int:
         acc = 0
         for c in reversed(self.coeffs):
@@ -86,15 +83,6 @@ class UnivariatePoly:
         if len(self.coeffs) == 1:
             return UnivariatePoly((0,))
         return UnivariatePoly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
-
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
 
 
 def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
@@ -125,21 +113,6 @@ def _cyclotomic_univariate(n: int) -> tuple[int, ...]:
         if n % d == 0:
             poly = _poly_divexact(poly, list(_cyclotomic_univariate(d)))
     return tuple(poly)
-
-
-def _euler_phi(n: int) -> int:
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
 
 
 def phi_poly(n: int) -> BivariatePoly:
@@ -368,27 +341,6 @@ def classify_psi_prime_power(m: int, u: int, v: int, p: int) -> str:
         f"prime power {p}^{a} divides psi_{m}({u},{v}) but {p} is not +-1 mod {m} "
         f"and {p}^{a} does not divide {m}"
     )
-
-
-def primitive_divisor_scan(values, **factor_budget) -> dict[int, set[int]]:
-    """Primes dividing the j-th term of a sequence but none before it.
-
-    ``values`` is U_1..U_n; the result maps each 1-based index to its
-    set of primitive prime divisors.  Zero terms are rejected.
-    """
-    values = list(values)
-    if not values:
-        raise ValueError("empty sequence")
-    for idx, v in enumerate(values, start=1):
-        if v == 0:
-            raise ValueError(f"zero term at index {idx} admits every prime")
-    seen: set[int] = set()
-    out: dict[int, set[int]] = {}
-    for idx, v in enumerate(values, start=1):
-        primes = set(factor.factorize(abs(v), **factor_budget).factors)
-        out[idx] = primes - seen
-        seen |= primes
-    return out
 
 
 def dump_poly_line(kind: str, n: int) -> str:

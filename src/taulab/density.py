@@ -12,13 +12,15 @@ Enumeration never loops over matrix entries: it walks the matching
 homogeneous and every det is a unit, so psi_q(t^2, det) = 0 mod l^n
 exactly when t^2 / det lies in R = {r : psi_q(r, 1) = 0 mod l^n}; R is
 found once, and for each det and r in R only the t with t^2 = r det
-are visited.  For odd l the fiber size depends only on the class of
+are visited.  The pairs are grouped into fiber classes and one fiber
+sum serves every pair in a class; this is the one counting path for
+every l and n.  For odd l the fiber size depends only on the class of
 the discriminant t^2 - 4 det under unit squares (its l-valuation capped
-at n, and below n whether its unit part is a square mod l), so one
-fiber sum per class serves every pair in it; at n = 1 those classes
-are the conjugacy types of the class tally.  For l = 2 each pair gets
-its own fiber sum.  A literal four-loop enumerator is kept as an
-oracle for small moduli.
+at n, and below n whether its unit part is a square mod l); for l = 2
+each pair is its own class.  At n = 1 the fiber of (t, det) is
+l^2 - l + l * #{roots of x^2 - tx + det mod l}, so the fiber sizes
+also give the conjugacy-type class tally.  A literal four-loop
+enumerator is kept as an oracle for small moduli.
 
 Empirical side: walk primes p <= x and test whether d divides
 a_f(p^(q-1)) = psi_q(a_f(p)^2, p^(k-1)).  By the same homogeneity, for
@@ -237,48 +239,6 @@ def _match_classes(q: int, ell: int, n: int, weight: int) -> dict:
     return classes
 
 
-def _tally_level_one(q: int, ell: int, weight: int) -> tuple[int, dict[str, int]]:
-    """Exact |D'| and per-conjugacy-type tally over GL2(F_ell), ell odd.
-
-    A zero discriminant is one central matrix and l^2 - 1 nonsemisimple
-    ones; a nonzero square splits (l^2 + l matrices), a nonsquare does
-    not (l^2 - l).
-    """
-    pairs = {key: entry[0] for key, entry in _match_classes(q, ell, 1, weight).items()}
-    ramified = pairs.get((1, 0), 0)
-    tally = {
-        "central": ramified,
-        "nonsemisimple": ramified * (ell * ell - 1),
-        "splitSemisimple": pairs.get((0, 1), 0) * (ell * ell + ell),
-        "nonsplitSemisimple": pairs.get((0, -1), 0) * (ell * ell - ell),
-    }
-    return sum(tally.values()), tally
-
-
-def _mod2_matrices():
-    for bits in range(16):
-        a, b, c, d = bits & 1, (bits >> 1) & 1, (bits >> 2) & 1, (bits >> 3) & 1
-        if (a * d - b * c) % 2 == 1:
-            yield a, b, c, d
-
-
-def _tally_mod2(q: int) -> tuple[int, dict[str, int]]:
-    """Literal enumeration of the 16 candidate matrices mod 2."""
-    psi = psi_poly(q)
-    tally = dict.fromkeys(_CLASS_KEYS, 0)
-    for a, b, c, d in _mod2_matrices():
-        t, det = (a + d) % 2, (a * d - b * c) % 2
-        if eval_poly_mod(psi, t * t % 2, det, 2) != 0:
-            continue
-        if b == 0 and c == 0 and a == d:
-            tally["central"] += 1
-        elif (t * t - 4 * det) % 2 == 0:
-            tally["nonsemisimple"] += 1
-        else:
-            tally["nonsplitSemisimple"] += 1
-    return sum(tally.values()), tally
-
-
 def _bc_solution_table(ell: int, n: int) -> list[int]:
     """count_by_valuation[v] = # of (b, c) mod l^n with bc = e, v = val(e).
 
@@ -290,7 +250,7 @@ def _bc_solution_table(ell: int, n: int) -> list[int]:
     return [(v + 1) * phi for v in range(n)] + [n * phi + m]
 
 
-def _fiber_count_lift(t: int, det: int, ell: int, n: int, bc_table: list[int]) -> int:
+def _fiber_count(t: int, det: int, ell: int, n: int, bc_table: list[int]) -> int:
     """# of matrices mod l^n with given trace and determinant."""
     m = ell**n
     total = 0
@@ -304,24 +264,33 @@ def _fiber_count_lift(t: int, det: int, ell: int, n: int, bc_table: list[int]) -
     return total
 
 
-def _match_count_lift(q: int, ell: int, n: int, weight: int) -> int:
-    """One fiber sum per fiber class, times the matching pairs in it."""
-    bc_table = _bc_solution_table(ell, n)
-    return sum(
-        count * _fiber_count_lift(t, det, ell, n, bc_table)
-        for count, t, det in _match_classes(q, ell, n, weight).values()
-    )
+def _class_tally(ell: int, fibers: list[tuple[int, int]]) -> dict[str, int]:
+    """Per-conjugacy-type tally over GL2(F_l) from (pair count, fiber) per class.
+
+    The fiber of (t, det) mod l is l^2 - l + l * #{roots of
+    x^2 - tx + det mod l}.  A double root gives l^2: one central matrix
+    and l^2 - 1 nonsemisimple ones; two roots give l^2 + l split
+    matrices, none gives l^2 - l nonsplit ones.  This holds for l = 2.
+    """
+    tally = dict.fromkeys(_CLASS_KEYS, 0)
+    for count, fiber in fibers:
+        if fiber == ell * ell:
+            tally["central"] += count
+            tally["nonsemisimple"] += count * (fiber - 1)
+        elif fiber > ell * ell:
+            tally["splitSemisimple"] += count * fiber
+        else:
+            tally["nonsplitSemisimple"] += count * fiber
+    return tally
 
 
-def enumerate_density(
-    query: DensityQuery,
-    budget: int = DEFAULT_ENUM_BUDGET,
-    with_classes: bool = True,
-) -> DensityReport:
+def enumerate_density(query: DensityQuery, budget: int = DEFAULT_ENUM_BUDGET) -> DensityReport:
     """Exhaustive density report for one (q, l^n, k) query.
 
-    Raises BudgetExceededError when the nominal candidate space l^(4n)
-    is above ``budget``; pass a larger budget explicitly to proceed.
+    One fiber sum per fiber class, times the matching pairs in it; at
+    level 1 the fiber sizes also give the class tally.  Raises
+    BudgetExceededError when the nominal candidate space l^(4n) is above
+    ``budget``; pass a larger budget explicitly to proceed.
     """
     if query.cells > budget:
         raise BudgetExceededError(
@@ -330,33 +299,21 @@ def enumerate_density(
             cap=budget,
         )
     q, ell, n, k = query.q, query.ell, query.n, query.weight
-    tally: dict[str, int] | None = None
-    if n == 1:
-        if ell == 2:
-            match, tally = _tally_mod2(q)
-        else:
-            match, tally = _tally_level_one(q, ell, k)
-        if not with_classes:
-            tally = None
-    else:
-        match = _match_count_lift(q, ell, n, k)
+    bc_table = _bc_solution_table(ell, n)
+    fibers = [
+        (count, _fiber_count(t, det, ell, n, bc_table))
+        for count, t, det in _match_classes(q, ell, n, k).values()
+    ]
     return DensityReport(
         query=query,
-        match_count=match,
+        match_count=sum(count * fiber for count, fiber in fibers),
         group_order=det_constrained_group_order(ell, n, k),
         closed_form=closed_form_density(q, ell, n, k),
-        class_tally=tally,
+        class_tally=_class_tally(ell, fibers) if n == 1 else None,
         # the exceptional list belongs to the built-in weight-12 form
         exceptional=k == 12 and ell in DELTA_EXCEPTIONAL_PRIMES,
         tl_group_order=unit_power_group_order(ell, n, k),
     )
-
-
-def class_counts(query: DensityQuery, budget: int = DEFAULT_ENUM_BUDGET) -> dict[str, int]:
-    """Per-conjugacy-type tally of the match set (level 1 only)."""
-    if query.n != 1:
-        raise ValueError("class tallies are defined at level exponent 1")
-    return enumerate_density(query, budget=budget).class_tally
 
 
 def enumerate_density_bruteforce(query: DensityQuery) -> int:
@@ -405,54 +362,6 @@ def lift_factor(
     base = enumerate_density(DensityQuery(q, ell, 1, weight), budget=budget)
     lifted = enumerate_density(DensityQuery(q, ell, 2, weight), budget=budget)
     return LiftReport(base, lifted)
-
-
-def hensel_lift_count(q: int, ell: int, base_matrix: tuple[int, int, int, int]) -> int:
-    """# of lifts of a level-1 match mod l^2 that stay matches.
-
-    ``base_matrix`` is (a, b, c, d) mod l with psi_q(tr^2, det) = 0 mod l;
-    counts quadruples (x, y, z, w) in [0, l)^4 with the lifted matrix
-    satisfying the congruence mod l^2.  Equals l^3 whenever it can be
-    Hensel-lifted along one linear condition.
-    """
-    a, b, c, d = base_matrix
-    psi = psi_poly(q)
-    m2 = ell * ell
-    if eval_poly_mod(psi, (a + d) ** 2, a * d - b * c, ell) != 0:
-        raise ValueError("base matrix is not a level-1 match")
-    count = 0
-    for x in range(ell):
-        aa = a + ell * x
-        for w in range(ell):
-            dd = d + ell * w
-            t2 = (aa + dd) * (aa + dd) % m2
-            for y in range(ell):
-                bb = b + ell * y
-                for z in range(ell):
-                    cc = c + ell * z
-                    det = (aa * dd - bb * cc) % m2
-                    if eval_poly_mod(psi, t2, det, m2) == 0:
-                        count += 1
-    return count
-
-
-def sample_level_one_matches(q: int, ell: int, weight: int = 12, limit: int = 3):
-    """A few explicit matrices in the level-1 match set, for lift checks."""
-    dets = unit_power_subgroup(ell, weight - 1)
-    psi = psi_poly(q)
-    out = []
-    for a in range(ell):
-        for b in range(ell):
-            for c in range(ell):
-                for d in range(ell):
-                    det = (a * d - b * c) % ell
-                    if det not in dets or det == 0:
-                        continue
-                    if eval_poly_mod(psi, (a + d) ** 2, det, ell) == 0:
-                        out.append((a, b, c, d))
-                        if len(out) >= limit:
-                            return out
-    return out
 
 
 @dataclass

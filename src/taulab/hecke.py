@@ -24,7 +24,7 @@ import decimal
 import threading
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterator, Literal, NamedTuple
+from typing import Iterator
 
 from . import factor
 from .errors import BudgetExceededError, DataExhaustedError, TableFormatError
@@ -144,9 +144,6 @@ class _DeltaCache:
         self.ensure(n)
         return self._series[n]
 
-    def known_limit(self) -> int:
-        return len(self._series) - 1
-
 
 _delta_cache = _DeltaCache()
 
@@ -244,30 +241,6 @@ def coeff_lucas(f: EigenformSpec, p: int, m: int) -> int:
         else:
             u, u_next = u2_next, big_p * u2_next - big_q * u2
     return u
-
-
-class ApnPattern(NamedTuple):
-    """Vanishing pattern of a_f(p^m) when the recursion is run symbolically."""
-
-    status: Literal["zero", "nonzero"]
-    sign: int | None = None  # for a_p = 0 and even m = 2j: value is sign * p^((k-1) j)
-    power_exponent: int | None = None
-
-
-def check_apn_zero_pattern(a_p: int, weight: int, m: int) -> ApnPattern:
-    """Zero exactly when a_p = 0 and m is odd.
-
-    With a_p = 0 and m = 2j the recursion collapses to (-p^(k-1))^j,
-    reported symbolically as a sign and a power of p.
-    """
-    if m < 0:
-        raise ValueError(f"exponent must be >= 0, got {m}")
-    if a_p != 0 or m == 0:
-        return ApnPattern("nonzero")
-    if m % 2 == 1:
-        return ApnPattern("zero")
-    j = m // 2
-    return ApnPattern("nonzero", sign=(-1) ** j, power_exponent=(weight - 1) * j)
 
 
 def deligne_check(f: EigenformSpec, p: int, m: int) -> bool:

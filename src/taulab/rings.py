@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from math import comb, gcd
 
-from .cyclotomic import _unpack_signed, f_poly
+from .cyclotomic import _unpack_signed, eval_poly, f_poly
 from .errors import SingularMatrixError
 
 # sym_pow costs n + 1 big-integer products of O(n^2 log(entry)) bits; the
@@ -233,15 +233,18 @@ class MultiIndexOrbit:
             yield tuple(vec)
 
 
-def _require_sym_args(a: RingMatrix, n: int) -> None:
+def _require_sym_args(a: RingMatrix, n: int):
+    """Reject a bad degree or a non-invertible 2x2 matrix; return its determinant."""
     if n < 1:
         raise ValueError(f"symmetric power degree must be >= 1, got {n}")
     if n > MAX_SYM_DEGREE:
         raise ValueError(f"symmetric power degree {n} above supported cap {MAX_SYM_DEGREE}")
     if a.dim != 2:
         raise ValueError(f"symmetric power is defined on 2x2 matrices, got dim {a.dim}")
-    if not a.is_invertible():
+    det = a.det()
+    if not a.ring.is_unit(det):
         raise SingularMatrixError(f"matrix {a.entries} is singular over {a.ring}")
+    return det
 
 
 def sym_pow(mat: RingMatrix, n: int) -> RingMatrix:
@@ -292,33 +295,21 @@ def sym_pow_via_orbits(mat: RingMatrix, n: int) -> RingMatrix:
     return RingMatrix(ring, tuple(rows))
 
 
-def _eval_bivariate_in_ring(coeffs, x, y, ring):
-    # coeffs c_0..c_m encode sum c_i X^(m-i) Y^i
-    acc = ring.normalize(coeffs[0])
-    ypow = ring.one
-    for c in coeffs[1:]:
-        ypow = ring.mul(ypow, y)
-        acc = ring.add(ring.mul(acc, x), ring.normalize(c * ypow))
-    return acc
-
-
 def sym_pow_trace(mat: RingMatrix, n: int):
     """Trace of sym_pow(mat, n) from the trace and determinant alone.
 
     Returns tr(A)^e * F_{n+1}(tr(A)^2, det(A)) evaluated in the ring,
-    where e is 1 when n+1 is even and 0 otherwise.
+    where e is 1 when n+1 is even and 0 otherwise.  The value is formed
+    on the canonical integers and normalized once.
     """
     if n < 2:
         raise ValueError(f"trace formula needs degree >= 2, got {n}")
-    _require_sym_args(mat, n)
-    ring = mat.ring
+    det = _require_sym_args(mat, n)
     t = mat.trace()
-    det = mat.det()
-    f = f_poly(n + 1)
-    val = _eval_bivariate_in_ring(f.coeffs, ring.mul(t, t), det, ring)
+    val = eval_poly(f_poly(n + 1), t * t, det)
     if (n + 1) % 2 == 0:
-        val = ring.mul(t, val)
-    return val
+        val *= t
+    return mat.ring.normalize(val)
 
 
 def sym_pow_kernel_test(mat: RingMatrix, n: int) -> bool:

@@ -241,14 +241,6 @@ def check_divisibility_tower(f: EigenformSpec, p: int, n: int) -> bool:
     return True
 
 
-def odd_exponent_divisor_check(f: EigenformSpec, p: int, n: int) -> bool:
-    """a_f(p) divides a_f(p^(2n-1)) whenever a_f(p) is nonzero."""
-    ap = f.ap(p)
-    if ap == 0:
-        return True
-    return coeff_prime_power(f, p, 2 * n - 1) % ap == 0
-
-
 def st_cdf(t: float) -> float:
     """Cumulative semicircle measure of [-1, t]."""
     t = min(1.0, max(-1.0, t))

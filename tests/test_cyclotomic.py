@@ -22,7 +22,6 @@ from taulab.cyclotomic import (
     multiply_by_x_plus_y,
     partial_derivatives,
     phi_poly,
-    primitive_divisor_scan,
     psi_poly,
     substitute_square_product,
 )
@@ -268,28 +267,23 @@ class TestClassification:
 
 
 class TestPrimitiveDivisors:
-    def test_example_sequence(self):
-        out = primitive_divisor_scan([1, -24, 252])
-        assert out == {1: set(), 2: {2, 3}, 3: {7}}
-
-    def test_units_have_no_divisors(self):
-        assert primitive_divisor_scan([1, 1, 1]) == {1: set(), 2: set(), 3: set()}
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            primitive_divisor_scan([1, 0, 3])
-        with pytest.raises(ValueError):
-            primitive_divisor_scan([])
-
     def test_lucas_self_divisibility_shape(self):
-        # U_n(3, 1): a primitive divisor p of U_n has p = +-1 mod n or p | n
+        # U_n(3, 1): a primitive divisor p of U_n, one dividing no earlier
+        # term, has p = +-1 mod n or p | n
         seq = [0, 1, 3]
         while len(seq) < 31:
             seq.append(3 * seq[-1] - seq[-2])
-        prim = primitive_divisor_scan(seq[1:])
-        for idx, primes in prim.items():
-            for p in primes:
+        seen: set[int] = set()
+        without = []
+        for idx, value in enumerate(seq[1:], start=1):
+            primes = set(factor.factorize(value).factors)
+            for p in primes - seen:
                 assert p % idx in (1, idx - 1) or idx % p == 0, (idx, p)
+            if not primes - seen:
+                without.append(idx)
+            seen |= primes
+        # U_n(3, 1) = F_2n, and F_12 = 144 is Carmichael's exception
+        assert without == [1, 6]
 
 
 class TestDumpFormat:

@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 from math import gcd
@@ -10,24 +11,54 @@ from taulab.density import (
     DensityQuery,
     _bc_solution_table,
     _fiber_class,
-    _fiber_count_lift,
+    _fiber_count,
     _squares_mod,
     chebotarev_sample,
-    class_counts,
     closed_form_density,
     det_constrained_group_order,
     enumerate_density,
     enumerate_density_bruteforce,
-    hensel_lift_count,
     lift_factor,
     psi_insoluble_mod_q_squared,
-    sample_level_one_matches,
     unit_power_group_order,
     unit_power_subgroup,
 )
 from taulab.cyclotomic import eval_poly_mod, psi_poly
 from taulab.errors import BudgetExceededError
 from taulab.hecke import coeff_prime_power, delta_series_view, ingest_table
+
+
+def sample_level_one_matches(q, ell, weight=12, limit=3):
+    """A few explicit matrices (a, b, c, d) in the level-1 match set."""
+    dets = unit_power_subgroup(ell, weight - 1)
+    psi = psi_poly(q)
+    out = []
+    for a, b, c, d in itertools.product(range(ell), repeat=4):
+        det = (a * d - b * c) % ell
+        if det in dets and eval_poly_mod(psi, (a + d) ** 2, det, ell) == 0:
+            out.append((a, b, c, d))
+            if len(out) >= limit:
+                break
+    return out
+
+
+def hensel_lift_count(q, ell, base_matrix):
+    """# of lifts mod l^2 of a level-1 match that stay matches.
+
+    Counts (x, y, z, w) in [0, l)^4 with (a + lx, b + ly, c + lz, d + lw)
+    satisfying the congruence mod l^2; the per-matrix lift law says l^3.
+    """
+    a, b, c, d = base_matrix
+    psi = psi_poly(q)
+    m2 = ell * ell
+    if eval_poly_mod(psi, (a + d) ** 2, a * d - b * c, ell) != 0:
+        raise ValueError("base matrix is not a level-1 match")
+    count = 0
+    for x, w, y, z in itertools.product(range(ell), repeat=4):
+        aa, bb, cc, dd = a + ell * x, b + ell * y, c + ell * z, d + ell * w
+        if eval_poly_mod(psi, (aa + dd) ** 2, aa * dd - bb * cc, m2) == 0:
+            count += 1
+    return count
 
 
 class TestQueryValidation:
@@ -116,11 +147,33 @@ class TestLevelOne:
             r = enumerate_density(DensityQuery(3, 7, 1, k))
             assert r.delta == Fraction(1, 6)
 
-    def test_class_counts_helper(self):
-        tally = class_counts(DensityQuery(3, 7, 1, 12))
-        assert tally["splitSemisimple"] == 336
-        with pytest.raises(ValueError):
-            class_counts(DensityQuery(3, 7, 2, 12))
+    def test_class_tally_against_literal_enumeration(self):
+        # classify every matching matrix of GL2(F_l) by the roots of its
+        # characteristic polynomial x^2 - tx + det
+        for ell in (2, 3, 5, 7, 11):
+            for q in (3, 5, 7, 11):
+                psi = psi_poly(q)
+                for k in (2, 12):
+                    dets = unit_power_subgroup(ell, k - 1)
+                    tally = dict.fromkeys(
+                        ("central", "nonsemisimple", "splitSemisimple", "nonsplitSemisimple"), 0
+                    )
+                    for a, b, c, d in itertools.product(range(ell), repeat=4):
+                        t, det = (a + d) % ell, (a * d - b * c) % ell
+                        if det not in dets or eval_poly_mod(psi, t * t, det, ell) != 0:
+                            continue
+                        roots = sum(1 for x in range(ell) if (x * x - t * x + det) % ell == 0)
+                        if b == c == 0 and a == d:
+                            tally["central"] += 1
+                        elif roots == 1:
+                            tally["nonsemisimple"] += 1
+                        elif roots == 2:
+                            tally["splitSemisimple"] += 1
+                        else:
+                            tally["nonsplitSemisimple"] += 1
+                    r = enumerate_density(DensityQuery(q, ell, 1, k))
+                    assert r.class_tally == tally, (q, ell, k)
+        assert enumerate_density(DensityQuery(3, 7, 2, 12)).class_tally is None
 
 
 class TestDetSubgroup:
@@ -169,7 +222,7 @@ class TestLifts:
                     continue
                 for t in range(m):
                     key = _fiber_class(t, det, ell, n, squares)
-                    fibers.setdefault(key, set()).add(_fiber_count_lift(t, det, ell, n, bc_table))
+                    fibers.setdefault(key, set()).add(_fiber_count(t, det, ell, n, bc_table))
             assert len(fibers) == 2 * n + 1, (ell, n)
             assert all(len(sizes) == 1 for sizes in fibers.values()), (ell, n, fibers)
 

@@ -11,7 +11,6 @@ from taulab.cyclotomic import eval_poly, psi_poly
 from taulab.errors import BudgetExceededError, DataExhaustedError, TableFormatError
 from taulab.hecke import (
     EigenformSpec,
-    check_apn_zero_pattern,
     coeff_lucas,
     coeff_prime_power,
     deligne_check,
@@ -154,21 +153,20 @@ class TestPrimePowers:
 
 
 class TestZeroPattern:
+    # with a_p = 0 the recursion gives a(p^m) = 0 for odd m and (-p^(k-1))^(m/2) for even m
     def test_symbolic_examples(self):
-        assert check_apn_zero_pattern(0, 12, 3).status == "zero"
-        even = check_apn_zero_pattern(0, 12, 2)
-        assert even.status == "nonzero" and even.sign == -1 and even.power_exponent == 11
-        assert check_apn_zero_pattern(-24, 12, 9).status == "nonzero"
+        assert hecke._coeff_from_ap(0, 2, 12, 3) == 0
+        assert hecke._coeff_from_ap(0, 2, 12, 2) == -(2**11)
+        assert hecke._coeff_from_ap(0, 3, 12, 4) == 3**22
+        assert hecke._coeff_from_ap(-24, 2, 12, 9) != 0
 
     def test_matches_brute_recursion(self):
         for k in (2, 12, 16):
             q = 101 ** (k - 1)
             prev, cur = 1, 0  # a_p = 0
             for m in range(1, 41):
-                pattern = check_apn_zero_pattern(0, k, m)
-                assert (cur == 0) == (pattern.status == "zero"), (k, m)
-                if pattern.status == "nonzero" and m >= 1:
-                    assert cur == pattern.sign * 101**pattern.power_exponent
+                expected = 0 if m % 2 else (-q) ** (m // 2)
+                assert cur == expected == hecke._coeff_from_ap(0, 101, k, m), (k, m)
                 prev, cur = cur, 0 * cur - q * prev
 
 

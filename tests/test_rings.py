@@ -355,6 +355,29 @@ class TestTraceLaw:
         with pytest.raises(ValueError):
             sym_pow_trace(RingMatrix.identity(ZZ, 2), 1)
 
+    def test_rejects_singular_and_bad_shapes(self):
+        with pytest.raises(SingularMatrixError):
+            sym_pow_trace(RingMatrix.make(ZZ, [[2, 0], [0, 1]]), 2)
+        with pytest.raises(SingularMatrixError):
+            sym_pow_trace(RingMatrix.make(Zmod(6), [[2, 0], [0, 1]]), 3)
+        with pytest.raises(ValueError):
+            sym_pow_trace(RingMatrix.identity(ZZ, 3), 2)
+        with pytest.raises(ValueError):
+            sym_pow_trace(RingMatrix.identity(ZZ, 2), MAX_SYM_DEGREE + 1)
+
+    def test_matches_sym_pow_over_integers_and_large_moduli(self):
+        rnd = random.Random(13)
+        for ring in (ZZ, Zmod(12), Zmod(97), Zmod(10**30)):
+            checked = 0
+            while checked < 40:
+                entries = [[rnd.randint(-6, 6) for _ in range(2)] for _ in range(2)]
+                mat = RingMatrix.make(ring, entries)
+                if not mat.is_invertible():
+                    continue
+                n = rnd.randint(2, MAX_SYM_DEGREE)
+                assert sym_pow(mat, n).trace() == sym_pow_trace(mat, n), (ring, entries, n)
+                checked += 1
+
     def test_exhaustive_f3(self):
         for mat in all_invertible(3):
             for n in range(2, 9):

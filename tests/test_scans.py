@@ -12,7 +12,6 @@ from taulab.scans import (
     ScanSummary,
     bound_value,
     check_divisibility_tower,
-    odd_exponent_divisor_check,
     sato_tate_histogram,
     scan_rows,
     threshold_scan,
@@ -205,9 +204,12 @@ class TestDivisibilityTower:
                 assert check_divisibility_tower(delta_warm_small, p, n), (p, n)
 
     def test_odd_exponent_reduction(self, delta_warm_small):
+        # a_p divides a(p^(2n-1)): every odd-exponent term of the recursion carries a_p
         for p in factor.primes_up_to(60):
+            ap = delta_warm_small.ap(p)
+            assert ap != 0
             for n in range(1, 12):
-                assert odd_exponent_divisor_check(delta_warm_small, p, n), (p, n)
+                assert coeff_prime_power(delta_warm_small, p, 2 * n - 1) % ap == 0, (p, n)
 
     def test_monotone_largest_prime_through_divisors(self, delta_warm_small):
         # P(a(p^(2n))) >= P(a(p^(d-1))) for divisors d of 2n+1
