@@ -5,7 +5,7 @@ computation or the result is partial, 3 a mathematical identity the
 package promises failed (the loudest possible signal).
 
 Identical configurations (including the seed) produce byte-identical
-output regardless of worker count.
+output.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 from . import cyclotomic, density, factor, hecke, identities, scans
 from .errors import (
@@ -31,130 +30,82 @@ EXIT_BUDGET = 2
 EXIT_IDENTITY = 3
 
 
-@dataclass
-class RunConfig:
-    """Validated parameters for one invocation."""
-
-    command: str
-    q: int | None = None
-    ell: int | None = None
-    n: int = 1
-    weight: int = 12
-    level: int = 1
-    epsilon: float = 0.1
-    grh_c: float | None = None
-    x_bound: int = 10**4
-    bins: int = 20
-    limit: int = 100
-    d: int | None = None
-    p: int | None = None
-    m: int | None = None
-    two_n: int = 2
-    budget: int = density.DEFAULT_ENUM_BUDGET
-    trial_bound: int = factor.DEFAULT_TRIAL_BOUND
-    rho_budget: int = factor.DEFAULT_RHO_BUDGET
-    table: str | None = None
-    out: str | None = None
-    fmt: str = "text"
-    workers: int = 1
-    seed: int = 0
-    extra: dict = field(default_factory=dict)
-
-    def validate(self) -> None:
-        if self.q is not None and (self.q % 2 == 0 or not factor.is_prime(self.q)):
-            raise ValueError(f"--q must be an odd prime, got {self.q}")
-        if self.ell is not None and not factor.is_prime(self.ell):
-            raise ValueError(f"--ell must be prime, got {self.ell}")
-        if self.two_n % 2 or self.two_n < 2:
-            raise ValueError(f"--two-n must be even and >= 2, got {self.two_n}")
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise ValueError(f"--eps must be finite and >= 0, got {self.epsilon}")
-        if self.grh_c is not None and not (math.isfinite(self.grh_c) and self.grh_c > 0):
-            raise ValueError(f"--grh-c must be finite and > 0, got {self.grh_c}")
-        if self.workers < 1:
-            raise ValueError(f"--workers must be >= 1, got {self.workers}")
-        if self.trial_bound < 1:
-            raise ValueError(f"--trial-bound must be >= 1, got {self.trial_bound}")
-        if self.rho_budget < 0:
-            raise ValueError(f"--rho-budget must be >= 0, got {self.rho_budget}")
-
-    def form(self) -> hecke.EigenformSpec:
-        if self.table:
-            return hecke.ingest_table(self.table, self.weight, self.level)
-        return hecke.EigenformSpec.delta()
+def _form(ns: argparse.Namespace) -> hecke.EigenformSpec:
+    if ns.table:
+        return hecke.ingest_table(ns.table, ns.weight, ns.level)
+    return hecke.EigenformSpec.delta()
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+def _emit(ns: argparse.Namespace, text: str) -> None:
+    if ns.out:
+        with open(ns.out, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _cmd_tau(cfg: RunConfig) -> int:
-    if cfg.extra.get("find_first_prime"):
-        hit = hecke.find_first_prime_tau(cfg.limit)
+def _cmd_tau(ns: argparse.Namespace) -> int:
+    if ns.find_first_prime:
+        hit = hecke.find_first_prime_tau(ns.limit)
         if hit is None:
-            _emit(cfg, f"no prime value up to {cfg.limit}")
+            _emit(ns, f"no prime value up to {ns.limit}")
             return EXIT_OK
         n, value = hit
-        _emit(cfg, f"{n}" if cfg.fmt != "json" else json.dumps({"n": n, "value": str(value)}))
+        _emit(ns, f"{n}" if ns.fmt != "json" else json.dumps({"n": n, "value": str(value)}))
         return EXIT_OK
-    series = hecke.tau_series(cfg.limit)
-    _emit(cfg, "\n".join(str(series[n]) for n in range(1, cfg.limit + 1)))
+    series = hecke.tau_series(ns.limit)
+    _emit(ns, "\n".join(str(series[n]) for n in range(1, ns.limit + 1)))
     return EXIT_OK
 
 
-def _cmd_coeff(cfg: RunConfig) -> int:
-    f = cfg.form()
-    fn = hecke.coeff_lucas if cfg.extra.get("lucas") else hecke.coeff_prime_power
-    value = fn(f, cfg.p, cfg.m)
-    if cfg.fmt == "json":
-        _emit(cfg, json.dumps({"p": cfg.p, "m": cfg.m, "value": str(value)}))
+def _cmd_coeff(ns: argparse.Namespace) -> int:
+    f = _form(ns)
+    fn = hecke.coeff_lucas if ns.lucas else hecke.coeff_prime_power
+    value = fn(f, ns.p, ns.m)
+    if ns.fmt == "json":
+        _emit(ns, json.dumps({"p": ns.p, "m": ns.m, "value": str(value)}))
     else:
-        _emit(cfg, str(value))
+        _emit(ns, str(value))
     return EXIT_OK
 
 
-def _cmd_psi(cfg: RunConfig) -> int:
-    kind = cfg.extra.get("kind", "PSI").upper()
-    upto = cfg.extra.get("upto")
-    if upto:
-        lines = [cyclotomic.dump_poly_line(kind, n) for n in range(3, upto + 1)]
-        _emit(cfg, "\n".join(lines))
+def _cmd_psi(ns: argparse.Namespace) -> int:
+    kind = ns.kind.upper()
+    if ns.upto:
+        lines = [cyclotomic.dump_poly_line(kind, n) for n in range(3, ns.upto + 1)]
+        _emit(ns, "\n".join(lines))
     else:
-        _emit(cfg, cyclotomic.dump_poly_line(kind, cfg.n))
+        _emit(ns, cyclotomic.dump_poly_line(kind, ns.n))
     return EXIT_OK
 
 
-def _cmd_sympow(cfg: RunConfig) -> int:
+def _cmd_sympow(ns: argparse.Namespace) -> int:
     from .rings import ZZ, RingMatrix, Zmod, sym_pow, sym_pow_trace
 
-    entries = [int(x) for x in cfg.extra["entries"].split(",")]
+    entries = [int(x) for x in ns.entries.split(",")]
     if len(entries) != 4:
         raise ValueError("--entries must be four comma-separated integers a,b,c,d")
-    ring = Zmod(cfg.extra["mod"]) if cfg.extra.get("mod") else ZZ
+    ring = Zmod(ns.mod) if ns.mod else ZZ
     mat = RingMatrix.make(ring, [entries[:2], entries[2:]])
-    result = sym_pow(mat, cfg.n)
-    if cfg.n >= 2 and result.trace() != sym_pow_trace(mat, cfg.n):
+    result = sym_pow(mat, ns.n)
+    if ns.n >= 2 and result.trace() != sym_pow_trace(mat, ns.n):
         raise IdentityViolationError("trace law failed for this input")
-    if cfg.fmt == "json":
-        _emit(cfg, json.dumps({"dim": result.dim, "rows": [list(r) for r in result.entries]}))
+    if ns.fmt == "json":
+        _emit(ns, json.dumps({"dim": result.dim, "rows": [list(r) for r in result.entries]}))
     else:
-        _emit(cfg, "\n".join(" ".join(str(x) for x in row) for row in result.entries))
+        _emit(ns, "\n".join(" ".join(str(x) for x in row) for row in result.entries))
     return EXIT_OK
 
 
-def _cmd_density(cfg: RunConfig) -> int:
-    query = density.DensityQuery(cfg.q, cfg.ell, cfg.n, cfg.weight)
-    report = density.enumerate_density(query, budget=cfg.budget)
-    _emit(cfg, report.to_json())
+def _cmd_density(ns: argparse.Namespace) -> int:
+    query = density.DensityQuery(ns.q, ns.ell, ns.n, ns.weight)
+    report = density.enumerate_density(query, budget=ns.budget)
+    _emit(ns, report.to_json())
     return EXIT_OK
 
 
-def _cmd_lift(cfg: RunConfig) -> int:
-    report = density.lift_factor(cfg.q, cfg.ell, cfg.weight, budget=cfg.budget)
+def _cmd_lift(ns: argparse.Namespace) -> int:
+    report = density.lift_factor(ns.q, ns.ell, ns.weight, budget=ns.budget)
     ratio = report.ratio
     payload = {
         "base": report.base.to_json_dict(),
@@ -162,82 +113,79 @@ def _cmd_lift(cfg: RunConfig) -> int:
         "ratio": None if ratio is None else f"{ratio.numerator}/{ratio.denominator}",
         "zeroDensity": ratio is None,
     }
-    _emit(cfg, json.dumps(payload, indent=2, sort_keys=True))
+    _emit(ns, json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
 
 
-def _cmd_chebotarev(cfg: RunConfig) -> int:
-    f = cfg.form()
-    sample = density.chebotarev_sample(f, cfg.q, cfg.d, cfg.x_bound)
-    _emit(cfg, json.dumps(sample.to_json_dict(), indent=2, sort_keys=True))
+def _cmd_chebotarev(ns: argparse.Namespace) -> int:
+    f = _form(ns)
+    sample = density.chebotarev_sample(f, ns.q, ns.d, ns.x_bound)
+    _emit(ns, json.dumps(sample.to_json_dict(), indent=2, sort_keys=True))
     return EXIT_OK
 
 
-def _cmd_scan(cfg: RunConfig) -> int:
-    f = cfg.form()
-    args = (f, cfg.two_n, cfg.x_bound)
+def _cmd_scan(ns: argparse.Namespace) -> int:
+    f = _form(ns)
+    args = (f, ns.two_n, ns.x_bound)
     budgets = dict(
-        epsilon=None if cfg.grh_c is not None else cfg.epsilon,
-        grh_c=cfg.grh_c,
-        trial_bound=cfg.trial_bound,
-        rho_budget=cfg.rho_budget,
+        epsilon=None if ns.grh_c is not None else ns.epsilon,
+        grh_c=ns.grh_c,
+        trial_bound=ns.trial_bound,
+        rho_budget=ns.rho_budget,
     )
-    if cfg.fmt == "csv":
+    if ns.fmt == "csv":
         rows, summary = scans.threshold_scan(*args, **budgets)
-        _emit(cfg, "\n".join([scans.CSV_HEADER] + [r.csv_line() for r in rows]))
+        _emit(ns, "\n".join([scans.CSV_HEADER] + [r.csv_line() for r in rows]))
         sys.stderr.write(summary.to_json() + "\n")
     else:
         # a summary prints verdict counts only, so each row does only the work its verdict needs
         summary = scans.ScanSummary.of(scans.scan_rows(*args, **budgets, pin=False))
-        _emit(cfg, summary.to_json())
+        _emit(ns, summary.to_json())
     return EXIT_BUDGET if summary.unknown_count else EXIT_OK
 
 
-def _cmd_tower(cfg: RunConfig) -> int:
-    f = cfg.form()
+def _cmd_tower(ns: argparse.Namespace) -> int:
+    f = _form(ns)
     checked = 0
-    for p in factor.primes_up_to(cfg.extra.get("p_max", 100)):
+    for p in factor.primes_up_to(ns.p_max):
         if f.level % p == 0:
             continue
-        for n in range(1, (cfg.extra.get("max_odd", 9) - 1) // 2 + 1):
+        for n in range(1, (ns.max_odd - 1) // 2 + 1):
             if not scans.check_divisibility_tower(f, p, n):
                 raise IdentityViolationError(f"divisibility tower failed at p={p}, 2n={2 * n}")
             checked += 1
-    _emit(cfg, f"tower verified on {checked} (p, n) pairs")
+    _emit(ns, f"tower verified on {checked} (p, n) pairs")
     return EXIT_OK
 
 
-def _cmd_sato_tate(cfg: RunConfig) -> int:
-    f = cfg.form()
-    hist = scans.sato_tate_histogram(f, cfg.x_bound, cfg.bins)
-    if cfg.fmt == "csv":
-        _emit(cfg, "\n".join(hist.csv_lines()))
+def _cmd_sato_tate(ns: argparse.Namespace) -> int:
+    f = _form(ns)
+    hist = scans.sato_tate_histogram(f, ns.x_bound, ns.bins)
+    if ns.fmt == "csv":
+        _emit(ns, "\n".join(hist.csv_lines()))
     else:
-        _emit(cfg, json.dumps(hist.to_json_dict(), indent=2, sort_keys=True))
+        _emit(ns, json.dumps(hist.to_json_dict(), indent=2, sort_keys=True))
     return EXIT_OK
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    if not 3 <= cfg.limit <= 200:
-        raise ValueError(f"--limit for verify must be in [3, 200], got {cfg.limit}")
+def _cmd_verify(ns: argparse.Namespace) -> int:
     suites = {
         "identities": [
-            (identities.square_product, {"n_max": cfg.limit}),
+            (identities.square_product, {"n_max": ns.limit}),
             (identities.partial_scaling, {}),
             (identities.discriminant_law, {}),
         ],
-        "sympow": [(identities.trace_kernel_laws, {}), (identities.functoriality, {"seed": cfg.seed})],
+        "sympow": [(identities.trace_kernel_laws, {}), (identities.functoriality, {"seed": ns.seed})],
         "density": [(identities.density_closed_forms, {}), (identities.lift_ratio, {})],
         "tau": [(identities.series_recursion, {"limit": 1000}),
                 (identities.psi_coefficients, {})],
     }
-    suite = cfg.extra.get("suite", "all")
     lines: list[str] = []
     for name, checks in suites.items():
-        if suite in (name, "all"):
+        if ns.suite in (name, "all"):
             for check, kw in checks:
                 lines += list(check(**kw)) or [check.passed.format(**kw)]
-    _emit(cfg, "\n".join(lines))
+    _emit(ns, "\n".join(lines))
     return EXIT_IDENTITY if any(line.startswith("FAIL") for line in lines) else EXIT_OK
 
 
@@ -256,13 +204,30 @@ _COMMANDS = {
 }
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--out", help="write output to this path instead of stdout")
-    sp.add_argument("--format", dest="fmt", choices=("text", "csv", "json"), default="text")
-    sp.add_argument("--workers", type=int, default=1,
-                    help="accepted for compatibility; never changes results or work")
-    sp.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-    sp.add_argument("--config", help="key=value file supplying defaults")
+def _checked(convert, rule: str, ok):
+    """An argparse type: convert the text, then require ok(value)."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value: ..."
+    return parse
+
+
+def _add_common(p: argparse.ArgumentParser, *, formats: bool = False) -> None:
+    p.add_argument("--out", help="write output to this path instead of stdout")
+    if formats:
+        p.add_argument("--format", dest="fmt", choices=("text", "csv", "json"), default="text")
+    p.add_argument("--config", help="key=value file supplying defaults")
+
+
+def _add_form(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--weight", type=int, default=12)
+    p.add_argument("--level", type=int, default=1)
+    p.add_argument("--table", help="CSV table of a_p values")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,21 +238,21 @@ def build_parser() -> argparse.ArgumentParser:
         "largest-prime-factor scans.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    odd_prime = _checked(int, "an odd prime", lambda q: q % 2 == 1 and factor.is_prime(q))
+    prime = _checked(int, "prime", factor.is_prime)
 
     p = sub.add_parser("tau", help="coefficient series of the built-in weight-12 form")
     p.add_argument("--limit", type=int, default=100)
     p.add_argument("--find-first-prime", action="store_true",
                    help="print the smallest n with |tau(n)| prime instead of the series")
-    _add_common(p)
+    _add_common(p, formats=True)
 
     p = sub.add_parser("coeff", help="a_f(p^m) by recursion or the Lucas ladder")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--weight", type=int, default=12)
-    p.add_argument("--level", type=int, default=1)
-    p.add_argument("--table", help="CSV table of a_p values")
+    _add_form(p)
     p.add_argument("--lucas", action="store_true", help="use the Lucas ladder path")
-    _add_common(p)
+    _add_common(p, formats=True)
 
     p = sub.add_parser("psi", help="dump trace / cyclotomic polynomial coefficients")
     p.add_argument("--n", type=int, default=5)
@@ -299,70 +264,72 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--entries", required=True, help="a,b,c,d")
     p.add_argument("--mod", type=int, help="work mod this integer (default: integers)")
-    _add_common(p)
+    _add_common(p, formats=True)
 
     p = sub.add_parser("density", help="trace-zero density over GL2(Z/ell^n) by enumeration")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
+    p.add_argument("--q", type=odd_prime, required=True)
+    p.add_argument("--ell", type=prime, required=True)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--k", dest="weight", type=int, default=12)
     p.add_argument("--budget", type=int, default=density.DEFAULT_ENUM_BUDGET)
+    p.add_argument("--workers", type=_checked(int, ">= 1", lambda w: w >= 1), default=1,
+                   help="accepted for compatibility; never changes results or work")
     _add_common(p)
 
     p = sub.add_parser("lift", help="density ratio between levels ell^2 and ell")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
+    p.add_argument("--q", type=odd_prime, required=True)
+    p.add_argument("--ell", type=prime, required=True)
     p.add_argument("--k", dest="weight", type=int, default=12)
     p.add_argument("--budget", type=int, default=density.DEFAULT_ENUM_BUDGET)
     _add_common(p)
 
     p = sub.add_parser("chebotarev", help="empirical frequency of d | a_f(p^(q-1))")
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=odd_prime, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--x-bound", type=int, default=10**5)
-    p.add_argument("--weight", type=int, default=12)
-    p.add_argument("--level", type=int, default=1)
-    p.add_argument("--table")
+    _add_form(p)
     _add_common(p)
 
     p = sub.add_parser("scan", help="largest-prime-factor threshold scan over primes")
-    p.add_argument("--two-n", type=int, default=2)
-    p.add_argument("--eps", dest="epsilon", type=float, default=0.1)
-    p.add_argument("--grh-c", type=float, help="use the power-threshold mode with this constant")
+    p.add_argument("--two-n", type=_checked(int, "even and >= 2", lambda v: v >= 2 and v % 2 == 0),
+                   default=2)
+    p.add_argument("--eps", dest="epsilon", default=0.1,
+                   type=_checked(float, "finite and >= 0", lambda v: math.isfinite(v) and v >= 0))
+    p.add_argument("--grh-c", type=_checked(float, "finite and > 0",
+                                            lambda v: math.isfinite(v) and v > 0),
+                   help="use the power-threshold mode with this constant")
     p.add_argument("--x-bound", type=int, default=10**3)
-    p.add_argument("--trial-bound", type=int, default=factor.DEFAULT_TRIAL_BOUND,
+    p.add_argument("--trial-bound", type=_checked(int, ">= 1", lambda v: v >= 1),
+                   default=factor.DEFAULT_TRIAL_BOUND,
                    help="largest prime tried by division before rho; json and text "
                    "summaries try only primes up to the threshold's floor while that "
                    "is below TRIAL_BOUND")
-    p.add_argument("--rho-budget", type=int, default=factor.DEFAULT_RHO_BUDGET,
+    p.add_argument("--rho-budget", type=_checked(int, ">= 0", lambda v: v >= 0),
+                   default=factor.DEFAULT_RHO_BUDGET,
                    help="rho iterations per cofactor, checked between Brent's doubling "
                    "rounds, so a run can spend up to 2*BUDGET+2")
-    p.add_argument("--weight", type=int, default=12)
-    p.add_argument("--level", type=int, default=1)
-    p.add_argument("--table")
-    _add_common(p)
+    _add_form(p)
+    _add_common(p, formats=True)
 
     p = sub.add_parser("tower", help="verify the prime-power divisibility tower")
     p.add_argument("--p-max", type=int, default=100)
     p.add_argument("--max-odd", type=int, default=9, help="largest odd exponent bound 2n+1")
-    p.add_argument("--weight", type=int, default=12)
-    p.add_argument("--level", type=int, default=1)
-    p.add_argument("--table")
+    _add_form(p)
     _add_common(p)
 
     p = sub.add_parser("sato-tate", help="normalized coefficient histogram vs the semicircle law")
     p.add_argument("--x-bound", type=int, default=10**4)
     p.add_argument("--bins", type=int, default=20)
-    p.add_argument("--weight", type=int, default=12)
-    p.add_argument("--level", type=int, default=1)
-    p.add_argument("--table")
-    _add_common(p)
+    _add_form(p)
+    _add_common(p, formats=True)
 
     p = sub.add_parser("verify", help="run built-in identity suites (exit 3 on failure)")
     p.add_argument("--suite", choices=("identities", "sympow", "density", "tau", "all"),
                    default="all")
-    p.add_argument("--limit", type=int, default=100,
+    p.add_argument("--limit", type=_checked(int, "in [3, 200]", lambda v: 3 <= v <= 200),
+                   default=100,
                    help="check the square-product identities for 3 <= n <= LIMIT, in [3, 200]")
+    p.add_argument("--seed", type=int, default=0, help="seed for the sampled functoriality check")
     _add_common(p)
 
     return parser
@@ -382,18 +349,6 @@ def _load_config(path: str) -> dict:
     return out
 
 
-def _config_from_namespace(ns: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=ns.command)
-    for key, value in vars(ns).items():
-        if key in ("command", "config") or value is None:
-            continue
-        if hasattr(cfg, key):
-            setattr(cfg, key, value)
-        else:
-            cfg.extra[key] = value
-    return cfg
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -410,9 +365,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"error: bad --config: {exc}\n")
         return EXIT_USAGE
     try:
-        cfg = _config_from_namespace(ns)
-        cfg.validate()
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[ns.command](ns)
     except (ValueError, TableFormatError, DataExhaustedError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -164,11 +164,14 @@ def det_constrained_group_order(ell: int, n: int, weight: int) -> int:
     """Order of {A in GL2(Z/l^n) : det(A) a (k-1)-th power of a unit}.
 
     Computed as |SL2(Z/l^n)| times the size of the power subgroup of
-    the units.  For l not dividing k-1 this equals the level-1 order
-    (l^2-1)(l^2-l)/gcd(l-1,k-1) scaled by l^(4(n-1)).
+    the units, phi / gcd(phi, k-1) with phi = l^(n-1)(l-1): for odd l
+    the units are cyclic, and for l = 2 the even weight makes k-1 odd,
+    so x -> x^(k-1) is a bijection.  For l not dividing k-1 this equals
+    the level-1 order (l^2-1)(l^2-l)/gcd(l-1,k-1) scaled by l^(4(n-1)).
     """
     sl2 = ell ** (3 * n - 2) * (ell * ell - 1)
-    return sl2 * len(unit_power_subgroup(ell**n, weight - 1))
+    phi = ell ** (n - 1) * (ell - 1)
+    return sl2 * phi // gcd(phi, weight - 1)
 
 
 def unit_power_group_order(ell: int, n: int, weight: int) -> int:
@@ -204,13 +207,13 @@ def _fiber_class(t: int, det: int, ell: int, n: int, squares: frozenset[int]):
 
 
 def _psi_root_test(q: int, m: int) -> Callable[[int], bool]:
-    """r -> whether psi_q(r, 1) = 0 mod m, one evaluation per residue r.
+    """r -> whether psi_q(r, 1) = 0 mod m.
 
     psi_q is homogeneous, so for a unit v mod m, psi_q(u, v) = 0 mod m
     exactly when u / v mod m passes this test.
     """
     psi = psi_poly(q)
-    return cache(lambda r: eval_poly_mod(psi, r, 1, m) == 0)
+    return lambda r: eval_poly_mod(psi, r, 1, m) == 0
 
 
 def _match_classes(q: int, ell: int, n: int, weight: int) -> dict:
@@ -447,7 +450,7 @@ def chebotarev_sample(
         raise ValueError(f"x bound must be at least 1000, got {x_bound}")
     ell, n = _factor_prime_power(d)
     DensityQuery(q, ell, n, f.weight)  # validates q and ell
-    is_root = _psi_root_test(q, d)
+    is_root = cache(_psi_root_test(q, d))  # residues mod d repeat across primes
     target = closed_form_density(q, ell, n, f.weight)
     k = f.weight
     hits = 0

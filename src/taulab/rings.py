@@ -36,14 +36,8 @@ class IntegerRing:
     def add(self, x, y):
         return x + y
 
-    def sub(self, x, y):
-        return x - y
-
     def mul(self, x, y):
         return x * y
-
-    def neg(self, x):
-        return -x
 
     def pow(self, x, e: int):
         return x**e
@@ -79,14 +73,8 @@ class ModRing:
     def add(self, x, y):
         return (x + y) % self.modulus
 
-    def sub(self, x, y):
-        return (x - y) % self.modulus
-
     def mul(self, x, y):
         return (x * y) % self.modulus
-
-    def neg(self, x):
-        return (-x) % self.modulus
 
     def pow(self, x, e: int):
         return pow(x, e, self.modulus)

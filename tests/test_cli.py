@@ -270,6 +270,45 @@ def test_verify_catches_planted_fault(capsys, monkeypatch, check, suite, module,
     assert not any(line.startswith(passed) for line in lines)
 
 
+class TestFlagsPerCommand:
+    @pytest.mark.parametrize("argv", [
+        ["density", "--q", "3", "--ell", "7", "--format", "json"],
+        ["verify", "--suite", "density", "--format", "json"],
+        ["psi", "--n", "5", "--format", "json"],
+        ["tower", "--p-max", "30", "--format", "csv"],
+        ["tau", "--limit", "5", "--seed", "1"],
+        ["lift", "--q", "3", "--ell", "5", "--seed", "1"],
+        ["scan", "--x-bound", "100", "--workers", "2"],
+        ["chebotarev", "--q", "5", "--d", "11", "--x-bound", "2000", "--workers", "1"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_flag_the_command_does_not_read_exits_usage(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+
+    def test_config_key_the_command_does_not_read(self, capsys, tmp_path):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("seed=1\n")
+        code, out, _ = run(capsys, "density", "--q", "3", "--ell", "7", "--config", str(cfg))
+        assert code == EXIT_USAGE and out == ""
+
+    @pytest.mark.parametrize("argv, config, says", [
+        (["chebotarev", "--q", "4", "--d", "11", "--x-bound", "2000"], None,
+         "--q: must be an odd prime, got 4"),
+        (["lift", "--q", "3", "--ell", "9"], None, "--ell: must be prime, got 9"),
+        (["verify", "--suite", "identities"], "limit=2\n", "--limit: must be in [3, 200], got 2"),
+        # every value given is checked, also one that a later flag overrides
+        (["scan", "--x-bound", "100", "--eps", "0.2"], "eps=-1\n",
+         "--eps: must be finite and >= 0, got -1.0"),
+    ], ids=["chebotarev-q", "lift-ell", "verify-config-limit", "scan-overridden-config-eps"])
+    def test_flag_checks(self, capsys, tmp_path, argv, config, says):
+        if config:
+            path = tmp_path / "run.conf"
+            path.write_text(config)
+            argv = argv + ["--config", str(path)]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == "" and says in err
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "run.conf"

@@ -197,6 +197,21 @@ class TestDetSubgroup:
         # 11 divides k-1 = 11: the unit-power subgroup shrinks above level 1
         assert det_constrained_group_order(11, 2, 12) < unit_power_group_order(11, 2, 12)
 
+    def test_group_order_against_power_subgroup(self):
+        # the closed-form subgroup size phi / gcd(phi, k-1) against the subgroup
+        # built residue by residue, with l = 2 and l | k-1 among the cases
+        cases = 0
+        for ell in (2, 3, 5, 7, 11, 13, 31):
+            for n in range(1, 5):
+                if ell**n > 40000:
+                    continue
+                sl2 = ell ** (3 * n - 2) * (ell * ell - 1)
+                for k in (2, 4, 6, 8, 12, 14, 16, 24):
+                    want = sl2 * len(unit_power_subgroup(ell**n, k - 1))
+                    assert det_constrained_group_order(ell, n, k) == want, (ell, n, k)
+                    cases += 1
+        assert cases == 216
+
 
 class TestLifts:
     def test_lift_level_two_against_bruteforce(self):
