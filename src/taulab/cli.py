@@ -271,7 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=prime, required=True)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--k", dest="weight", type=int, default=12)
-    p.add_argument("--budget", type=int, default=density.DEFAULT_ENUM_BUDGET)
+    p.add_argument("--budget", type=int, default=density.DEFAULT_ENUM_BUDGET,
+                   help="most steps the count may take: ell^n root evaluations, "
+                        "ell^n pair tests per root, ell^n per fiber sum")
     p.add_argument("--workers", type=_checked(int, ">= 1", lambda w: w >= 1), default=1,
                    help="accepted for compatibility; never changes results or work")
     _add_common(p)
@@ -280,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=odd_prime, required=True)
     p.add_argument("--ell", type=prime, required=True)
     p.add_argument("--k", dest="weight", type=int, default=12)
-    p.add_argument("--budget", type=int, default=density.DEFAULT_ENUM_BUDGET)
+    p.add_argument("--budget", type=int, default=density.DEFAULT_ENUM_BUDGET,
+                   help="most steps each of the two counts may take (see density --budget)")
     _add_common(p)
 
     p = sub.add_parser("chebotarev", help="empirical frequency of d | a_f(p^(q-1))")

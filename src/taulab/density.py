@@ -11,16 +11,17 @@ Enumeration never loops over matrix entries: it walks the matching
 (trace, det) pairs and multiplies by the exact fiber size.  psi_q is
 homogeneous and every det is a unit, so psi_q(t^2, det) = 0 mod l^n
 exactly when t^2 / det lies in R = {r : psi_q(r, 1) = 0 mod l^n}; R is
-found once, and for each det and r in R only the t with t^2 = r det
-are visited.  The pairs are grouped into fiber classes and one fiber
-sum serves every pair in a class; this is the one counting path for
-every l and n.  For odd l the fiber size depends only on the class of
-the discriminant t^2 - 4 det under unit squares (its l-valuation capped
-at n, and below n whether its unit part is a square mod l); for l = 2
-each pair is its own class.  At n = 1 the fiber of (t, det) is
-l^2 - l + l * #{roots of x^2 - tx + det mod l}, so the fiber sizes
-also give the conjugacy-type class tally.  A literal four-loop
-enumerator is kept as an oracle for small moduli.
+found once, then each t is visited once with det = t^2 / r for each r
+in R, and no table over the residues mod l^n is kept.  The pairs are
+grouped into fiber classes and one fiber sum serves every pair in a
+class; this is the one counting path for every l and n.  For odd l the
+fiber size depends only on the class of the discriminant t^2 - 4 det
+under unit squares (its l-valuation capped at n, and below n whether
+its unit part is a square mod l); for l = 2 each pair is its own class.
+At n = 1 the fiber of (t, det) is l^2 - l + l * #{roots of
+x^2 - tx + det mod l}, so the fiber sizes also give the conjugacy-type
+class tally.  A literal four-loop enumerator is kept as an oracle for
+small moduli.
 
 Empirical side: walk primes p <= x and test whether d divides
 a_f(p^(q-1)) = psi_q(a_f(p)^2, p^(k-1)).  By the same homogeneity, for
@@ -74,10 +75,6 @@ class DensityQuery:
     @property
     def modulus(self) -> int:
         return self.ell**self.n
-
-    @property
-    def cells(self) -> int:
-        return self.ell ** (4 * self.n)
 
 
 @dataclass
@@ -180,18 +177,14 @@ def unit_power_group_order(ell: int, n: int, weight: int) -> int:
     return ell ** (4 * (n - 1)) * (ell * ell - 1) * (ell * ell - ell) // d
 
 
-def _squares_mod(ell: int) -> frozenset[int]:
-    return frozenset(x * x % ell for x in range(1, ell))
-
-
-def _fiber_class(t: int, det: int, ell: int, n: int, squares: frozenset[int]):
+def _fiber_class(t: int, det: int, ell: int, n: int):
     """A key on which the fiber size of (t, det) mod l^n depends alone.
 
     For odd l, a(t-a) - det = D/4 - s^2 with D = t^2 - 4 det and
     s = a - t/2, and s -> u s for a unit u shows that D and u^2 D have
     equal fibers; the unit-square classes of Z/l^n are the valuation
     min(v_l(D), n) and, below n, whether the unit part of D is a square
-    mod l.  For l = 2 the pair itself is the key.
+    mod l (Euler's criterion).  For l = 2 the pair itself is the key.
     """
     if ell == 2:
         return t, det
@@ -203,7 +196,7 @@ def _fiber_class(t: int, det: int, ell: int, n: int, squares: frozenset[int]):
         v += 1
     if v == n:
         return n, 0
-    return v, 1 if disc % ell in squares else -1
+    return v, 1 if pow(disc, (ell - 1) // 2, ell) == 1 else -1
 
 
 def _psi_root_test(q: int, m: int) -> Callable[[int], bool]:
@@ -216,29 +209,28 @@ def _psi_root_test(q: int, m: int) -> Callable[[int], bool]:
     return lambda r: eval_poly_mod(psi, r, 1, m) == 0
 
 
-def _match_classes(q: int, ell: int, n: int, weight: int) -> dict:
+def _match_classes(roots: list[int], ell: int, n: int, weight: int) -> dict:
     """Matching (t, det) pairs mod l^n, grouped by fiber class.
 
     Maps each class key to [pair count, t, det] with (t, det) the first
-    pair of the class.  Only the t with t^2 = r det for a root r of
-    psi_q(X, 1) mod l^n are visited (see the module docstring).
+    pair of the class.  Each unit t is visited once, with det = t^2 / r
+    for each root r of psi_q(X, 1) mod l^n (a unit: psi_q(0, 1) = +-1).
+    det is a (k-1)-th power exactly when det^e = 1, e = phi / gcd(phi, k-1)
+    (see det_constrained_group_order), that is when t^(2e) = r^e.
     """
     m = ell**n
-    roots = list(filter(_psi_root_test(q, m), range(m)))
-    square_roots: dict[int, list[int]] = {}
-    for t in range(m):
-        square_roots.setdefault(t * t % m, []).append(t)
-    squares = _squares_mod(ell)
+    phi = m - m // ell
+    e = phi // gcd(phi, weight - 1)
+    inverses = [(pow(r, -1, m), pow(r, e, m)) for r in roots]
     classes: dict = {}
-    for det in unit_power_subgroup(m, weight - 1):
-        for r in roots:
-            for t in square_roots.get(r * det % m, ()):
-                key = _fiber_class(t, det, ell, n, squares)
-                entry = classes.get(key)
-                if entry is None:
-                    classes[key] = [1, t, det]
-                else:
-                    entry[0] += 1
+    for t in range(m):
+        if t % ell == 0:
+            continue  # det = t^2 / r is a unit only for a unit t
+        t_power = pow(t, 2 * e, m) if e < phi else 1  # e = phi: every unit det passes
+        for r_inv, r_power in inverses:
+            if t_power == r_power:
+                det = t * t * r_inv % m
+                classes.setdefault(_fiber_class(t, det, ell, n), [0, t, det])[0] += 1
     return classes
 
 
@@ -287,26 +279,33 @@ def _class_tally(ell: int, fibers: list[tuple[int, int]]) -> dict[str, int]:
     return tally
 
 
+def _charge(steps: int, budget: int, stage: str) -> int:
+    """``steps``, or BudgetExceededError when it is above ``budget``."""
+    if steps > budget:
+        raise BudgetExceededError(
+            f"{stage} would take the count to {steps} steps, over budget {budget}",
+            needed=steps, cap=budget,
+        )
+    return steps
+
+
 def enumerate_density(query: DensityQuery, budget: int = DEFAULT_ENUM_BUDGET) -> DensityReport:
     """Exhaustive density report for one (q, l^n, k) query.
 
     One fiber sum per fiber class, times the matching pairs in it; at
-    level 1 the fiber sizes also give the class tally.  Raises
-    BudgetExceededError when the nominal candidate space l^(4n) is above
-    ``budget``; pass a larger budget explicitly to proceed.
+    level 1 the fiber sizes also give the class tally.  ``budget``
+    caps the steps the count takes: l^n root evaluations, l^n pair
+    tests per root, and l^n per fiber sum.  BudgetExceededError is
+    raised before the first stage that would take the steps above it.
     """
-    if query.cells > budget:
-        raise BudgetExceededError(
-            f"candidate space {query.ell}^{4 * query.n} = {query.cells} exceeds budget {budget}",
-            needed=query.cells,
-            cap=budget,
-        )
-    q, ell, n, k = query.q, query.ell, query.n, query.weight
+    q, ell, n, k, m = query.q, query.ell, query.n, query.weight, query.modulus
+    steps = _charge(m, budget, "the root search")
+    roots = list(filter(_psi_root_test(q, m), range(m)))
+    steps = _charge(steps + m * len(roots), budget, "the pair walk")
+    classes = _match_classes(roots, ell, n, k)
+    _charge(steps + m * len(classes), budget, "the fiber sums")
     bc_table = _bc_solution_table(ell, n)
-    fibers = [
-        (count, _fiber_count(t, det, ell, n, bc_table))
-        for count, t, det in _match_classes(q, ell, n, k).values()
-    ]
+    fibers = [(c, _fiber_count(t, det, ell, n, bc_table)) for c, t, det in classes.values()]
     return DensityReport(
         query=query,
         match_count=sum(count * fiber for count, fiber in fibers),

@@ -143,8 +143,8 @@ def _row(p: int, two_n: int, value: int, bound: mpmath.mpf, fac: factor.Factoriz
         lpf = fac.largest_known_prime()
         return ScanRow(p, two_n, value, float(bound), "exact", lpf, lpf, lpf > bound)
     # the surviving cofactor has no prime factor at or below the trial
-    # bound, so P(value) > cofactor_floor unconditionally
-    floor = max(fac.largest_known_prime(), fac.cofactor_floor)
+    # bound, so P(value) >= cofactor_floor + 1 unconditionally
+    floor = max(fac.largest_known_prime(), fac.cofactor_floor + 1)
     passes = True if floor > bound else None
     status = "partial" if passes is not None else "unknown"
     return ScanRow(p, two_n, value, float(bound), status, None, floor, passes)

@@ -84,7 +84,8 @@ class TestDensityCommands:
         assert code == EXIT_OK and payload["ratio"] == "1/5"
 
     def test_budget_exit(self, capsys):
-        code, _, err = run(capsys, "density", "--q", "5", "--ell", "11", "--n", "2")
+        # 10007^2 > 10^8 root evaluations: over the default budget before any work
+        code, _, err = run(capsys, "density", "--q", "3", "--ell", "10007", "--n", "2")
         assert code == EXIT_BUDGET and "budget" in err
 
     def test_usage_exit(self, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -7,12 +8,12 @@ import pytest
 
 from taulab import factor
 from taulab.density import (
+    DEFAULT_ENUM_BUDGET,
     DELTA_EXCEPTIONAL_PRIMES,
     DensityQuery,
     _bc_solution_table,
     _fiber_class,
     _fiber_count,
-    _squares_mod,
     chebotarev_sample,
     closed_form_density,
     det_constrained_group_order,
@@ -230,13 +231,12 @@ class TestLifts:
         for ell, n in [(3, 1), (5, 1), (3, 2), (5, 2), (7, 2), (3, 3)]:
             m = ell**n
             bc_table = _bc_solution_table(ell, n)
-            squares = _squares_mod(ell)
             fibers = {}
             for det in range(m):
                 if det % ell == 0:
                     continue
                 for t in range(m):
-                    key = _fiber_class(t, det, ell, n, squares)
+                    key = _fiber_class(t, det, ell, n)
                     fibers.setdefault(key, set()).add(_fiber_count(t, det, ell, n, bc_table))
             assert len(fibers) == 2 * n + 1, (ell, n)
             assert all(len(sizes) == 1 for sizes in fibers.values()), (ell, n, fibers)
@@ -287,11 +287,52 @@ class TestLifts:
         assert not psi_insoluble_mod_q_squared(3)
 
     def test_budget_error_carries_requirement(self):
+        # 10007^2 root evaluations alone exceed the default budget
         with pytest.raises(BudgetExceededError) as exc:
-            enumerate_density(DensityQuery(5, 11, 2, 12))
-        assert exc.value.needed == 11**8
-        report = enumerate_density(DensityQuery(5, 11, 2, 12), budget=3 * 10**8)
+            enumerate_density(DensityQuery(3, 10007, 2, 12))
+        assert (exc.value.needed, exc.value.cap) == (10007**2, DEFAULT_ENUM_BUDGET)
+        # mod 121: 121 root evaluations, 121 pair tests for each of the
+        # 2 roots, and 121 steps for the one fiber class; the count stops
+        # before the first stage that would go over the budget
+        query = DensityQuery(5, 11, 2, 12)
+        for budget, needed in [(120, 121), (362, 363), (483, 484)]:
+            with pytest.raises(BudgetExceededError) as exc:
+                enumerate_density(query, budget=budget)
+            assert (exc.value.needed, exc.value.cap) == (needed, budget)
+        assert enumerate_density(query, budget=484).delta == Fraction(1, 55)
+        report = enumerate_density(query, budget=3 * 10**8)
         assert report.delta == Fraction(1, 55)
+
+    def test_power_test_against_bruteforce(self):
+        # every l^n <= 27, l = 2 up to n = 4 included; det passes the walk's
+        # power test when det^(phi/g) = 1, g = gcd(phi, k-1).  The oracle
+        # depends on k only through the power subgroup, so it runs once per
+        # distinct subgroup, and that takes in the g > 1 cases such as
+        # l^n = 9 and 27 at k = 4
+        proper = 0
+        for ell, n in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1),
+                       (5, 2), (7, 1), (11, 1), (13, 1), (17, 1), (19, 1), (23, 1)]:
+            m = ell**n
+            oracle = {}
+            for k in (2, 4, 6, 12):
+                query = DensityQuery(3, ell, n, k)
+                dets = unit_power_subgroup(m, k - 1)
+                if dets not in oracle:
+                    oracle[dets] = enumerate_density_bruteforce(query)
+                    proper += len(dets) < m - m // ell
+                assert enumerate_density(query).match_count == oracle[dets], (ell, n, k)
+        assert proper == 8
+
+    def test_walk_keeps_no_residue_table(self):
+        # l^n = 10201 residues: a list or dict over them alone passes 10^5 bytes
+        query = DensityQuery(3, 101, 2)
+        tracemalloc.start()
+        try:
+            enumerate_density(query)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**5
 
 
 class TestReports:

@@ -178,6 +178,22 @@ class TestSummaryPath:
             captured = capsys.readouterr()
             assert (captured.err if fmt == "csv" else captured.out) == want.to_json() + "\n"
 
+    def test_cofactor_above_trial_bound_passes(self, delta_warm_small, capsys):
+        # a(17^2) = 842087 * 15936629 and floor(bound) = 100 is the trial
+        # bound: with no rho the cofactor stays whole, but its primes are
+        # all at least 101 > bound = 100.5, so the row passes unpinned
+        kwargs = dict(grh_c=60.961298, trial_bound=100, rho_budget=0)
+        for pin in (True, False):
+            (row,) = scan_rows(delta_warm_small, 2, 17, pin=pin, **kwargs)
+            assert row.value == 842087 * 15936629 and 100 < row.bound < 101
+            assert (row.status, row.passes, row.known_prime_floor) == ("partial", True, 101)
+        args = ["scan", "--two-n", "2", "--x-bound", "17", "--grh-c", "60.961298",
+                "--trial-bound", "100", "--rho-budget", "0"]
+        for fmt in ("json", "text", "csv"):
+            assert main(args + ["--format", fmt]) == EXIT_OK
+            captured = capsys.readouterr()
+            assert '"pass": 1' in (captured.err if fmt == "csv" else captured.out)
+
     def test_fold_counts(self):
         rows = [ScanRow(17, 2, 1, 1.0, "exact", 1, 1, False),
                 ScanRow(19, 2, 6, 1.0, "exact", 3, 3, True),
