@@ -11,14 +11,13 @@ Enumeration never loops over matrix entries: it walks the matching
 (trace, det) pairs and multiplies by the exact fiber size.  psi_q is
 homogeneous and every det is a unit, so psi_q(t^2, det) = 0 mod l^n
 exactly when t^2 / det lies in R = {r : psi_q(r, 1) = 0 mod l^n}; R is
-found once, then each t is visited once with det = t^2 / r for each r
-in R, and no table over the residues mod l^n is kept.  The pairs are
-grouped into fiber classes and one fiber sum serves every pair in a
-class; this is the one counting path for every l and n.  For odd l the
-fiber size depends only on the class of the discriminant t^2 - 4 det
-under unit squares (its l-valuation capped at n, and below n whether
-its unit part is a square mod l); for l = 2 each pair is its own class.
-At n = 1 the fiber of (t, det) is l^2 - l + l * #{roots of
+found once, then each t is visited once with det = t^2 / r for r in R,
+keeping no table over the residues.  One fiber sum serves every pair
+in a fiber class.  For odd l the fiber size depends only on the class
+of the discriminant t^2 - 4 det under unit squares (its l-valuation
+capped at n, and below n whether its unit part is a square mod l); for
+l = 2 each pair is its own class, and the budget bounds the classes
+kept.  At n = 1 the fiber of (t, det) is l^2 - l + l * #{roots of
 x^2 - tx + det mod l}, so the fiber sizes also give the conjugacy-type
 class tally.  A literal four-loop enumerator is kept as an oracle for
 small moduli.
@@ -209,28 +208,32 @@ def _psi_root_test(q: int, m: int) -> Callable[[int], bool]:
     return lambda r: eval_poly_mod(psi, r, 1, m) == 0
 
 
-def _match_classes(roots: list[int], ell: int, n: int, weight: int) -> dict:
-    """Matching (t, det) pairs mod l^n, grouped by fiber class.
+def _match_classes(roots: list[int], ell: int, n: int, k: int, steps: int, budget: int) -> dict:
+    """Matching (t, det) pairs mod l^n, as {fiber class: [pairs, first t, its det]}.
 
-    Maps each class key to [pair count, t, det] with (t, det) the first
-    pair of the class.  Each unit t is visited once, with det = t^2 / r
-    for each root r of psi_q(X, 1) mod l^n (a unit: psi_q(0, 1) = +-1).
-    det is a (k-1)-th power exactly when det^e = 1, e = phi / gcd(phi, k-1)
-    (see det_constrained_group_order), that is when t^(2e) = r^e.
+    Each unit t is visited once, with det = t^2 / r for each root r of
+    psi_q(X, 1) mod l^n (a unit: psi_q(0, 1) = +-1).  det is a (k-1)-th
+    power exactly when det^e = 1, e = phi / gcd(phi, k-1), that is when
+    t^(2e mod phi) = r^e.  Each new class adds its fiber sum's l^n steps
+    to ``steps`` through _charge, so at most budget / l^n are kept.
     """
     m = ell**n
     phi = m - m // ell
-    e = phi // gcd(phi, weight - 1)
-    inverses = [(pow(r, -1, m), pow(r, e, m)) for r in roots]
+    e = phi // gcd(phi, k - 1)
+    root_terms = [(pow(r, -1, m), pow(r, e, m)) for r in roots]
     classes: dict = {}
     for t in range(m):
         if t % ell == 0:
             continue  # det = t^2 / r is a unit only for a unit t
-        t_power = pow(t, 2 * e, m) if e < phi else 1  # e = phi: every unit det passes
-        for r_inv, r_power in inverses:
+        t_power = pow(t, 2 * e % phi, m)
+        for r_inv, r_power in root_terms:
             if t_power == r_power:
                 det = t * t * r_inv % m
-                classes.setdefault(_fiber_class(t, det, ell, n), [0, t, det])[0] += 1
+                key = _fiber_class(t, det, ell, n)
+                if key not in classes:
+                    steps = _charge(steps + m, budget, "the fiber sums")
+                    classes[key] = [0, t, det]
+                classes[key][0] += 1
     return classes
 
 
@@ -296,14 +299,13 @@ def enumerate_density(query: DensityQuery, budget: int = DEFAULT_ENUM_BUDGET) ->
     level 1 the fiber sizes also give the class tally.  ``budget``
     caps the steps the count takes: l^n root evaluations, l^n pair
     tests per root, and l^n per fiber sum.  BudgetExceededError is
-    raised before the first stage that would take the steps above it.
+    raised before a stage, or a fiber class, would take the steps above it.
     """
     q, ell, n, k, m = query.q, query.ell, query.n, query.weight, query.modulus
     steps = _charge(m, budget, "the root search")
     roots = list(filter(_psi_root_test(q, m), range(m)))
     steps = _charge(steps + m * len(roots), budget, "the pair walk")
-    classes = _match_classes(roots, ell, n, k)
-    _charge(steps + m * len(classes), budget, "the fiber sums")
+    classes = _match_classes(roots, ell, n, k, steps, budget)
     bc_table = _bc_solution_table(ell, n)
     fibers = [(c, _fiber_count(t, det, ell, n, bc_table)) for c, t, det in classes.values()]
     return DensityReport(

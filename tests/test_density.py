@@ -334,6 +334,20 @@ class TestLifts:
             tracemalloc.stop()
         assert peak < 10**5
 
+    def test_budget_bounds_the_classes_kept(self):
+        # at l = 2 each matching pair is its own class, 2^15 of them mod 2^16
+        # (several MB); the walk stops once their fiber sums would pass the
+        # budget, holding about 10^8 / 2^16 classes
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError) as exc:
+                enumerate_density(DensityQuery(3, 2, 16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.needed == (DEFAULT_ENUM_BUDGET // 2**16 + 1) * 2**16
+        assert peak < 10**6
+
 
 class TestReports:
     def test_json_schema_keys(self):
