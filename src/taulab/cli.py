@@ -272,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--k", dest="weight", type=int, default=12)
     p.add_argument("--budget", type=int, default=density.DEFAULT_ENUM_BUDGET,
-                   help="most steps the count may take: ell^n root evaluations, "
-                        "ell^n pair tests per root, ell^n per fiber sum")
+                   help="most evaluations of psi_q(X, 1) the count may make: ell to "
+                        "find its roots mod ell, and ell per root lifted to each next level")
     p.add_argument("--workers", type=_checked(int, ">= 1", lambda w: w >= 1), default=1,
                    help="accepted for compatibility; never changes results or work")
     _add_common(p)
@@ -283,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=prime, required=True)
     p.add_argument("--k", dest="weight", type=int, default=12)
     p.add_argument("--budget", type=int, default=density.DEFAULT_ENUM_BUDGET,
-                   help="most steps each of the two counts may take (see density --budget)")
+                   help="most evaluations of psi_q(X, 1) each of the two counts may make "
+                        "(see density --budget)")
     _add_common(p)
 
     p = sub.add_parser("chebotarev", help="empirical frequency of d | a_f(p^(q-1))")
@@ -353,6 +354,20 @@ def _load_config(path: str) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # exact answers can pass the 4300-digit int/str conversion limit of
+    # Python >= 3.10.7; lift it for this call and put the caller's back
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        return _main(argv)
+    previous = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        return _main(argv)
+    finally:
+        set_limit(previous)
+
+
+def _main(argv: list[str] | None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:

@@ -7,20 +7,19 @@ by the order of the full determinant-constrained group.  Closed forms
 exist at n = 1 (split by l mod q) and lift by a factor 1/l per level
 for l != q.
 
-Enumeration never loops over matrix entries: it walks the matching
-(trace, det) pairs and multiplies by the exact fiber size.  psi_q is
-homogeneous and every det is a unit, so psi_q(t^2, det) = 0 mod l^n
-exactly when t^2 / det lies in R = {r : psi_q(r, 1) = 0 mod l^n}; R is
-found once, then each t is visited once with det = t^2 / r for r in R,
-keeping no table over the residues.  One fiber sum serves every pair
-in a fiber class.  For odd l the fiber size depends only on the class
-of the discriminant t^2 - 4 det under unit squares (its l-valuation
-capped at n, and below n whether its unit part is a square mod l); for
-l = 2 each pair is its own class, and the budget bounds the classes
-kept.  At n = 1 the fiber of (t, det) is l^2 - l + l * #{roots of
-x^2 - tx + det mod l}, so the fiber sizes also give the conjugacy-type
-class tally.  A literal four-loop enumerator is kept as an oracle for
-small moduli.
+The count is a sum over the roots r of psi_q(X, 1) mod l^n, and it
+never visits a trace, a determinant or a matrix entry.  psi_q is
+homogeneous and every allowed det is a unit, so psi_q(t^2, det) = 0
+mod l^n exactly when t^2 / det is such a root; each root is a unit
+(psi_q(0, 1) = +-1), so the matching pairs are (t, t^2 / r) for units
+t.  The roots are found mod l by l evaluations and lifted one level at
+a time by trying the l candidates above each.  For one root, the t
+whose det t^2 / r is a (k-1)-th power number phi / gcd(phi, k-1), and
+every such t has the same fiber, the number of matrices with that trace
+and determinant, which has a closed form in the square roots of
+1 - 4 / r mod l^j.  At n = 1 the fiber of (t, det) is
+l^2 - l + l * #{roots of x^2 - tx + det mod l}, so the per-root fibers
+also give the conjugacy-type class tally.
 
 Empirical side: walk primes p <= x and test whether d divides
 a_f(p^(q-1)) = psi_q(a_f(p)^2, p^(k-1)).  By the same homogeneity, for
@@ -33,7 +32,6 @@ frequency is compared against the density with a binomial noise band.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -149,13 +147,6 @@ def closed_form_density(q: int, ell: int, n: int = 1, weight: int = 12) -> Fract
     return base / ell ** (n - 1)
 
 
-def unit_power_subgroup(modulus: int, exponent: int) -> frozenset[int]:
-    """The subgroup {x^exponent : x a unit mod modulus}."""
-    return frozenset(
-        pow(x, exponent, modulus) for x in range(1, modulus) if gcd(x, modulus) == 1
-    )
-
-
 def det_constrained_group_order(ell: int, n: int, weight: int) -> int:
     """Order of {A in GL2(Z/l^n) : det(A) a (k-1)-th power of a unit}.
 
@@ -176,94 +167,76 @@ def unit_power_group_order(ell: int, n: int, weight: int) -> int:
     return ell ** (4 * (n - 1)) * (ell * ell - 1) * (ell * ell - ell) // d
 
 
-def _fiber_class(t: int, det: int, ell: int, n: int):
-    """A key on which the fiber size of (t, det) mod l^n depends alone.
-
-    For odd l, a(t-a) - det = D/4 - s^2 with D = t^2 - 4 det and
-    s = a - t/2, and s -> u s for a unit u shows that D and u^2 D have
-    equal fibers; the unit-square classes of Z/l^n are the valuation
-    min(v_l(D), n) and, below n, whether the unit part of D is a square
-    mod l (Euler's criterion).  For l = 2 the pair itself is the key.
-    """
-    if ell == 2:
-        return t, det
-    m = ell**n
-    disc = (t * t - 4 * det) % m
-    v = 0
-    while v < n and disc % ell == 0:
-        disc //= ell
-        v += 1
-    if v == n:
-        return n, 0
-    return v, 1 if pow(disc, (ell - 1) // 2, ell) == 1 else -1
+def _charge(steps: int, budget: int, stage: str) -> int:
+    """``steps``, or BudgetExceededError when it is above ``budget``."""
+    if steps > budget:
+        raise BudgetExceededError(
+            f"{stage} would take the count to {steps} evaluations of psi_q(X, 1), "
+            f"over budget {budget}",
+            needed=steps, cap=budget,
+        )
+    return steps
 
 
-def _psi_root_test(q: int, m: int) -> Callable[[int], bool]:
-    """r -> whether psi_q(r, 1) = 0 mod m.
+def _psi_roots(q: int, ell: int, n: int, budget: int) -> list[int]:
+    """The roots of psi_q(X, 1) mod l^n.
 
-    psi_q is homogeneous, so for a unit v mod m, psi_q(u, v) = 0 mod m
-    exactly when u / v mod m passes this test.
+    The roots mod l come from l evaluations; each root mod l^j is then
+    lifted by evaluating its l candidates r + i l^j mod l^(j+1), which
+    holds for repeated roots too, since every root mod l^(j+1) reduces
+    to one mod l^j.  Each stage's evaluations are charged to ``budget``
+    before it runs.
     """
     psi = psi_poly(q)
-    return lambda r: eval_poly_mod(psi, r, 1, m) == 0
+    steps = _charge(ell, budget, f"the root search mod {ell}")
+    roots = [r for r in range(ell) if eval_poly_mod(psi, r, 1, ell) == 0]
+    m = ell
+    for _ in range(n - 1):
+        steps = _charge(steps + ell * len(roots), budget,
+                        f"lifting {len(roots)} roots to mod {m * ell}")
+        roots = [x for r in roots for x in range(r, m * ell, m)
+                 if eval_poly_mod(psi, x, 1, m * ell) == 0]
+        m *= ell
+    return roots
 
 
-def _match_classes(roots: list[int], ell: int, n: int, k: int, steps: int, budget: int) -> dict:
-    """Matching (t, det) pairs mod l^n, as {fiber class: [pairs, first t, its det]}.
+def _square_root_count(c: int, ell: int, j: int) -> int:
+    """# of s mod l^j with s^2 = c mod l^j, for odd l."""
+    c %= ell**j
+    if c == 0:
+        return ell ** (j // 2)  # s^2 = 0 exactly when l^ceil(j/2) divides s
+    v = 0
+    while c % ell == 0:
+        c //= ell
+        v += 1
+    if v % 2 or pow(c, (ell - 1) // 2, ell) != 1:
+        return 0
+    return 2 * ell ** (v // 2)
 
-    Each unit t is visited once, with det = t^2 / r for each root r of
-    psi_q(X, 1) mod l^n (a unit: psi_q(0, 1) = +-1).  det is a (k-1)-th
-    power exactly when det^e = 1, e = phi / gcd(phi, k-1), that is when
-    t^(2e mod phi) = r^e.  Each new class adds its fiber sum's l^n steps
-    to ``steps`` through _charge, so at most budget / l^n are kept.
+
+def _fiber(r: int, ell: int, n: int) -> int:
+    """# of matrices mod l^n with trace t and determinant t^2 / r, for any unit t.
+
+    For each a the matrices [[a, b], [c, t - a]] need bc = a(t - a) - det,
+    which has (v + 1) phi solutions at valuation v < n and n phi + l^n at
+    0.  Summing over a, with N_j the a for which l^j divides
+    a(t - a) - det, telescopes to phi (N_0 + ... + N_(n-1)) + l^n N_n.
+    For odd l, a(t - a) - det = (t^2 / 4)(c - s^2) with c = 1 - 4 / r and
+    s = (2a - t) / t running over every residue with a, so
+    N_j = l^(n-j) #{s mod l^j : s^2 = c}, whatever t is.  For l = 2, t is
+    odd, so a(t - a) is even and det odd: N_j = 0 for j >= 1.
     """
     m = ell**n
     phi = m - m // ell
-    e = phi // gcd(phi, k - 1)
-    root_terms = [(pow(r, -1, m), pow(r, e, m)) for r in roots]
-    classes: dict = {}
-    for t in range(m):
-        if t % ell == 0:
-            continue  # det = t^2 / r is a unit only for a unit t
-        t_power = pow(t, 2 * e % phi, m)
-        for r_inv, r_power in root_terms:
-            if t_power == r_power:
-                det = t * t * r_inv % m
-                key = _fiber_class(t, det, ell, n)
-                if key not in classes:
-                    steps = _charge(steps + m, budget, "the fiber sums")
-                    classes[key] = [0, t, det]
-                classes[key][0] += 1
-    return classes
-
-
-def _bc_solution_table(ell: int, n: int) -> list[int]:
-    """count_by_valuation[v] = # of (b, c) mod l^n with bc = e, v = val(e).
-
-    Index n stands for e = 0.  For v < n the count is (v+1) phi(l^n);
-    for e = 0 it is n phi(l^n) + l^n.
-    """
-    m = ell**n
-    phi = m - m // ell
-    return [(v + 1) * phi for v in range(n)] + [n * phi + m]
-
-
-def _fiber_count(t: int, det: int, ell: int, n: int, bc_table: list[int]) -> int:
-    """# of matrices mod l^n with given trace and determinant."""
-    m = ell**n
-    total = 0
-    for a in range(m):
-        e = (a * (t - a) - det) % m
-        v = 0
-        while v < n and e % ell == 0:
-            e //= ell
-            v += 1
-        total += bc_table[v]
-    return total
+    if ell == 2:
+        return phi * m
+    c = 1 - 4 * pow(r, -1, m)
+    hits = [ell ** (n - j) * _square_root_count(c, ell, j) for j in range(n + 1)]
+    return phi * sum(hits[:n]) + m * hits[n]
 
 
 def _class_tally(ell: int, fibers: list[tuple[int, int]]) -> dict[str, int]:
-    """Per-conjugacy-type tally over GL2(F_l) from (pair count, fiber) per class.
+    """Per-conjugacy-type tally over GL2(F_l) from (pair count, fiber) per root.
 
     The fiber of (t, det) mod l is l^2 - l + l * #{roots of
     x^2 - tx + det mod l}.  A double root gives l^2: one central matrix
@@ -282,32 +255,24 @@ def _class_tally(ell: int, fibers: list[tuple[int, int]]) -> dict[str, int]:
     return tally
 
 
-def _charge(steps: int, budget: int, stage: str) -> int:
-    """``steps``, or BudgetExceededError when it is above ``budget``."""
-    if steps > budget:
-        raise BudgetExceededError(
-            f"{stage} would take the count to {steps} steps, over budget {budget}",
-            needed=steps, cap=budget,
-        )
-    return steps
-
-
 def enumerate_density(query: DensityQuery, budget: int = DEFAULT_ENUM_BUDGET) -> DensityReport:
-    """Exhaustive density report for one (q, l^n, k) query.
+    """Exact density report for one (q, l^n, k) query.
 
-    One fiber sum per fiber class, times the matching pairs in it; at
-    level 1 the fiber sizes also give the class tally.  ``budget``
-    caps the steps the count takes: l^n root evaluations, l^n pair
-    tests per root, and l^n per fiber sum.  BudgetExceededError is
-    raised before a stage, or a fiber class, would take the steps above it.
+    A sum over the roots r of psi_q(X, 1) mod l^n of the matching
+    traces t times their common fiber.  The (k-1)-th powers form a
+    subgroup H of the units of index gcd(phi, k-1), which is odd since
+    k is even, so squaring permutes the cosets of H and the units t with
+    t^2 / r in H make up one coset: e = phi / gcd(phi, k-1) of them for
+    every root.  At level 1 the fibers also give the class tally.
+    ``budget`` caps the evaluations of psi_q(X, 1): l for the roots
+    mod l and l per root carried to each next level.
+    BudgetExceededError is raised before a stage would take the count
+    above it.
     """
     q, ell, n, k, m = query.q, query.ell, query.n, query.weight, query.modulus
-    steps = _charge(m, budget, "the root search")
-    roots = list(filter(_psi_root_test(q, m), range(m)))
-    steps = _charge(steps + m * len(roots), budget, "the pair walk")
-    classes = _match_classes(roots, ell, n, k, steps, budget)
-    bc_table = _bc_solution_table(ell, n)
-    fibers = [(c, _fiber_count(t, det, ell, n, bc_table)) for c, t, det in classes.values()]
+    phi = m - m // ell
+    e = phi // gcd(phi, k - 1)
+    fibers = [(e, _fiber(r, ell, n)) for r in _psi_roots(q, ell, n, budget)]
     return DensityReport(
         query=query,
         match_count=sum(count * fiber for count, fiber in fibers),
@@ -318,27 +283,6 @@ def enumerate_density(query: DensityQuery, budget: int = DEFAULT_ENUM_BUDGET) ->
         exceptional=k == 12 and ell in DELTA_EXCEPTIONAL_PRIMES,
         tl_group_order=unit_power_group_order(ell, n, k),
     )
-
-
-def enumerate_density_bruteforce(query: DensityQuery) -> int:
-    """Four-loop oracle: literally walk all matrices mod l^n (small moduli)."""
-    q, k, m = query.q, query.weight, query.modulus
-    if m > 128:
-        raise BudgetExceededError(f"brute-force oracle capped at modulus 128, got {m}")
-    psi = psi_poly(q)
-    dets = unit_power_subgroup(m, k - 1)
-    count = 0
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                for d in range(m):
-                    det = (a * d - b * c) % m
-                    if det not in dets:
-                        continue
-                    t = (a + d) % m
-                    if eval_poly_mod(psi, t * t % m, det, m) == 0:
-                        count += 1
-    return count
 
 
 @dataclass
@@ -451,7 +395,8 @@ def chebotarev_sample(
         raise ValueError(f"x bound must be at least 1000, got {x_bound}")
     ell, n = _factor_prime_power(d)
     DensityQuery(q, ell, n, f.weight)  # validates q and ell
-    is_root = cache(_psi_root_test(q, d))  # residues mod d repeat across primes
+    psi = psi_poly(q)
+    is_root = cache(lambda r: eval_poly_mod(psi, r, 1, d) == 0)  # residues repeat across primes
     target = closed_form_density(q, ell, n, f.weight)
     k = f.weight
     hits = 0

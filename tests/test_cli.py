@@ -1,5 +1,7 @@
 import hashlib
 import json
+import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -39,6 +41,20 @@ class TestCoeffAndPsi:
         assert code == EXIT_OK and out.strip() == "-1472"
         code, out, _ = run(capsys, "coeff", "--p", "2", "--m", "2", "--lucas")
         assert out.strip() == "-1472"
+
+    def test_values_past_the_int_str_digit_limit(self, capsys):
+        # tau(2^3000) has 4967 digits, past the 4300 that Python >= 3.10.7
+        # converts to str by default; main lifts the limit for its call only
+        get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        before = get_limit()
+        code, out, _ = run(capsys, "coeff", "--p", "2", "--m", "3000")
+        assert code == EXIT_OK and get_limit() == before
+        value = hecke.coeff_prime_power(hecke.EigenformSpec.delta(), 2, 3000)
+        assert out.strip() == str(Decimal(value))  # Decimal prints digits with no limit
+        a = 10**140
+        code, out, _ = run(capsys, "sympow", "--n", "32", "--entries", f"{a},{a - 1},1,1")
+        assert code == EXIT_OK and get_limit() == before
+        assert len(out.split()[0]) > 4300
 
     def test_psi_dump(self, capsys):
         code, out, _ = run(capsys, "psi", "--n", "5")
@@ -84,9 +100,13 @@ class TestDensityCommands:
         assert code == EXIT_OK and payload["ratio"] == "1/5"
 
     def test_budget_exit(self, capsys):
-        # 10007^2 > 10^8 root evaluations: over the default budget before any work
-        code, _, err = run(capsys, "density", "--q", "3", "--ell", "10007", "--n", "2")
-        assert code == EXIT_BUDGET and "budget" in err
+        # 10007 evaluations find the root mod 10007 and 10007 more lift it:
+        # the default budget answers, and 10^4 stops the search mod 10007
+        code, _, _ = run(capsys, "density", "--q", "3", "--ell", "10007", "--n", "2")
+        assert code == EXIT_OK
+        code, out, err = run(capsys, "density", "--q", "3", "--ell", "10007", "--n", "2",
+                             "--budget", "10000")
+        assert code == EXIT_BUDGET and out == "" and "budget" in err
 
     def test_usage_exit(self, capsys):
         code, _, err = run(capsys, "density", "--q", "4", "--ell", "7")

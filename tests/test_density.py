@@ -9,24 +9,114 @@ import pytest
 from taulab import factor
 from taulab.density import (
     DEFAULT_ENUM_BUDGET,
+    _square_root_count,
     DELTA_EXCEPTIONAL_PRIMES,
     DensityQuery,
-    _bc_solution_table,
-    _fiber_class,
-    _fiber_count,
     chebotarev_sample,
     closed_form_density,
     det_constrained_group_order,
     enumerate_density,
-    enumerate_density_bruteforce,
     lift_factor,
     psi_insoluble_mod_q_squared,
     unit_power_group_order,
-    unit_power_subgroup,
 )
 from taulab.cyclotomic import eval_poly_mod, psi_poly
 from taulab.errors import BudgetExceededError
 from taulab.hecke import coeff_prime_power, delta_series_view, ingest_table
+
+
+def unit_power_subgroup(modulus, exponent):
+    """The subgroup {x^exponent : x a unit mod modulus}."""
+    return frozenset(
+        pow(x, exponent, modulus) for x in range(1, modulus) if gcd(x, modulus) == 1
+    )
+
+
+def enumerate_density_bruteforce(query):
+    """Four-loop oracle: literally walk all matrices mod l^n (small moduli)."""
+    q, k, m = query.q, query.weight, query.modulus
+    assert m <= 128, f"brute-force oracle capped at modulus 128, got {m}"
+    psi = psi_poly(q)
+    dets = unit_power_subgroup(m, k - 1)
+    count = 0
+    for a, b, c, d in itertools.product(range(m), repeat=4):
+        det = (a * d - b * c) % m
+        if det in dets and eval_poly_mod(psi, (a + d) ** 2 % m, det, m) == 0:
+            count += 1
+    return count
+
+
+def bc_solution_table(ell, n):
+    """count_by_valuation[v] = # of (b, c) mod l^n with bc = e, v = val(e).
+
+    Index n stands for e = 0.  For v < n the count is (v+1) phi(l^n);
+    for e = 0 it is n phi(l^n) + l^n.
+    """
+    m = ell**n
+    phi = m - m // ell
+    return [(v + 1) * phi for v in range(n)] + [n * phi + m]
+
+
+def fiber_count(t, det, ell, n, bc_table):
+    """# of matrices mod l^n with given trace and determinant, summed over a."""
+    m = ell**n
+    total = 0
+    for a in range(m):
+        e = (a * (t - a) - det) % m
+        v = 0
+        while v < n and e % ell == 0:
+            e //= ell
+            v += 1
+        total += bc_table[v]
+    return total
+
+
+def fiber_class(t, det, ell, n):
+    """A key on which the fiber size of (t, det) mod l^n depends alone.
+
+    For odd l, a(t-a) - det = D/4 - s^2 with D = t^2 - 4 det and
+    s = a - t/2, and s -> u s for a unit u shows that D and u^2 D have
+    equal fibers; the unit-square classes of Z/l^n are the valuation
+    min(v_l(D), n) and, below n, whether the unit part of D is a square
+    mod l (Euler's criterion).  For l = 2 the pair itself is the key.
+    """
+    if ell == 2:
+        return t, det
+    m = ell**n
+    disc = (t * t - 4 * det) % m
+    v = 0
+    while v < n and disc % ell == 0:
+        disc //= ell
+        v += 1
+    if v == n:
+        return n, 0
+    return v, 1 if pow(disc, (ell - 1) // 2, ell) == 1 else -1
+
+
+def pair_walk_count(query):
+    """Pair-walk oracle: every matching (t, det) mod l^n, one fiber sum per class.
+
+    Every residue is tested as a root r of psi_q(X, 1) mod l^n; each unit
+    t is visited with det = t^2 / r for each root and kept when det is a
+    (k-1)-th power (det^e = 1, e = phi / gcd(phi, k-1)); the kept pairs
+    are grouped by fiber_class and each class's fiber is summed over
+    every a mod l^n.
+    """
+    q, ell, n, k, m = query.q, query.ell, query.n, query.weight, query.modulus
+    psi = psi_poly(q)
+    root_inverses = [pow(r, -1, m) for r in range(m) if eval_poly_mod(psi, r, 1, m) == 0]
+    phi = m - m // ell
+    e = phi // gcd(phi, k - 1)
+    classes = {}
+    for t in range(m):
+        if t % ell == 0:
+            continue
+        for r_inv in root_inverses:
+            det = t * t * r_inv % m
+            if pow(det, e, m) == 1:
+                classes.setdefault(fiber_class(t, det, ell, n), [0, t, det])[0] += 1
+    bc_table = bc_solution_table(ell, n)
+    return sum(c * fiber_count(t, det, ell, n, bc_table) for c, t, det in classes.values())
 
 
 def sample_level_one_matches(q, ell, weight=12, limit=3):
@@ -216,8 +306,8 @@ class TestDetSubgroup:
 
 class TestLifts:
     def test_lift_level_two_against_bruteforce(self):
-        # every l^n in {4, 8, 9, 16, 25, 27}: l = 2 (one fiber sum per pair),
-        # l = q = 3, and odd l with both fiber-class characters
+        # every l^n in {4, 8, 9, 16, 25, 27}: l = 2 (every fiber 2^n phi),
+        # l = q = 3 (1 - 4/r = -3 of odd valuation), and l = 5
         for q in (3, 5):
             for ell, n in [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)]:
                 query = DensityQuery(q, ell, n, 12)
@@ -230,16 +320,26 @@ class TestLifts:
         # must have the same fiber, matching or not
         for ell, n in [(3, 1), (5, 1), (3, 2), (5, 2), (7, 2), (3, 3)]:
             m = ell**n
-            bc_table = _bc_solution_table(ell, n)
+            bc_table = bc_solution_table(ell, n)
             fibers = {}
             for det in range(m):
                 if det % ell == 0:
                     continue
                 for t in range(m):
-                    key = _fiber_class(t, det, ell, n)
-                    fibers.setdefault(key, set()).add(_fiber_count(t, det, ell, n, bc_table))
+                    key = fiber_class(t, det, ell, n)
+                    fibers.setdefault(key, set()).add(fiber_count(t, det, ell, n, bc_table))
             assert len(fibers) == 2 * n + 1, (ell, n)
             assert all(len(sizes) == 1 for sizes in fibers.values()), (ell, n, fibers)
+
+    def test_square_root_count(self):
+        # the fiber's closed form reads these counts at every valuation of c,
+        # odd valuations and c = 0 included
+        for ell, j in [(3, 1), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)]:
+            m = ell**j
+            counts = [0] * m
+            for s in range(m):
+                counts[s * s % m] += 1
+            assert [_square_root_count(c, ell, j) for c in range(m)] == counts, (ell, j)
 
     def test_closed_form_grid_above_level_one(self):
         for q in (3, 5, 7):
@@ -287,25 +387,29 @@ class TestLifts:
         assert not psi_insoluble_mod_q_squared(3)
 
     def test_budget_error_carries_requirement(self):
-        # 10007^2 root evaluations alone exceed the default budget
+        # the budget counts evaluations of psi_q(X, 1): l for the roots mod l,
+        # then l for each root carried to the next level; the count stops
+        # before the first stage that would go over
         with pytest.raises(BudgetExceededError) as exc:
-            enumerate_density(DensityQuery(3, 10007, 2, 12))
-        assert (exc.value.needed, exc.value.cap) == (10007**2, DEFAULT_ENUM_BUDGET)
-        # mod 121: 121 root evaluations, 121 pair tests for each of the
-        # 2 roots, and 121 steps for the one fiber class; the count stops
-        # before the first stage that would go over the budget
+            enumerate_density(DensityQuery(3, 100000007, 1, 12))
+        assert (exc.value.needed, exc.value.cap) == (100000007, DEFAULT_ENUM_BUDGET)
+        # mod 121: 11 evaluations mod 11 find 2 roots, and 2 * 11 lift them
         query = DensityQuery(5, 11, 2, 12)
-        for budget, needed in [(120, 121), (362, 363), (483, 484)]:
+        for budget, needed in [(10, 11), (32, 33)]:
             with pytest.raises(BudgetExceededError) as exc:
                 enumerate_density(query, budget=budget)
             assert (exc.value.needed, exc.value.cap) == (needed, budget)
-        assert enumerate_density(query, budget=484).delta == Fraction(1, 55)
-        report = enumerate_density(query, budget=3 * 10**8)
-        assert report.delta == Fraction(1, 55)
+        assert enumerate_density(query, budget=33).delta == Fraction(1, 55)
+        # psi_3(X, 1) = X - 1 has one root at every level: l + l per level
+        for ell, n, needed in [(10007, 2, 20014), (1009, 2, 2018), (2, 16, 32)]:
+            query = DensityQuery(3, ell, n, 12)
+            with pytest.raises(BudgetExceededError):
+                enumerate_density(query, budget=needed - 1)
+            assert enumerate_density(query, budget=needed).agrees
 
     def test_power_test_against_bruteforce(self):
-        # every l^n <= 27, l = 2 up to n = 4 included; det passes the walk's
-        # power test when det^(phi/g) = 1, g = gcd(phi, k-1).  The oracle
+        # every l^n <= 27, l = 2 up to n = 4 included; each root counts
+        # phi / g traces whose det is a (k-1)-th power, g = gcd(phi, k-1).  The oracle
         # depends on k only through the power subgroup, so it runs once per
         # distinct subgroup, and that takes in the g > 1 cases such as
         # l^n = 9 and 27 at k = 4
@@ -334,19 +438,51 @@ class TestLifts:
             tracemalloc.stop()
         assert peak < 10**5
 
-    def test_budget_bounds_the_classes_kept(self):
-        # at l = 2 each matching pair is its own class, 2^15 of them mod 2^16
-        # (several MB); the walk stops once their fiber sums would pass the
-        # budget, holding about 10^8 / 2^16 classes
+    def test_ell_two_count_keeps_nothing_per_pair(self):
+        # mod 2^16 there are 2^15 matching pairs per root; the count holds
+        # none of them and answers |R| 2^(3n-2)
         tracemalloc.start()
         try:
-            with pytest.raises(BudgetExceededError) as exc:
-                enumerate_density(DensityQuery(3, 2, 16))
+            report = enumerate_density(DensityQuery(3, 2, 16))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert exc.value.needed == (DEFAULT_ENUM_BUDGET // 2**16 + 1) * 2**16
-        assert peak < 10**6
+        assert report.match_count == 2**46
+        assert peak < 10**4
+
+    @pytest.mark.parametrize("q", (3, 5, 7, 11, 13))
+    def test_matches_pair_walk(self, q):
+        # every l <= 31 and n <= 3 with l^n <= 30000, l = 2 and l = q included,
+        # at four weights, two of them (4 and 24) with 3 | k - 1 or 23 | k - 1
+        cases = 0
+        for ell in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+            for n in (1, 2, 3):
+                if ell**n > 30000:
+                    continue
+                for k in (2, 4, 12, 24):
+                    query = DensityQuery(q, ell, n, k)
+                    want = pair_walk_count(query)
+                    assert enumerate_density(query).match_count == want, (q, ell, n, k)
+                    cases += 1
+        assert cases == 132
+
+    def test_matches_pair_walk_at_ell_two(self):
+        # 2^n residues, up to n = 11; only psi_3 has roots mod 2
+        for q in (3, 5):
+            for n in range(1, 12):
+                for k in (2, 12):
+                    query = DensityQuery(q, 2, n, k)
+                    count = enumerate_density(query).match_count
+                    assert count == pair_walk_count(query), (q, n, k)
+                    assert count == (2 ** (3 * n - 2) if q == 3 else 0)
+
+    def test_ell_two_level_one_class_tally(self):
+        # mod 2 the only matching pair per root is (1, 1): x^2 + x + 1 is
+        # irreducible, so its 2 matrices are nonsplit
+        for q, roots in [(3, 1), (5, 0), (7, 0)]:
+            tally = enumerate_density(DensityQuery(q, 2, 1, 12)).class_tally
+            assert tally == {"central": 0, "nonsemisimple": 0, "splitSemisimple": 0,
+                             "nonsplitSemisimple": 2 * roots}, q
 
 
 class TestReports:
