@@ -272,8 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--k", dest="weight", type=int, default=12)
     p.add_argument("--budget", type=int, default=density.DEFAULT_ENUM_BUDGET,
-                   help="most evaluations of psi_q(X, 1) the count may make: ell to "
-                        "find its roots mod ell, and ell per root lifted to each next level")
+                   help="most evaluations of psi_q(X, 1) the count may make, each "
+                        "weighted by the 64-bit words of its modulus: ell to find its "
+                        "roots mod ell, and ell per root lifted to each next level")
     p.add_argument("--workers", type=_checked(int, ">= 1", lambda w: w >= 1), default=1,
                    help="accepted for compatibility; never changes results or work")
     _add_common(p)

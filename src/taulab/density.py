@@ -167,15 +167,20 @@ def unit_power_group_order(ell: int, n: int, weight: int) -> int:
     return ell ** (4 * (n - 1)) * (ell * ell - 1) * (ell * ell - ell) // d
 
 
-def _charge(steps: int, budget: int, stage: str) -> int:
-    """``steps``, or BudgetExceededError when it is above ``budget``."""
-    if steps > budget:
-        raise BudgetExceededError(
-            f"{stage} would take the count to {steps} evaluations of psi_q(X, 1), "
-            f"over budget {budget}",
-            needed=steps, cap=budget,
-        )
-    return steps
+def _words(ell: int, lo: int, hi: int) -> int:
+    """64-bit words summed over the moduli l^lo, ..., l^hi.
+
+    l^i is taken as 1 + i // per words, with per = 64 // bitlen(l) the
+    powers of l that fit in one word: an upper bound on its size for
+    l < 2^64.
+    """
+    per = max(1, 64 // ell.bit_length())
+
+    def below(top: int) -> int:  # sum of i // per over 0 <= i < top
+        full = top // per
+        return per * full * (full - 1) // 2 + full * (top - full * per)
+
+    return hi - lo + 1 + below(hi + 1) - below(lo)
 
 
 def _psi_roots(q: int, ell: int, n: int, budget: int) -> list[int]:
@@ -184,19 +189,28 @@ def _psi_roots(q: int, ell: int, n: int, budget: int) -> list[int]:
     The roots mod l come from l evaluations; each root mod l^j is then
     lifted by evaluating its l candidates r + i l^j mod l^(j+1), which
     holds for repeated roots too, since every root mod l^(j+1) reduces
-    to one mod l^j.  Each stage's evaluations are charged to ``budget``
-    before it runs.
+    to one mod l^j.  Each evaluation is charged the words of its modulus
+    (see ``_words``).  Before each level the levels left are charged in
+    full at the roots found so far, so a count whose numbers would
+    outgrow ``budget`` stops before it works with them.
     """
     psi = psi_poly(q)
-    steps = _charge(ell, budget, f"the root search mod {ell}")
-    roots = [r for r in range(ell) if eval_poly_mod(psi, r, 1, ell) == 0]
-    m = ell
-    for _ in range(n - 1):
-        steps = _charge(steps + ell * len(roots), budget,
-                        f"lifting {len(roots)} roots to mod {m * ell}")
-        roots = [x for r in roots for x in range(r, m * ell, m)
-                 if eval_poly_mod(psi, x, 1, m * ell) == 0]
-        m *= ell
+    spent = 0
+    roots, m = [0], 1  # the one root mod l^0
+    for j in range(1, n + 1):
+        last = n if j > 1 else 1  # how many roots mod l carry on is unknown before the search
+        needed = spent + ell * len(roots) * _words(ell, j, last)
+        if needed > budget:
+            stage = (f"the root search mod {ell}" if j == 1
+                     else f"lifting {len(roots)} roots from level {j - 1} to {n}")
+            raise BudgetExceededError(
+                f"{stage} would take the count to {needed} word-weighted "
+                f"evaluations of psi_q(X, 1), over budget {budget}",
+                needed=needed, cap=budget,
+            )
+        spent += ell * len(roots) * _words(ell, j, j)
+        step, m = m, m * ell
+        roots = [x for r in roots for x in range(r, m, step) if eval_poly_mod(psi, x, 1, m) == 0]
     return roots
 
 
@@ -223,16 +237,28 @@ def _fiber(r: int, ell: int, n: int) -> int:
     a(t - a) - det, telescopes to phi (N_0 + ... + N_(n-1)) + l^n N_n.
     For odd l, a(t - a) - det = (t^2 / 4)(c - s^2) with c = 1 - 4 / r and
     s = (2a - t) / t running over every residue with a, so
-    N_j = l^(n-j) #{s mod l^j : s^2 = c}, whatever t is.  For l = 2, t is
-    odd, so a(t - a) is even and det odd: N_j = 0 for j >= 1.
+    N_j = l^(n-j) S_j with S_j = #{s mod l^j : s^2 = c}, whatever t is.
+    With v the valuation of c mod l^n, S_j = l^(j // 2) for j <= v and is
+    then constant (``_square_root_count``), so one Horner pass over j
+    sums it in O(n) steps on numbers below l^n.  For l = 2, t is odd, so
+    a(t - a) is even and det odd: N_j = 0 for j >= 1.
     """
     m = ell**n
     phi = m - m // ell
     if ell == 2:
         return phi * m
-    c = 1 - 4 * pow(r, -1, m)
-    hits = [ell ** (n - j) * _square_root_count(c, ell, j) for j in range(n + 1)]
-    return phi * sum(hits[:n]) + m * hits[n]
+    c = (1 - 4 * pow(r, -1, m)) % m
+    v, unit = 0, c
+    while v < n and unit % ell == 0:
+        unit //= ell
+        v += 1
+    far = _square_root_count(c, ell, v + 1) if v < n else 0
+    acc, near = 0, 1  # sum of l^(j-1-i) S_i over i < j; l^(j // 2)
+    for j in range(n):
+        acc = acc * ell + (near if j <= v else far)
+        if j % 2 and j < v:
+            near *= ell
+    return phi * ell * acc + m * (near if n <= v else far)
 
 
 def _class_tally(ell: int, fibers: list[tuple[int, int]]) -> dict[str, int]:
@@ -264,15 +290,18 @@ def enumerate_density(query: DensityQuery, budget: int = DEFAULT_ENUM_BUDGET) ->
     k is even, so squaring permutes the cosets of H and the units t with
     t^2 / r in H make up one coset: e = phi / gcd(phi, k-1) of them for
     every root.  At level 1 the fibers also give the class tally.
-    ``budget`` caps the evaluations of psi_q(X, 1): l for the roots
-    mod l and l per root carried to each next level.
-    BudgetExceededError is raised before a stage would take the count
-    above it.
+    ``budget`` caps the evaluations of psi_q(X, 1), each weighted by the
+    64-bit words of its modulus: l for the roots mod l and l per root
+    carried to each next level (``_psi_roots``).  The fibers take O(n)
+    steps per root on numbers below l^n, within a constant of the words
+    charged to lift that root, so they are not charged apart.
     """
-    q, ell, n, k, m = query.q, query.ell, query.n, query.weight, query.modulus
+    q, ell, n, k = query.q, query.ell, query.n, query.weight
+    roots = _psi_roots(q, ell, n, budget)  # first: it refuses counts too large to start
+    m = query.modulus
     phi = m - m // ell
     e = phi // gcd(phi, k - 1)
-    fibers = [(e, _fiber(r, ell, n)) for r in _psi_roots(q, ell, n, budget)]
+    fibers = [(e, _fiber(r, ell, n)) for r in roots]
     return DensityReport(
         query=query,
         match_count=sum(count * fiber for count, fiber in fibers),

@@ -387,9 +387,9 @@ class TestLifts:
         assert not psi_insoluble_mod_q_squared(3)
 
     def test_budget_error_carries_requirement(self):
-        # the budget counts evaluations of psi_q(X, 1): l for the roots mod l,
-        # then l for each root carried to the next level; the count stops
-        # before the first stage that would go over
+        # the budget counts evaluations of psi_q(X, 1), one word each below
+        # 2^64: l for the roots mod l, then l for each root carried to each
+        # next level; after the search the levels left are charged at once
         with pytest.raises(BudgetExceededError) as exc:
             enumerate_density(DensityQuery(3, 100000007, 1, 12))
         assert (exc.value.needed, exc.value.cap) == (100000007, DEFAULT_ENUM_BUDGET)
@@ -406,6 +406,25 @@ class TestLifts:
             with pytest.raises(BudgetExceededError):
                 enumerate_density(query, budget=needed - 1)
             assert enumerate_density(query, budget=needed).agrees
+
+    def test_budget_grows_with_the_size_of_the_numbers(self):
+        # mod 7^100000 each evaluation works on about 4400 words, so the
+        # lifting is charged far over the default budget and refused after
+        # the search mod 7, before any number near 7^n is made
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError) as exc:
+                enumerate_density(DensityQuery(3, 7, 10**5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.needed > 10 * DEFAULT_ENUM_BUDGET
+        assert peak < 10**4
+
+    def test_counts_past_the_int_str_digit_limit(self):
+        # 7^5100 has 4310 digits; the library never turns such a number into
+        # a string, so it answers under the interpreter's default limit
+        assert enumerate_density(DensityQuery(3, 7, 5100)).agrees
 
     def test_power_test_against_bruteforce(self):
         # every l^n <= 27, l = 2 up to n = 4 included; each root counts
