@@ -1,5 +1,13 @@
 """Command-line front end: every operation as a subcommand.
 
+``_COMMANDS`` is the one table of subcommands: each name maps to its
+help line, a function that adds its flags and a function that runs it.
+A call whose first argument names a command builds only that command's
+flags, and the run function imports only the modules it uses, so
+``taulab density`` never loads ``scans`` or ``mpmath``.  Any other first
+argument (none, ``-h``, a typo) builds every command, for the full help
+and error messages.
+
 Exit codes: 0 success, 1 bad input, 2 a resource budget stopped the
 computation or the result is partial, 3 a mathematical identity the
 package promises failed (the loudest possible signal).
@@ -15,7 +23,7 @@ import json
 import math
 import sys
 
-from . import cyclotomic, density, factor, hecke, identities, scans
+from . import factor
 from .errors import (
     BudgetExceededError,
     DataExhaustedError,
@@ -30,7 +38,40 @@ EXIT_BUDGET = 2
 EXIT_IDENTITY = 3
 
 
-def _form(ns: argparse.Namespace) -> hecke.EigenformSpec:
+def _checked(convert, rule: str, ok):
+    """An argparse type: convert the text, then require ok(value)."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value: ..."
+    return parse
+
+
+# factor.is_prime is looked up at each check, so a patched or traced one is the one called
+_ODD_PRIME = _checked(int, "an odd prime", lambda q: q % 2 == 1 and factor.is_prime(q))
+_PRIME = _checked(int, "prime", lambda p: factor.is_prime(p))
+
+
+def _add_common(p: argparse.ArgumentParser, *, formats: bool = False) -> None:
+    p.add_argument("--out", help="write output to this path instead of stdout")
+    if formats:
+        p.add_argument("--format", dest="fmt", choices=("text", "csv", "json"), default="text")
+    p.add_argument("--config", help="key=value file supplying defaults")
+
+
+def _add_form(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--weight", type=int, default=12)
+    p.add_argument("--level", type=int, default=1)
+    p.add_argument("--table", help="CSV table of a_p values")
+
+
+def _form(ns: argparse.Namespace):
+    from . import hecke
+
     if ns.table:
         return hecke.ingest_table(ns.table, ns.weight, ns.level)
     return hecke.EigenformSpec.delta()
@@ -44,7 +85,16 @@ def _emit(ns: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _flags_tau(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--limit", type=int, default=100)
+    p.add_argument("--find-first-prime", action="store_true",
+                   help="print the smallest n with |tau(n)| prime instead of the series")
+    _add_common(p, formats=True)
+
+
 def _cmd_tau(ns: argparse.Namespace) -> int:
+    from . import hecke
+
     if ns.find_first_prime:
         hit = hecke.find_first_prime_tau(ns.limit)
         if hit is None:
@@ -58,7 +108,17 @@ def _cmd_tau(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _flags_coeff(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--m", type=int, required=True)
+    _add_form(p)
+    p.add_argument("--lucas", action="store_true", help="use the Lucas ladder path")
+    _add_common(p, formats=True)
+
+
 def _cmd_coeff(ns: argparse.Namespace) -> int:
+    from . import hecke
+
     f = _form(ns)
     fn = hecke.coeff_lucas if ns.lucas else hecke.coeff_prime_power
     value = fn(f, ns.p, ns.m)
@@ -69,7 +129,16 @@ def _cmd_coeff(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _flags_psi(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, default=5)
+    p.add_argument("--kind", choices=("psi", "phi", "f"), default="psi")
+    p.add_argument("--upto", type=int, help="dump all indices 3..UPTO")
+    _add_common(p)
+
+
 def _cmd_psi(ns: argparse.Namespace) -> int:
+    from . import cyclotomic
+
     kind = ns.kind.upper()
     if ns.upto:
         lines = [cyclotomic.dump_poly_line(kind, n) for n in range(3, ns.upto + 1)]
@@ -77,6 +146,13 @@ def _cmd_psi(ns: argparse.Namespace) -> int:
     else:
         _emit(ns, cyclotomic.dump_poly_line(kind, ns.n))
     return EXIT_OK
+
+
+def _flags_sympow(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--entries", required=True, help="a,b,c,d")
+    p.add_argument("--mod", type=int, help="work mod this integer (default: integers)")
+    _add_common(p, formats=True)
 
 
 def _cmd_sympow(ns: argparse.Namespace) -> int:
@@ -97,14 +173,46 @@ def _cmd_sympow(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _flags_density(p: argparse.ArgumentParser) -> None:
+    from .density import DEFAULT_ENUM_BUDGET
+
+    p.add_argument("--q", type=_ODD_PRIME, required=True)
+    p.add_argument("--ell", type=_PRIME, required=True)
+    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--k", dest="weight", type=int, default=12)
+    p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET,
+                   help="most evaluations of psi_q(X, 1) the count may make, each "
+                        "weighted by the 64-bit words of its modulus: ell to find its "
+                        "roots mod ell, and ell per root lifted to each next level")
+    p.add_argument("--workers", type=_checked(int, ">= 1", lambda w: w >= 1), default=1,
+                   help="accepted for compatibility; never changes results or work")
+    _add_common(p)
+
+
 def _cmd_density(ns: argparse.Namespace) -> int:
+    from . import density
+
     query = density.DensityQuery(ns.q, ns.ell, ns.n, ns.weight)
     report = density.enumerate_density(query, budget=ns.budget)
     _emit(ns, report.to_json())
     return EXIT_OK
 
 
+def _flags_lift(p: argparse.ArgumentParser) -> None:
+    from .density import DEFAULT_ENUM_BUDGET
+
+    p.add_argument("--q", type=_ODD_PRIME, required=True)
+    p.add_argument("--ell", type=_PRIME, required=True)
+    p.add_argument("--k", dest="weight", type=int, default=12)
+    p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET,
+                   help="most evaluations of psi_q(X, 1) each of the two counts may make "
+                        "(see density --budget)")
+    _add_common(p)
+
+
 def _cmd_lift(ns: argparse.Namespace) -> int:
+    from . import density
+
     report = density.lift_factor(ns.q, ns.ell, ns.weight, budget=ns.budget)
     ratio = report.ratio
     payload = {
@@ -117,185 +225,24 @@ def _cmd_lift(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _flags_chebotarev(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--q", type=_ODD_PRIME, required=True)
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--x-bound", type=int, default=10**5)
+    _add_form(p)
+    _add_common(p)
+
+
 def _cmd_chebotarev(ns: argparse.Namespace) -> int:
+    from . import density
+
     f = _form(ns)
     sample = density.chebotarev_sample(f, ns.q, ns.d, ns.x_bound)
     _emit(ns, json.dumps(sample.to_json_dict(), indent=2, sort_keys=True))
     return EXIT_OK
 
 
-def _cmd_scan(ns: argparse.Namespace) -> int:
-    f = _form(ns)
-    args = (f, ns.two_n, ns.x_bound)
-    budgets = dict(
-        epsilon=None if ns.grh_c is not None else ns.epsilon,
-        grh_c=ns.grh_c,
-        trial_bound=ns.trial_bound,
-        rho_budget=ns.rho_budget,
-    )
-    if ns.fmt == "csv":
-        rows, summary = scans.threshold_scan(*args, **budgets)
-        _emit(ns, "\n".join([scans.CSV_HEADER] + [r.csv_line() for r in rows]))
-        sys.stderr.write(summary.to_json() + "\n")
-    else:
-        # a summary prints verdict counts only, so each row does only the work its verdict needs
-        summary = scans.ScanSummary.of(scans.scan_rows(*args, **budgets, pin=False))
-        _emit(ns, summary.to_json())
-    return EXIT_BUDGET if summary.unknown_count else EXIT_OK
-
-
-def _cmd_tower(ns: argparse.Namespace) -> int:
-    f = _form(ns)
-    checked = 0
-    for p in factor.primes_up_to(ns.p_max):
-        if f.level % p == 0:
-            continue
-        for n in range(1, (ns.max_odd - 1) // 2 + 1):
-            if not scans.check_divisibility_tower(f, p, n):
-                raise IdentityViolationError(f"divisibility tower failed at p={p}, 2n={2 * n}")
-            checked += 1
-    _emit(ns, f"tower verified on {checked} (p, n) pairs")
-    return EXIT_OK
-
-
-def _cmd_sato_tate(ns: argparse.Namespace) -> int:
-    f = _form(ns)
-    hist = scans.sato_tate_histogram(f, ns.x_bound, ns.bins)
-    if ns.fmt == "csv":
-        _emit(ns, "\n".join(hist.csv_lines()))
-    else:
-        _emit(ns, json.dumps(hist.to_json_dict(), indent=2, sort_keys=True))
-    return EXIT_OK
-
-
-def _cmd_verify(ns: argparse.Namespace) -> int:
-    suites = {
-        "identities": [
-            (identities.square_product, {"n_max": ns.limit}),
-            (identities.partial_scaling, {}),
-            (identities.discriminant_law, {}),
-        ],
-        "sympow": [(identities.trace_kernel_laws, {}), (identities.functoriality, {"seed": ns.seed})],
-        "density": [(identities.density_closed_forms, {}), (identities.lift_ratio, {})],
-        "tau": [(identities.series_recursion, {"limit": 1000}),
-                (identities.psi_coefficients, {})],
-    }
-    lines: list[str] = []
-    for name, checks in suites.items():
-        if ns.suite in (name, "all"):
-            for check, kw in checks:
-                lines += list(check(**kw)) or [check.passed.format(**kw)]
-    _emit(ns, "\n".join(lines))
-    return EXIT_IDENTITY if any(line.startswith("FAIL") for line in lines) else EXIT_OK
-
-
-_COMMANDS = {
-    "tau": _cmd_tau,
-    "coeff": _cmd_coeff,
-    "psi": _cmd_psi,
-    "sympow": _cmd_sympow,
-    "density": _cmd_density,
-    "lift": _cmd_lift,
-    "chebotarev": _cmd_chebotarev,
-    "scan": _cmd_scan,
-    "tower": _cmd_tower,
-    "sato-tate": _cmd_sato_tate,
-    "verify": _cmd_verify,
-}
-
-
-def _checked(convert, rule: str, ok):
-    """An argparse type: convert the text, then require ok(value)."""
-
-    def parse(text: str):
-        value = convert(text)
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
-        return value
-
-    parse.__name__ = convert.__name__  # argparse names it in "invalid int value: ..."
-    return parse
-
-
-def _add_common(p: argparse.ArgumentParser, *, formats: bool = False) -> None:
-    p.add_argument("--out", help="write output to this path instead of stdout")
-    if formats:
-        p.add_argument("--format", dest="fmt", choices=("text", "csv", "json"), default="text")
-    p.add_argument("--config", help="key=value file supplying defaults")
-
-
-def _add_form(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--weight", type=int, default=12)
-    p.add_argument("--level", type=int, default=1)
-    p.add_argument("--table", help="CSV table of a_p values")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="taulab",
-        description="Exact toolkit for eigenform coefficients at prime powers: "
-        "series, trace polynomials, symmetric powers, trace-zero densities, and "
-        "largest-prime-factor scans.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    odd_prime = _checked(int, "an odd prime", lambda q: q % 2 == 1 and factor.is_prime(q))
-    prime = _checked(int, "prime", factor.is_prime)
-
-    p = sub.add_parser("tau", help="coefficient series of the built-in weight-12 form")
-    p.add_argument("--limit", type=int, default=100)
-    p.add_argument("--find-first-prime", action="store_true",
-                   help="print the smallest n with |tau(n)| prime instead of the series")
-    _add_common(p, formats=True)
-
-    p = sub.add_parser("coeff", help="a_f(p^m) by recursion or the Lucas ladder")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    _add_form(p)
-    p.add_argument("--lucas", action="store_true", help="use the Lucas ladder path")
-    _add_common(p, formats=True)
-
-    p = sub.add_parser("psi", help="dump trace / cyclotomic polynomial coefficients")
-    p.add_argument("--n", type=int, default=5)
-    p.add_argument("--kind", choices=("psi", "phi", "f"), default="psi")
-    p.add_argument("--upto", type=int, help="dump all indices 3..UPTO")
-    _add_common(p)
-
-    p = sub.add_parser("sympow", help="symmetric power of a 2x2 matrix")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--entries", required=True, help="a,b,c,d")
-    p.add_argument("--mod", type=int, help="work mod this integer (default: integers)")
-    _add_common(p, formats=True)
-
-    p = sub.add_parser("density", help="trace-zero density over GL2(Z/ell^n) by enumeration")
-    p.add_argument("--q", type=odd_prime, required=True)
-    p.add_argument("--ell", type=prime, required=True)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--k", dest="weight", type=int, default=12)
-    p.add_argument("--budget", type=int, default=density.DEFAULT_ENUM_BUDGET,
-                   help="most evaluations of psi_q(X, 1) the count may make, each "
-                        "weighted by the 64-bit words of its modulus: ell to find its "
-                        "roots mod ell, and ell per root lifted to each next level")
-    p.add_argument("--workers", type=_checked(int, ">= 1", lambda w: w >= 1), default=1,
-                   help="accepted for compatibility; never changes results or work")
-    _add_common(p)
-
-    p = sub.add_parser("lift", help="density ratio between levels ell^2 and ell")
-    p.add_argument("--q", type=odd_prime, required=True)
-    p.add_argument("--ell", type=prime, required=True)
-    p.add_argument("--k", dest="weight", type=int, default=12)
-    p.add_argument("--budget", type=int, default=density.DEFAULT_ENUM_BUDGET,
-                   help="most evaluations of psi_q(X, 1) each of the two counts may make "
-                        "(see density --budget)")
-    _add_common(p)
-
-    p = sub.add_parser("chebotarev", help="empirical frequency of d | a_f(p^(q-1))")
-    p.add_argument("--q", type=odd_prime, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--x-bound", type=int, default=10**5)
-    _add_form(p)
-    _add_common(p)
-
-    p = sub.add_parser("scan", help="largest-prime-factor threshold scan over primes")
+def _flags_scan(p: argparse.ArgumentParser) -> None:
     p.add_argument("--two-n", type=_checked(int, "even and >= 2", lambda v: v >= 2 and v % 2 == 0),
                    default=2)
     p.add_argument("--eps", dest="epsilon", default=0.1,
@@ -316,19 +263,72 @@ def build_parser() -> argparse.ArgumentParser:
     _add_form(p)
     _add_common(p, formats=True)
 
-    p = sub.add_parser("tower", help="verify the prime-power divisibility tower")
+
+def _cmd_scan(ns: argparse.Namespace) -> int:
+    from . import scans
+
+    f = _form(ns)
+    args = (f, ns.two_n, ns.x_bound)
+    budgets = dict(
+        epsilon=None if ns.grh_c is not None else ns.epsilon,
+        grh_c=ns.grh_c,
+        trial_bound=ns.trial_bound,
+        rho_budget=ns.rho_budget,
+    )
+    if ns.fmt == "csv":
+        rows, summary = scans.threshold_scan(*args, **budgets)
+        _emit(ns, "\n".join([scans.CSV_HEADER] + [r.csv_line() for r in rows]))
+        sys.stderr.write(summary.to_json() + "\n")
+    else:
+        # a summary prints verdict counts only, so each row does only the work its verdict needs
+        summary = scans.ScanSummary.of(scans.scan_rows(*args, **budgets, pin=False))
+        _emit(ns, summary.to_json())
+    return EXIT_BUDGET if summary.unknown_count else EXIT_OK
+
+
+def _flags_tower(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p-max", type=int, default=100)
     p.add_argument("--max-odd", type=int, default=9, help="largest odd exponent bound 2n+1")
     _add_form(p)
     _add_common(p)
 
-    p = sub.add_parser("sato-tate", help="normalized coefficient histogram vs the semicircle law")
+
+def _cmd_tower(ns: argparse.Namespace) -> int:
+    from . import scans
+
+    f = _form(ns)
+    checked = 0
+    for p in factor.primes_up_to(ns.p_max):
+        if f.level % p == 0:
+            continue
+        for n in range(1, (ns.max_odd - 1) // 2 + 1):
+            if not scans.check_divisibility_tower(f, p, n):
+                raise IdentityViolationError(f"divisibility tower failed at p={p}, 2n={2 * n}")
+            checked += 1
+    _emit(ns, f"tower verified on {checked} (p, n) pairs")
+    return EXIT_OK
+
+
+def _flags_sato_tate(p: argparse.ArgumentParser) -> None:
     p.add_argument("--x-bound", type=int, default=10**4)
     p.add_argument("--bins", type=int, default=20)
     _add_form(p)
     _add_common(p, formats=True)
 
-    p = sub.add_parser("verify", help="run built-in identity suites (exit 3 on failure)")
+
+def _cmd_sato_tate(ns: argparse.Namespace) -> int:
+    from . import scans
+
+    f = _form(ns)
+    hist = scans.sato_tate_histogram(f, ns.x_bound, ns.bins)
+    if ns.fmt == "csv":
+        _emit(ns, "\n".join(hist.csv_lines()))
+    else:
+        _emit(ns, json.dumps(hist.to_json_dict(), indent=2, sort_keys=True))
+    return EXIT_OK
+
+
+def _flags_verify(p: argparse.ArgumentParser) -> None:
     p.add_argument("--suite", choices=("identities", "sympow", "density", "tau", "all"),
                    default="all")
     p.add_argument("--limit", type=_checked(int, "in [3, 200]", lambda v: 3 <= v <= 200),
@@ -337,6 +337,67 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed for the sampled functoriality check")
     _add_common(p)
 
+
+def _cmd_verify(ns: argparse.Namespace) -> int:
+    from . import identities
+
+    suites = {
+        "identities": [
+            (identities.square_product, {"n_max": ns.limit}),
+            (identities.partial_scaling, {}),
+            (identities.discriminant_law, {}),
+        ],
+        "sympow": [(identities.trace_kernel_laws, {}), (identities.functoriality, {"seed": ns.seed})],
+        "density": [(identities.density_closed_forms, {}), (identities.lift_ratio, {})],
+        "tau": [(identities.series_recursion, {"limit": 1000}),
+                (identities.psi_coefficients, {})],
+    }
+    lines: list[str] = []
+    for name, checks in suites.items():
+        if ns.suite in (name, "all"):
+            for check, kw in checks:
+                lines += list(check(**kw)) or [check.passed.format(**kw)]
+    _emit(ns, "\n".join(lines))
+    return EXIT_IDENTITY if any(line.startswith("FAIL") for line in lines) else EXIT_OK
+
+
+# name -> (help line, function adding its flags, function running it), in help order
+_COMMANDS = {
+    "tau": ("coefficient series of the built-in weight-12 form", _flags_tau, _cmd_tau),
+    "coeff": ("a_f(p^m) by recursion or the Lucas ladder", _flags_coeff, _cmd_coeff),
+    "psi": ("dump trace / cyclotomic polynomial coefficients", _flags_psi, _cmd_psi),
+    "sympow": ("symmetric power of a 2x2 matrix", _flags_sympow, _cmd_sympow),
+    "density": ("trace-zero density over GL2(Z/ell^n) by enumeration",
+                _flags_density, _cmd_density),
+    "lift": ("density ratio between levels ell^2 and ell", _flags_lift, _cmd_lift),
+    "chebotarev": ("empirical frequency of d | a_f(p^(q-1))", _flags_chebotarev, _cmd_chebotarev),
+    "scan": ("largest-prime-factor threshold scan over primes", _flags_scan, _cmd_scan),
+    "tower": ("verify the prime-power divisibility tower", _flags_tower, _cmd_tower),
+    "sato-tate": ("normalized coefficient histogram vs the semicircle law",
+                  _flags_sato_tate, _cmd_sato_tate),
+    "verify": ("run built-in identity suites (exit 3 on failure)", _flags_verify, _cmd_verify),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser for one subcommand, or for all of them when ``command`` is None.
+
+    A one-command parser still names every command in its usage line, so
+    its errors print the same usage as the full parser's.  The full parser
+    leaves the metavar unset: it names the positional ``command`` in
+    "the following arguments are required".
+    """
+    parser = argparse.ArgumentParser(
+        prog="taulab",
+        description="Exact toolkit for eigenform coefficients at prime powers: "
+        "series, trace polynomials, symmetric powers, trace-zero densities, and "
+        "largest-prime-factor scans.",
+    )
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        help_line, add_flags, _ = _COMMANDS[name]
+        add_flags(sub.add_parser(name, help=help_line))
     return parser
 
 
@@ -370,7 +431,8 @@ def main(argv: list[str] | None = None) -> int:
 
 def _main(argv: list[str] | None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    # a first argument that names a command needs only that command's flags
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         ns = parser.parse_args(argv)
         if ns.config:
@@ -384,7 +446,7 @@ def _main(argv: list[str] | None) -> int:
         sys.stderr.write(f"error: bad --config: {exc}\n")
         return EXIT_USAGE
     try:
-        return _COMMANDS[ns.command](ns)
+        return _COMMANDS[ns.command][2](ns)
     except (ValueError, TableFormatError, DataExhaustedError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd
+from typing import Iterator
 
 from . import factor
 from .cyclotomic import eval_poly_mod, psi_poly
@@ -183,8 +184,8 @@ def _words(ell: int, lo: int, hi: int) -> int:
     return hi - lo + 1 + below(hi + 1) - below(lo)
 
 
-def _psi_roots(q: int, ell: int, n: int, budget: int) -> list[int]:
-    """The roots of psi_q(X, 1) mod l^n.
+def _root_levels(q: int, ell: int, n: int, budget: int) -> Iterator[list[int]]:
+    """The roots of psi_q(X, 1) mod l, l^2, ..., l^n, one list per level.
 
     The roots mod l come from l evaluations; each root mod l^j is then
     lifted by evaluating its l candidates r + i l^j mod l^(j+1), which
@@ -192,7 +193,9 @@ def _psi_roots(q: int, ell: int, n: int, budget: int) -> list[int]:
     to one mod l^j.  Each evaluation is charged the words of its modulus
     (see ``_words``).  Before each level the levels left are charged in
     full at the roots found so far, so a count whose numbers would
-    outgrow ``budget`` stops before it works with them.
+    outgrow ``budget`` stops before it works with them.  The first
+    check charges the search mod l alone, whatever n is, so a search to
+    l^2 makes the checks of the count at l and of the count at l^2.
     """
     psi = psi_poly(q)
     spent = 0
@@ -211,7 +214,7 @@ def _psi_roots(q: int, ell: int, n: int, budget: int) -> list[int]:
         spent += ell * len(roots) * _words(ell, j, j)
         step, m = m, m * ell
         roots = [x for r in roots for x in range(r, m, step) if eval_poly_mod(psi, x, 1, m) == 0]
-    return roots
+        yield roots
 
 
 def _square_root_count(c: int, ell: int, j: int) -> int:
@@ -292,12 +295,18 @@ def enumerate_density(query: DensityQuery, budget: int = DEFAULT_ENUM_BUDGET) ->
     every root.  At level 1 the fibers also give the class tally.
     ``budget`` caps the evaluations of psi_q(X, 1), each weighted by the
     64-bit words of its modulus: l for the roots mod l and l per root
-    carried to each next level (``_psi_roots``).  The fibers take O(n)
+    carried to each next level (``_root_levels``).  The fibers take O(n)
     steps per root on numbers below l^n, within a constant of the words
     charged to lift that root, so they are not charged apart.
     """
+    for roots in _root_levels(query.q, query.ell, query.n, budget):
+        pass  # only the last level counts; the search refuses counts too large to start
+    return _report(query, roots)
+
+
+def _report(query: DensityQuery, roots: list[int]) -> DensityReport:
+    """The density report of ``query`` from the roots of psi_q(X, 1) mod l^n."""
     q, ell, n, k = query.q, query.ell, query.n, query.weight
-    roots = _psi_roots(q, ell, n, budget)  # first: it refuses counts too large to start
     m = query.modulus
     phi = m - m // ell
     e = phi // gcd(phi, k - 1)
@@ -330,15 +339,17 @@ class LiftReport:
 def lift_factor(
     q: int, ell: int, weight: int = 12, budget: int = DEFAULT_ENUM_BUDGET
 ) -> LiftReport:
-    """Enumerate the density at l and l^2 and report their ratio.
+    """The density at l and at l^2 and their ratio, from one root search.
 
-    A vanishing base density yields ratio None (the zero-density
-    marker); otherwise the ratio is exact and equals 1/l in the
-    verified range.
+    The search to l^2 passes the roots mod l on the way and makes the
+    budget checks of both counts, so the report and any budget error
+    are those of ``enumerate_density`` at n = 1 and then n = 2.  A
+    vanishing base density yields ratio None (the zero-density marker);
+    otherwise the ratio is exact and equals 1/l in the verified range.
     """
-    base = enumerate_density(DensityQuery(q, ell, 1, weight), budget=budget)
-    lifted = enumerate_density(DensityQuery(q, ell, 2, weight), budget=budget)
-    return LiftReport(base, lifted)
+    base, lifted = DensityQuery(q, ell, 1, weight), DensityQuery(q, ell, 2, weight)
+    levels = _root_levels(q, ell, 2, budget)
+    return LiftReport(_report(base, next(levels)), _report(lifted, next(levels)))
 
 
 @dataclass

@@ -1,12 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
-from taulab import cyclotomic, density, factor, hecke, identities, rings
+from taulab import cli, cyclotomic, density, factor, hecke, identities, rings
 from taulab.cli import EXIT_BUDGET, EXIT_IDENTITY, EXIT_OK, EXIT_USAGE, main
 
 DATA = Path(__file__).parent / "data"
@@ -366,3 +368,58 @@ class TestConfigFile:
         cfg.write_text(text)
         code, out, _ = run(capsys, "tau", "--config", str(cfg))
         assert code == EXIT_USAGE and out == ""
+
+
+GOLDEN_TEXT = json.loads((DATA / "cli_golden.json").read_text())
+
+
+class TestParserText:
+    """A call naming a command builds only that command's parser, and prints what the full one does."""
+
+    @pytest.mark.skipif(f"{sys.version_info[0]}.{sys.version_info[1]}" != GOLDEN_TEXT["python"],
+                        reason="argparse's help and error text differ between Python versions")
+    def test_golden_text(self, capsys, monkeypatch):
+        # (exit, stdout, stderr) at COLUMNS=80 for help, usage errors and
+        # unreadable config files, recorded from a parser of every command
+        monkeypatch.setenv("COLUMNS", str(GOLDEN_TEXT["columns"]))
+        for case in GOLDEN_TEXT["cases"]:
+            want = (case["exit"], case["stdout"], case["stderr"])
+            assert run(capsys, *case["argv"]) == want, case["argv"]
+
+    @pytest.mark.parametrize("argv", [case["argv"] for case in GOLDEN_TEXT["cases"]
+                                      if case["argv"] and case["argv"][0] in cli._COMMANDS],
+                             ids=" ".join)
+    def test_one_command_parser_prints_as_the_full_one(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+
+        def parse(parser):
+            try:
+                outcome = vars(parser.parse_args(argv))
+            except SystemExit as exc:
+                outcome = exc.code
+            return outcome, capsys.readouterr()
+
+        assert parse(cli.build_parser(argv[0])) == parse(cli.build_parser())
+
+    def test_full_parser_names_the_missing_command(self, capsys):
+        code, out, err = run(capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert err.endswith("error: the following arguments are required: command\n")
+
+    def test_density_loads_no_scan_modules(self):
+        # a fresh interpreter: density never imports scans (and mpmath) or
+        # identities, while tower does import scans
+        script = (
+            "import os, sys\n"
+            "from taulab.cli import main\n"
+            "assert main(['density', '--q', '3', '--ell', '31', '--n', '2']) == 0\n"
+            "lazy = ('mpmath', 'taulab.scans', 'taulab.identities')\n"
+            "print([name for name in lazy if name in sys.modules])\n"
+            "assert main(['tower', '--p-max', '10', '--out', os.devnull]) == 0\n"
+            "print('taulab.scans' in sys.modules)\n"
+        )
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.splitlines()[-2:] == ["[]", "True"]

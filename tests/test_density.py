@@ -12,6 +12,7 @@ from taulab.density import (
     _square_root_count,
     DELTA_EXCEPTIONAL_PRIMES,
     DensityQuery,
+    LiftReport,
     chebotarev_sample,
     closed_form_density,
     det_constrained_group_order,
@@ -371,6 +372,30 @@ class TestLifts:
         report = lift_factor(5, 7, 12)
         assert report.base.match_count == 0
         assert report.ratio is None
+
+    @pytest.mark.parametrize("q", (3, 5, 7, 11, 13))
+    def test_lift_equals_two_counts(self, q):
+        # one root search to l^2 gives the reports, or the budget error, of
+        # the counts at l and then l^2: at each count's exact charge and one below
+        def outcome(run):
+            try:
+                return run()
+            except BudgetExceededError as exc:
+                return str(exc), exc.needed, exc.cap
+
+        refused = 0
+        for ell in factor.primes_up_to(1009):
+            base, lifted = DensityQuery(q, ell, 1), DensityQuery(q, ell, 2)
+            base_charge = outcome(lambda: enumerate_density(base, budget=0))[1]
+            over = outcome(lambda: enumerate_density(lifted, budget=base_charge))
+            lift_charge = over[1] if isinstance(over, tuple) else base_charge
+            for budget in {base_charge - 1, base_charge, lift_charge - 1, lift_charge}:
+                got = outcome(lambda: lift_factor(q, ell, budget=budget))
+                want = outcome(lambda: LiftReport(enumerate_density(base, budget=budget),
+                                                  enumerate_density(lifted, budget=budget)))
+                assert got == want, (q, ell, budget)
+                refused += isinstance(got, tuple) and "lifting" in got[0]
+        assert refused > 0  # some budgets pass the search mod l and stop the lift
 
     def test_hensel_lift_counts(self):
         for q, ell in [(3, 5), (3, 7)]:
