@@ -51,6 +51,10 @@ def _checked(convert, rule: str, ok):
     return parse
 
 
+def _int_at_least(low: int):
+    return _checked(int, f">= {low}", lambda v: v >= low)
+
+
 # factor.is_prime is looked up at each check, so a patched or traced one is the one called
 _ODD_PRIME = _checked(int, "an odd prime", lambda q: q % 2 == 1 and factor.is_prime(q))
 _PRIME = _checked(int, "prime", lambda p: factor.is_prime(p))
@@ -74,7 +78,7 @@ def _form(ns: argparse.Namespace):
 
     if ns.table:
         return hecke.ingest_table(ns.table, ns.weight, ns.level)
-    return hecke.EigenformSpec.delta()
+    return hecke.EigenformSpec(ns.weight, ns.level, label="delta")
 
 
 def _emit(ns: argparse.Namespace, text: str) -> None:
@@ -86,7 +90,7 @@ def _emit(ns: argparse.Namespace, text: str) -> None:
 
 
 def _flags_tau(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--limit", type=int, default=100)
+    p.add_argument("--limit", type=_int_at_least(1), default=100)
     p.add_argument("--find-first-prime", action="store_true",
                    help="print the smallest n with |tau(n)| prime instead of the series")
     _add_common(p, formats=True)
@@ -132,7 +136,7 @@ def _cmd_coeff(ns: argparse.Namespace) -> int:
 def _flags_psi(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--kind", choices=("psi", "phi", "f"), default="psi")
-    p.add_argument("--upto", type=int, help="dump all indices 3..UPTO")
+    p.add_argument("--upto", type=_int_at_least(3), help="dump all indices 3..UPTO")
     _add_common(p)
 
 
@@ -156,13 +160,12 @@ def _flags_sympow(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_sympow(ns: argparse.Namespace) -> int:
-    from .rings import ZZ, RingMatrix, Zmod, sym_pow, sym_pow_trace
+    from .rings import Ring, RingMatrix, sym_pow, sym_pow_trace
 
     entries = [int(x) for x in ns.entries.split(",")]
     if len(entries) != 4:
         raise ValueError("--entries must be four comma-separated integers a,b,c,d")
-    ring = Zmod(ns.mod) if ns.mod else ZZ
-    mat = RingMatrix.make(ring, [entries[:2], entries[2:]])
+    mat = RingMatrix.make(Ring(ns.mod), [entries[:2], entries[2:]])
     result = sym_pow(mat, ns.n)
     if ns.n >= 2 and result.trace() != sym_pow_trace(mat, ns.n):
         raise IdentityViolationError("trace law failed for this input")
@@ -180,11 +183,11 @@ def _flags_density(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ell", type=_PRIME, required=True)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--k", dest="weight", type=int, default=12)
-    p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET,
+    p.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_ENUM_BUDGET,
                    help="most evaluations of psi_q(X, 1) the count may make, each "
                         "weighted by the 64-bit words of its modulus: ell to find its "
                         "roots mod ell, and ell per root lifted to each next level")
-    p.add_argument("--workers", type=_checked(int, ">= 1", lambda w: w >= 1), default=1,
+    p.add_argument("--workers", type=_int_at_least(1), default=1,
                    help="accepted for compatibility; never changes results or work")
     _add_common(p)
 
@@ -204,7 +207,7 @@ def _flags_lift(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q", type=_ODD_PRIME, required=True)
     p.add_argument("--ell", type=_PRIME, required=True)
     p.add_argument("--k", dest="weight", type=int, default=12)
-    p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET,
+    p.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_ENUM_BUDGET,
                    help="most evaluations of psi_q(X, 1) each of the two counts may make "
                         "(see density --budget)")
     _add_common(p)
@@ -251,12 +254,12 @@ def _flags_scan(p: argparse.ArgumentParser) -> None:
                                             lambda v: math.isfinite(v) and v > 0),
                    help="use the power-threshold mode with this constant")
     p.add_argument("--x-bound", type=int, default=10**3)
-    p.add_argument("--trial-bound", type=_checked(int, ">= 1", lambda v: v >= 1),
+    p.add_argument("--trial-bound", type=_int_at_least(1),
                    default=factor.DEFAULT_TRIAL_BOUND,
                    help="largest prime tried by division before rho; json and text "
                    "summaries try only primes up to the threshold's floor while that "
                    "is below TRIAL_BOUND")
-    p.add_argument("--rho-budget", type=_checked(int, ">= 0", lambda v: v >= 0),
+    p.add_argument("--rho-budget", type=_int_at_least(0),
                    default=factor.DEFAULT_RHO_BUDGET,
                    help="rho iterations per cofactor, checked between Brent's doubling "
                    "rounds, so a run can spend up to 2*BUDGET+2")

@@ -41,17 +41,6 @@ class BivariatePoly:
         """Specialize Y = 1; coefficient of T^j is c_{m-j}."""
         return UnivariatePoly(tuple(reversed(self.coeffs)))
 
-    def __str__(self):
-        m = self.degree
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            xs = f"X^{m - i}" if m - i > 1 else ("X" if m - i == 1 else "")
-            ys = f"Y^{i}" if i > 1 else ("Y" if i == 1 else "")
-            parts.append(f"{c:+d}{xs}{ys}")
-        return " ".join(parts) if parts else "0"
-
 
 @dataclass(frozen=True)
 class UnivariatePoly:

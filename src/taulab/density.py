@@ -404,14 +404,10 @@ class ChebotarevSample:
 
 
 def _factor_prime_power(d: int) -> tuple[int, int]:
-    ell = min(factor.factorize(d).factors)
-    n = 0
-    m = d
-    while m % ell == 0:
-        m //= ell
-        n += 1
-    if m != 1:
+    factors = factor.factorize(d).factors if d >= 2 else {}
+    if len(factors) != 1:
         raise ValueError(f"modulus {d} is not a prime power")
+    [(ell, n)] = factors.items()
     return ell, n
 
 

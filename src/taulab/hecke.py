@@ -121,31 +121,23 @@ def tau_series(limit: int, *, ceiling: int = DEFAULT_SERIES_CEILING) -> list[int
     return series
 
 
-class _DeltaCache:
-    """Grow-only shared tau series, safe for concurrent readers."""
+_lock = threading.Lock()
+_series: list[int] = [0]
 
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._series: list[int] = [0]
 
-    def ensure(self, n: int, ceiling: int = DEFAULT_SERIES_CEILING) -> None:
-        if n < len(self._series):
-            return
-        with self._lock:
-            if n >= len(self._series):
-                target = min(max(n, 2 * (len(self._series) - 1), 1024), ceiling)
+def _tau_upto(n: int, ceiling: int = DEFAULT_SERIES_CEILING) -> list[int]:
+    """The shared grow-only tau series, grown to hold index n; safe for concurrent readers."""
+    global _series
+    if n >= len(_series):
+        with _lock:
+            if n >= len(_series):
+                target = min(max(n, 2 * (len(_series) - 1), 1024), ceiling)
                 if target < n:
                     raise BudgetExceededError(
                         f"tau series request {n} above ceiling {ceiling}", needed=n, cap=ceiling
                     )
-                self._series = tau_series(target, ceiling=ceiling)
-
-    def value(self, n: int) -> int:
-        self.ensure(n)
-        return self._series[n]
-
-
-_delta_cache = _DeltaCache()
+                _series = tau_series(target, ceiling=ceiling)
+    return _series
 
 
 @dataclass(frozen=True)
@@ -195,7 +187,7 @@ class EigenformSpec:
         if self.level % p == 0:
             raise ValueError(f"prime {p} divides the level {self.level}")
         if self.table is None:
-            return _delta_cache.value(p)
+            return _tau_upto(p)[p]
         return self.table.ap(p)
 
 
@@ -308,13 +300,12 @@ def export_table(f: EigenformSpec, path, bound: int) -> None:
 
 def warm_delta_cache(limit: int, ceiling: int = DEFAULT_SERIES_CEILING) -> None:
     """Precompute the shared tau series up to limit (idempotent)."""
-    _delta_cache.ensure(limit, ceiling)
+    _tau_upto(limit, ceiling)
 
 
 def delta_series_view(limit: int) -> list[int]:
     """tau(0..limit) from the shared cache (index n holds tau(n))."""
-    _delta_cache.ensure(limit)
-    return _delta_cache._series[: limit + 1]
+    return _tau_upto(limit)[: limit + 1]
 
 
 def find_first_prime_tau(limit: int) -> tuple[int, int] | None:
@@ -347,8 +338,7 @@ def iter_prime_coeffs(f: EigenformSpec, x_bound: int) -> Iterator[tuple[int, int
     """
     primes = factor.primes_up_to(x_bound)
     if f.table is None:
-        _delta_cache.ensure(x_bound)
-        series = _delta_cache._series
+        series = _tau_upto(x_bound)
         for p in primes:
             yield p, series[p]
         return

@@ -1,11 +1,16 @@
 """Commutative rings, square matrices over them, and symmetric powers.
 
-Supported rings are the integers and Z/mZ with canonical representatives
-in [0, m).  The symmetric power map sends an invertible 2x2 matrix A to
-the (n+1)x(n+1) matrix of the induced automorphism of symmetric
-n-tensors, written in the unnormalized orbit-sum basis, so off-diagonal
-entries carry binomial multiplicities (Sym^2 of [[a,b],[c,d]] has 2ab in
-its first row, not ab).
+A ``Ring`` is the integers (``ZZ``, modulus None) or Z/mZ (``Zmod(m)``,
+m >= 2) with canonical representatives in [0, m).  It only normalizes
+and tests units: matrix code computes on the canonical integer entries
+and normalizes the result, which equals computing in the ring because
+reduction mod m is a ring homomorphism.
+
+The symmetric power map sends an invertible 2x2 matrix A to the
+(n+1)x(n+1) matrix of the induced automorphism of symmetric n-tensors,
+written in the unnormalized orbit-sum basis, so off-diagonal entries
+carry binomial multiplicities (Sym^2 of [[a,b],[c,d]] has 2ab in its
+first row, not ab).
 """
 
 from __future__ import annotations
@@ -25,80 +30,30 @@ MAX_SYM_DEGREE = 32
 
 
 @dataclass(frozen=True)
-class IntegerRing:
-    """The ring of rational integers."""
+class Ring:
+    """The integers (modulus None) or Z/mZ with canonical representatives in [0, m)."""
 
-    modulus = None
-
-    def normalize(self, x: int) -> int:
-        return int(x)
-
-    def add(self, x, y):
-        return x + y
-
-    def mul(self, x, y):
-        return x * y
-
-    def pow(self, x, e: int):
-        return x**e
-
-    def is_unit(self, x) -> bool:
-        return x in (1, -1)
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
-
-    def __repr__(self):
-        return "ZZ"
-
-
-@dataclass(frozen=True)
-class ModRing:
-    """Z/mZ with canonical representatives in [0, m)."""
-
-    modulus: int
+    modulus: int | None
 
     def __post_init__(self):
-        if self.modulus < 2:
+        if self.modulus is not None and self.modulus < 2:
             raise ValueError(f"modulus must be >= 2, got {self.modulus}")
 
     def normalize(self, x: int) -> int:
-        return int(x) % self.modulus
+        return int(x) if self.modulus is None else int(x) % self.modulus
 
-    def add(self, x, y):
-        return (x + y) % self.modulus
-
-    def mul(self, x, y):
-        return (x * y) % self.modulus
-
-    def pow(self, x, e: int):
-        return pow(x, e, self.modulus)
-
-    def is_unit(self, x) -> bool:
-        return gcd(x, self.modulus) == 1
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1 % self.modulus
+    def is_unit(self, x: int) -> bool:
+        return x in (1, -1) if self.modulus is None else gcd(x, self.modulus) == 1
 
     def __repr__(self):
-        return f"Zmod({self.modulus})"
+        return "ZZ" if self.modulus is None else f"Zmod({self.modulus})"
 
 
-ZZ = IntegerRing()
+ZZ = Ring(None)
 
 
-def Zmod(m: int) -> ModRing:
-    return ModRing(m)
+def Zmod(m: int) -> Ring:
+    return Ring(m)
 
 
 def _int_det(rows) -> int:
@@ -130,7 +85,7 @@ def _int_det(rows) -> int:
 class RingMatrix:
     """A square matrix with normalized entries over a fixed ring."""
 
-    ring: IntegerRing | ModRing
+    ring: Ring
     entries: tuple[tuple[int, ...], ...]
 
     @staticmethod
@@ -143,9 +98,8 @@ class RingMatrix:
 
     @staticmethod
     def identity(ring, dim: int) -> "RingMatrix":
-        one, zero = ring.one, ring.zero
         return RingMatrix(
-            ring, tuple(tuple(one if i == j else zero for j in range(dim)) for i in range(dim))
+            ring, tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
         )
 
     @property
@@ -153,11 +107,7 @@ class RingMatrix:
         return len(self.entries)
 
     def trace(self):
-        r = self.ring
-        t = r.zero
-        for i in range(self.dim):
-            t = r.add(t, self.entries[i][i])
-        return t
+        return self.ring.normalize(sum(row[i] for i, row in enumerate(self.entries)))
 
     def det(self):
         """Determinant in the ring: ad - bc at dim 2, fraction-free Bareiss above.
@@ -174,8 +124,7 @@ class RingMatrix:
         return self.ring.is_unit(self.det())
 
     def is_identity(self) -> bool:
-        one, zero = self.ring.one, self.ring.zero
-        return all(row[i] == one and row.count(zero) == len(row) - 1
+        return all(row[i] == 1 and row.count(0) == len(row) - 1
                    for i, row in enumerate(self.entries))
 
     def __matmul__(self, other: "RingMatrix") -> "RingMatrix":
@@ -266,18 +215,19 @@ def sym_pow_via_orbits(mat: RingMatrix, n: int) -> RingMatrix:
     """Literal orbit enumeration, kept as an oracle for small degrees."""
     _require_sym_args(mat, n)
     ring = mat.ring
+    norm = ring.normalize
     ent = mat.entries
     rows = []
     for i in range(1, n + 2):
         r_i = MultiIndexOrbit(n, i).base_vector()
         row = []
         for j in range(1, n + 2):
-            total = ring.zero
+            total = 0
             for s in MultiIndexOrbit(n, j):
-                prod = ring.one
+                prod = 1
                 for t_u, s_u in zip(r_i, s):
-                    prod = ring.mul(prod, ent[t_u - 1][s_u - 1])
-                total = ring.add(total, prod)
+                    prod = norm(prod * ent[t_u - 1][s_u - 1])
+                total = norm(total + prod)
             row.append(total)
         rows.append(tuple(row))
     return RingMatrix(ring, tuple(rows))
@@ -307,8 +257,6 @@ def sym_pow_kernel_test(mat: RingMatrix, n: int) -> bool:
 
 def is_torsion_scalar(mat: RingMatrix, n: int) -> bool:
     """True when mat equals lambda*I with lambda^n = 1 in the ring."""
-    ring = mat.ring
     (a, b), (c, d) = mat.entries
-    if b != ring.zero or c != ring.zero or a != d:
-        return False
-    return ring.pow(a, n) == ring.one
+    m = mat.ring.modulus
+    return b == c == 0 and a == d and (a**n if m is None else pow(a, n, m)) == 1

@@ -322,7 +322,35 @@ class TestFlagsPerCommand:
         # every value given is checked, also one that a later flag overrides
         (["scan", "--x-bound", "100", "--eps", "0.2"], "eps=-1\n",
          "--eps: must be finite and >= 0, got -1.0"),
-    ], ids=["chebotarev-q", "lift-ell", "verify-config-limit", "scan-overridden-config-eps"])
+        (["density", "--q", "3", "--ell", "7", "--budget", "-1"], None,
+         "--budget: must be >= 0, got -1"),
+        (["lift", "--q", "3", "--ell", "5", "--budget", "-1"], None,
+         "--budget: must be >= 0, got -1"),
+        (["tau", "--find-first-prime", "--limit", "-5"], None, "--limit: must be >= 1, got -5"),
+        (["psi", "--upto", "2"], None, "--upto: must be >= 3, got 2"),
+        (["sympow", "--n", "2", "--entries", "1,0,0,1", "--mod", "0"], None,
+         "error: modulus must be >= 2, got 0"),
+        (["sympow", "--n", "2", "--entries", "1,0,0,1", "--mod", "-7"], None,
+         "error: modulus must be >= 2, got -7"),
+        (["chebotarev", "--q", "5", "--d", "0", "--x-bound", "2000"], None,
+         "error: modulus 0 is not a prime power"),
+        (["chebotarev", "--q", "5", "--d", "1", "--x-bound", "2000"], None,
+         "error: modulus 1 is not a prime power"),
+        (["chebotarev", "--q", "5", "--d", "-11", "--x-bound", "2000"], None,
+         "error: modulus -11 is not a prime power"),
+        (["chebotarev", "--q", "5", "--d", "12", "--x-bound", "2000"], None,
+         "error: modulus 12 is not a prime power"),
+        # without --table the form is the built-in one, of weight 12 and level 1
+        (["coeff", "--p", "2", "--m", "2", "--weight", "3"], None,
+         "error: weight must be an even integer >= 2, got 3"),
+        (["coeff", "--p", "2", "--m", "2", "--weight", "4"], None,
+         "error: the built-in source is the weight-12 level-1 form"),
+        (["scan", "--x-bound", "100", "--level", "2", "--format", "json"], None,
+         "error: the built-in source is the weight-12 level-1 form"),
+    ], ids=["chebotarev-q", "lift-ell", "verify-config-limit", "scan-overridden-config-eps",
+            "density-budget", "lift-budget", "tau-limit", "psi-upto", "sympow-mod0",
+            "sympow-mod-7", "chebotarev-d0", "chebotarev-d1", "chebotarev-d-11",
+            "chebotarev-d12", "coeff-weight3", "coeff-weight4", "scan-level2"])
     def test_flag_checks(self, capsys, tmp_path, argv, config, says):
         if config:
             path = tmp_path / "run.conf"

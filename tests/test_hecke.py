@@ -97,7 +97,7 @@ class TestDeltaCache:
             return [0]
 
         monkeypatch.setattr(hecke, "tau_series", spy)
-        monkeypatch.setattr(hecke, "_delta_cache", hecke._DeltaCache())
+        monkeypatch.setattr(hecke, "_series", [0])
         hecke.warm_delta_cache(10**7 + 1, ceiling=2 * 10**7)
         assert calls == [(10**7 + 1, 2 * 10**7)]
 
