@@ -253,7 +253,8 @@ def _flags_scan(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grh-c", type=_checked(float, "finite and > 0",
                                             lambda v: math.isfinite(v) and v > 0),
                    help="use the power-threshold mode with this constant")
-    p.add_argument("--x-bound", type=int, default=10**3)
+    # primes below MIN_SCAN_PRIME are never scanned, so a lower bound scans nothing
+    p.add_argument("--x-bound", type=_int_at_least(17), default=10**3)
     p.add_argument("--trial-bound", type=_int_at_least(1),
                    default=factor.DEFAULT_TRIAL_BOUND,
                    help="largest prime tried by division before rho; json and text "
@@ -290,8 +291,10 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
 
 
 def _flags_tower(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--p-max", type=int, default=100)
-    p.add_argument("--max-odd", type=int, default=9, help="largest odd exponent bound 2n+1")
+    # below these bounds the tower would check no (p, n) pair at all
+    p.add_argument("--p-max", type=_int_at_least(2), default=100)
+    p.add_argument("--max-odd", type=_int_at_least(3), default=9,
+                   help="largest odd exponent bound 2n+1")
     _add_form(p)
     _add_common(p)
 

@@ -32,6 +32,7 @@ frequency is compared against the density with a binomial noise band.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -418,7 +419,9 @@ def chebotarev_sample(
 
     a_f(p^(q-1)) = psi_q(a_f(p)^2, p^(k-1)) is never materialized: p^(k-1)
     is a unit mod d, so d divides it exactly when a_f(p)^2 p^(1-k) mod d
-    is a root of psi_q(X, 1) mod d, and each residue is tested once.
+    is a root of psi_q(X, 1) mod d.  That depends only on the class of
+    (a_f(p), p) mod d, so one pass counts the primes per class and each
+    class is tested once (each residue of psi_q's argument at most once).
 
     The value is never zero, so ``zero_excluded`` is always 0 (the JSON
     key stays for a stable schema).  a(p^m) = U_(m+1)(a_p, p^(k-1)) is a
@@ -432,17 +435,18 @@ def chebotarev_sample(
     ell, n = _factor_prime_power(d)
     DensityQuery(q, ell, n, f.weight)  # validates q and ell
     psi = psi_poly(q)
-    is_root = cache(lambda r: eval_poly_mod(psi, r, 1, d) == 0)  # residues repeat across primes
+    is_root = cache(lambda r: eval_poly_mod(psi, r, 1, d) == 0)  # residues repeat across classes
     target = closed_form_density(q, ell, n, f.weight)
     k = f.weight
+    classes = Counter((ap % d, p % d) for p, ap in iter_prime_coeffs(f, x_bound))
     hits = 0
     total = 0
-    for p, ap in iter_prime_coeffs(f, x_bound):
-        if d % p == 0:
+    for (a, r), count in classes.items():
+        if r % ell == 0:  # p = ell, whose residue is ell itself when n >= 2
             continue
-        total += 1
-        if is_root(ap * ap * pow(p, 1 - k, d) % d):
-            hits += 1
+        total += count
+        if is_root(a * a * pow(r, 1 - k, d) % d):
+            hits += count
     return ChebotarevSample(
         f_label=f.label or ("builtin" if f.is_builtin else "table"),
         q=q,

@@ -290,6 +290,12 @@ def sato_tate_histogram(f: EigenformSpec, x_bound: int, bins: int = 20) -> SatoT
 
     Every normalized value must land in [-1, 1]; a value outside
     (checked exactly on the integers) raises IdentityViolationError.
+
+    Binning is exact: with lam = a_p / (2 p^((k-1)/2)), (bins * lam)^2 is
+    bins^2 a_p^2 / den, so |z| = floor(|bins * lam|) is the integer square
+    root of its floor.  For even k, p^(k-1) is not a square, so bins * lam
+    is irrational unless a_p = 0, and z = floor(bins * lam) is -|z| - 1
+    for a_p < 0.  lam then lies in bin floor((z + bins) / 2) of [-1, 1].
     """
     if x_bound < 10**3:
         raise ValueError(f"x bound must be at least 1000, got {x_bound}")
@@ -299,11 +305,13 @@ def sato_tate_histogram(f: EigenformSpec, x_bound: int, bins: int = 20) -> SatoT
     total = 0
     half = f.weight - 1
     for p, ap in iter_prime_coeffs(f, x_bound):
-        if ap * ap > 4 * p**half:
+        square, den = ap * ap, 4 * p**half
+        if square > den:
             raise IdentityViolationError(f"|a_{p}| exceeds 2 p^((k-1)/2)")
-        lam = ap / (2.0 * p ** (half / 2.0))
-        idx = int((lam + 1.0) / 2.0 * bins)
-        counts[min(max(idx, 0), bins - 1)] += 1
+        z = math.isqrt(bins * bins * square // den)
+        if ap < 0:
+            z = -z - 1
+        counts[min((z + bins) // 2, bins - 1)] += 1
         total += 1
     width = 2.0 / bins
     expected = [st_measure(-1 + j * width, -1 + (j + 1) * width) for j in range(bins)]

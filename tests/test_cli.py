@@ -182,6 +182,17 @@ class TestScanCommands:
                                  "--format", fmt)
             assert code == EXIT_USAGE and out == "" and flag in err
 
+    def test_scan_rejects_x_bound_below_first_scanned_prime(self, capsys):
+        from taulab.scans import MIN_SCAN_PRIME
+
+        for x in ("-5", "1", str(MIN_SCAN_PRIME - 1)):
+            for fmt in ("json", "csv"):
+                code, out, err = run(capsys, "scan", "--x-bound", x, "--format", fmt)
+                assert code == EXIT_USAGE and out == ""
+                assert f"--x-bound: must be >= {MIN_SCAN_PRIME}, got {x}" in err
+        code, out, _ = run(capsys, "scan", "--x-bound", str(MIN_SCAN_PRIME), "--format", "json")
+        assert code == EXIT_OK and json.loads(out)["rows"] == 1
+
     def test_summary_runs_no_factorization_below_trial_bound(self, capsys, monkeypatch):
         # the benchmark's summary size: every threshold is below 2, so no
         # prime is tried, nothing is tested for primality and the sieve
@@ -347,10 +358,14 @@ class TestFlagsPerCommand:
          "error: the built-in source is the weight-12 level-1 form"),
         (["scan", "--x-bound", "100", "--level", "2", "--format", "json"], None,
          "error: the built-in source is the weight-12 level-1 form"),
+        # a range that checks nothing is bad input, not a vacuous success
+        (["tower", "--max-odd", "0"], None, "--max-odd: must be >= 3, got 0"),
+        (["tower", "--p-max", "1"], None, "--p-max: must be >= 2, got 1"),
     ], ids=["chebotarev-q", "lift-ell", "verify-config-limit", "scan-overridden-config-eps",
             "density-budget", "lift-budget", "tau-limit", "psi-upto", "sympow-mod0",
             "sympow-mod-7", "chebotarev-d0", "chebotarev-d1", "chebotarev-d-11",
-            "chebotarev-d12", "coeff-weight3", "coeff-weight4", "scan-level2"])
+            "chebotarev-d12", "coeff-weight3", "coeff-weight4", "scan-level2",
+            "tower-max-odd0", "tower-p-max1"])
     def test_flag_checks(self, capsys, tmp_path, argv, config, says):
         if config:
             path = tmp_path / "run.conf"

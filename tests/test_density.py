@@ -1,12 +1,14 @@
 import itertools
 import json
+import math
+import random
 import tracemalloc
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from taulab import factor
+from taulab import density, factor
 from taulab.density import (
     DEFAULT_ENUM_BUDGET,
     _square_root_count,
@@ -22,8 +24,26 @@ from taulab.density import (
     unit_power_group_order,
 )
 from taulab.cyclotomic import eval_poly_mod, psi_poly
-from taulab.errors import BudgetExceededError
-from taulab.hecke import coeff_prime_power, delta_series_view, ingest_table
+from taulab.errors import BudgetExceededError, DataExhaustedError
+from taulab.hecke import coeff_prime_power, ingest_table
+
+
+def per_prime_chebotarev(f, q, d, x):
+    """(hits, total, zeros) from psi_q(a_p^2, p^(k-1)) mod d at every prime p <= x off the level."""
+    psi = psi_poly(q)
+    hits = total = zeros = 0
+    for p in factor.primes_up_to(x):
+        if d % p == 0 or f.level % p == 0:
+            continue
+        total += 1
+        a = f.ap(p)
+        if eval_poly_mod(psi, a * a, pow(p, f.weight - 1, d), d) != 0:
+            continue
+        if coeff_prime_power(f, p, q - 1) == 0:
+            zeros += 1
+        else:
+            hits += 1
+    return hits, total, zeros
 
 
 def unit_power_subgroup(modulus, exponent):
@@ -572,27 +592,43 @@ class TestChebotarev:
         assert payload["target"] == "1/5"
 
     @pytest.mark.parametrize(
-        "q,d", [(5, 11), (3, 7), (13, 53), (3, 9), (3, 125), (5, 25), (7, 8), (3, 691)]
+        "q,d",
+        [(5, 11), (3, 7), (13, 53), (3, 9), (3, 125), (5, 25), (7, 8), (3, 691), (3, 2), (3, 32)],
     )
     def test_matches_per_prime_evaluation(self, delta, q, d):
         """Oracle: evaluate psi_q(a_p^2, p^(k-1)) mod d at every prime p <= 10^5."""
         x = 10**5
-        series = delta_series_view(x)
-        psi = psi_poly(q)
-        hits = total = zeros = 0
-        for p in factor.primes_up_to(x):
-            if d % p == 0:
-                continue
-            total += 1
-            ap = series[p]
-            if eval_poly_mod(psi, ap * ap, pow(p, 11, d), d) != 0:
-                continue
-            if coeff_prime_power(delta, p, q - 1) == 0:
-                zeros += 1
-            else:
-                hits += 1
         sample = chebotarev_sample(delta, q, d, x)
-        assert (sample.hits, sample.total_primes, sample.zero_excluded) == (hits, total, zeros)
+        want = per_prime_chebotarev(delta, q, d, x)
+        assert (sample.hits, sample.total_primes, sample.zero_excluded) == want
+
+    @pytest.mark.parametrize("q,d", [(3, 7), (5, 11), (3, 25), (5, 9), (3, 8)])
+    def test_table_form_matches_per_prime_evaluation(self, tmp_path, q, d):
+        """A weight-4 level-15 table: p = 3 and p = 5 divide the level and are skipped."""
+        x, weight, level = 2000, 4, 15
+        rng = random.Random(d * 100 + q)
+        primes = [p for p in factor.primes_up_to(x) if level % p]
+        bound = {p: math.isqrt(4 * p ** (weight - 1)) for p in primes}
+        entries = {p: rng.randint(-bound[p], bound[p]) for p in primes}
+        path = tmp_path / "level15.csv"
+        path.write_text("p,a_p\n" + "".join(f"{p},{a}\n" for p, a in entries.items()))
+        form = ingest_table(path, weight, level)
+        sample = chebotarev_sample(form, q, d, x)
+        want = per_prime_chebotarev(form, q, d, x)
+        assert want[1] == sum(1 for p in primes if d % p)  # beside the level, only p = ell
+        assert (sample.hits, sample.total_primes, sample.zero_excluded) == want
+        with pytest.raises(DataExhaustedError):
+            chebotarev_sample(form, q, d, 2003)  # the walk past the table's bound
+
+    @pytest.mark.parametrize("q,d", [(5, 11), (3, 7), (3, 125), (3, 32)])
+    def test_one_psi_test_per_residue(self, delta_warm_small, monkeypatch, q, d):
+        calls = []
+        real = density.eval_poly_mod
+        monkeypatch.setattr(density, "eval_poly_mod", lambda *a: calls.append(a) or real(*a))
+        sample = chebotarev_sample(delta_warm_small, q, d, 10**4)
+        assert sample.total_primes > 1000
+        assert 0 < len(calls) <= d
+        assert len({args[1] for args in calls}) == len(calls)
 
     def test_no_zero_at_even_exponents(self, delta, tmp_path):
         """Why zero_excluded is always 0: a(p^(q-1)) never vanishes.

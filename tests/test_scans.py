@@ -4,7 +4,8 @@ import pytest
 
 from taulab import factor
 from taulab.cli import EXIT_BUDGET, EXIT_OK, main
-from taulab.hecke import coeff_prime_power
+from taulab.errors import IdentityViolationError
+from taulab.hecke import CoefficientTable, EigenformSpec, coeff_prime_power, ingest_table
 from taulab.scans import (
     CSV_HEADER,
     MIN_SCAN_PRIME,
@@ -17,6 +18,43 @@ from taulab.scans import (
     threshold_scan,
     st_measure,
 )
+
+def isqrt_bin(ap, p, bins):
+    """The benchmark's bin oracle: floor(bins * lam) from one integer square root."""
+    x, n = bins * ap, 4 * p**11
+    root = math.isqrt(x * x // n)
+    k = root if x >= 0 else -(root if root * root * n == x * x else root + 1)
+    return min(max((k + bins) // 2, 0), bins - 1)
+
+
+def edge_bin(ap, p, bins):
+    """The number of interior edges -1 + 2j/bins at or below lam = ap / (2 p^5.5).
+
+    lam >= e_j exactly when bins * ap >= (2j - bins) * 2 p^5.5: compare signs,
+    then the squares bins^2 ap^2 and (2j - bins)^2 4 p^11 as integers.
+    """
+    u2, scale = (bins * ap) ** 2, 4 * p**11
+    count = 0
+    for j in range(1, bins):
+        v = 2 * j - bins
+        if ap >= 0:
+            count += v <= 0 or u2 >= v * v * scale
+        else:
+            count += v < 0 and u2 <= v * v * scale
+    return count
+
+
+def below_edge(p, j, bins):
+    """The largest integer a_p below the edge e_j = -1 + 2j/bins, scaled: a_p < e_j * 2 p^5.5.
+
+    Only the middle edge e_j = 0 is reached exactly; every other one is
+    irrational, since p^11 is not a square.
+    """
+    v = 2 * j - bins
+    n, d = 4 * v * v * p**11, bins * bins
+    root = math.isqrt(n // d)
+    return root - (root * root * d == n) if v >= 0 else -root - 1
+
 
 # (2n, x, threshold, budgets): the GRH constant lifts the threshold above
 # the trial bound, so trial division leaves some verdicts open and those
@@ -276,6 +314,50 @@ class TestSatoTate:
             sato_tate_histogram(delta, 100, 20)
         with pytest.raises(ValueError):
             sato_tate_histogram(delta, 10**4, 1)
+
+    @pytest.mark.parametrize("bins", [3, 7, 20])
+    def test_bins_match_exact_oracles(self, delta_warm_small, bins):
+        primes = factor.primes_up_to(10**4)
+        hist = sato_tate_histogram(delta_warm_small, 10**4, bins=bins)
+        for oracle in (isqrt_bin, edge_bin):
+            want = [0] * bins
+            for p in primes:
+                want[oracle(delta_warm_small.ap(p), p, bins)] += 1
+            assert hist.counts == want
+
+    @pytest.mark.parametrize("bins", [2, 3, 7, 20])
+    def test_planted_values_land_on_their_side_of_each_edge(self, tmp_path, delta_warm_small,
+                                                            bins):
+        """A weight-12 table to 1000 with a_p = 0 and values one apart across every edge."""
+        primes = factor.primes_up_to(1000)
+        entries = {p: delta_warm_small.ap(p) for p in primes}
+        spare = iter(primes[::-1])
+        planted = {next(spare): (0, bins // 2)}
+        for j in range(1, bins):  # interior edge j / bins of the way up [-1, 1]
+            below, above = next(spare), next(spare)
+            planted[below] = (below_edge(below, j, bins), j - 1)
+            planted[above] = (below_edge(above, j, bins) + 1, j)
+        top, bottom = next(spare), next(spare)
+        planted[top] = (below_edge(top, bins, bins), bins - 1)  # just below lam = 1
+        planted[bottom] = (-below_edge(bottom, bins, bins), 0)  # just above lam = -1
+        want = [0] * bins
+        for p in primes:
+            if p in planted:
+                entries[p], b = planted[p]
+            else:
+                b = edge_bin(entries[p], p, bins)
+            want[b] += 1
+        path = tmp_path / "planted.csv"
+        path.write_text("".join(f"{p},{a}\n" for p, a in entries.items()))
+        hist = sato_tate_histogram(ingest_table(path, 12, 1), 1000, bins=bins)
+        assert hist.counts == want
+
+    def test_value_past_the_bound_raises(self):
+        entries = {p: 0 for p in factor.primes_up_to(1000)}
+        entries[997] = -below_edge(997, 1, 1) - 1
+        form = EigenformSpec(12, 1, table=CoefficientTable(bound=1000, entries=entries))
+        with pytest.raises(IdentityViolationError):
+            sato_tate_histogram(form, 1000, bins=2)
 
     def test_csv_lines(self, delta_warm_small):
         hist = sato_tate_histogram(delta_warm_small, 10**4, bins=10)
