@@ -293,8 +293,9 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
 def _flags_tower(p: argparse.ArgumentParser) -> None:
     # below these bounds the tower would check no (p, n) pair at all
     p.add_argument("--p-max", type=_int_at_least(2), default=100)
-    p.add_argument("--max-odd", type=_int_at_least(3), default=9,
-                   help="largest odd exponent bound 2n+1")
+    p.add_argument("--max-odd", type=_checked(int, "an odd integer >= 3",
+                                              lambda v: v >= 3 and v % 2 == 1),
+                   default=9, help="largest odd exponent bound 2n+1")
     _add_form(p)
     _add_common(p)
 

@@ -3,13 +3,17 @@
 The built-in form is the weight-12 level-1 cusp form whose coefficients
 are the tau values; its series comes from the eighth power of the cube
 identity sum((-1)^j (2j+1) x^(j(j+1)/2)), computed as one sparse square
-followed by two dense squarings.  Each dense squaring offsets the
-coefficients to be non-negative, packs them into one big decimal
-number (one fixed-width digit slot per coefficient) and squares it in
-the standard library's ``decimal`` module, whose libmpdec core switches
-to a number-theoretic transform for large operands.  The context traps
-every rounding signal, so the square is exact or raises, and the same
-path runs whether or not the optional gmpy2 package is installed.
+(eta^6) followed by two dense squarings (eta^12, then eta^24).  The dense
+stage is Kronecker substitution in base 10^w: the signed eta^6 list is
+packed once into one big decimal number, a_0 in the lowest w-digit slot,
+and squared in the standard library's ``decimal`` module, whose libmpdec
+core switches to a number-theoretic transform for large operands.  The
+square's low n slots, taken mod 10^(n w), are the ten's complement of
+eta^12; eta^12 stays in ``decimal``, is widened slot by slot to the
+second width and squared again, and only the low slots of that square
+are read back into Python integers.  The context traps every rounding
+signal, so each step is exact or raises, and the same path runs whether
+or not the optional gmpy2 package is installed.
 
 General forms are ingested from CSV tables of a_p values; prime-power
 coefficients then come from the weight-k recursion
@@ -21,9 +25,11 @@ from __future__ import annotations
 
 import csv
 import decimal
+import struct
 import threading
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import repeat
+from operator import add, sub
 from typing import Iterator
 
 from . import factor
@@ -33,7 +39,7 @@ from .factor import mpz  # noqa: F401  (kept as hecke.mpz for environment report
 DEFAULT_SERIES_CEILING = 10**7
 
 # Context of the series squarings.  With every rounding-related signal
-# trapped, a square that would lose a digit raises instead of returning
+# trapped, a step that would lose a digit raises instead of returning
 # wrong coefficients.
 _EXACT = decimal.Context(
     prec=decimal.MAX_PREC,
@@ -41,7 +47,7 @@ _EXACT = decimal.Context(
     Emin=decimal.MIN_EMIN,
     traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow],
 )
-_PACK_CHUNK = 4096  # coefficients joined per string piece while packing
+_BLOCK = 4096  # slots per string piece while packing and unpacking
 
 
 def _eta_cube_sparse(out_len: int) -> list[tuple[int, int]]:
@@ -68,55 +74,143 @@ def _square_sparse(terms: list[tuple[int, int]], out_len: int) -> list[int]:
     return out
 
 
+# Slot arithmetic.  A series c_0, ..., c_(n-1) packs in base B = 10^w as
+# sum c_k B^k, c_0 in the lowest slot.  A packed square is only ever read
+# mod B^n, which is the truncated square: the slots from n up are a
+# multiple of B^n whatever their signs and sizes.  Mod B^n the signed
+# value is a ten's complement; adding B/2 to every slot (the excess E
+# below) turns each slot into c_k + B/2, a w-digit string with no borrow
+# from its neighbours, provided every c_k lies in [-B/2, B/2).
+
+
+def _slot_width(bound: int) -> int:
+    """Fewest digits w with bound <= 10^w / 2 - 1, so |c| <= bound fits an excess slot."""
+    return len(str(2 * bound + 1))
+
+
+def _excess(n: int, w: int, lead: int = 0) -> decimal.Decimal:
+    """E = sum over k < n of (10^w / 2) 10^((w + lead) k), built by doubling.
+
+    Its digit string is n slots of 5 followed by w - 1 zeros, each behind
+    lead more zeros; doubling makes it in log n exact additions, several
+    times faster than parsing that string.
+    """
+    step = w + lead
+    run, size = decimal.Decimal(10**w // 2), 1  # run holds `size` slots
+    total, shift = decimal.Decimal(0), 0
+    while n:
+        if n & 1:
+            total = _EXACT.add(total, run.scaleb(shift, _EXACT))
+            shift += size * step
+        n >>= 1
+        if n:
+            run = _EXACT.add(run, run.scaleb(size * step, _EXACT))
+            size *= 2
+    return total
+
+
+def _pack(a: list[int], w: int) -> decimal.Decimal:
+    """sum a_i 10^(w i), exact, for a list with every a_i in [-10^w / 2, 10^w / 2).
+
+    Each a_i is written as the excess slot a_i + 10^w / 2, a_0 last, and
+    subtracting the excess undoes the offset.
+    """
+    n = len(a)
+    half, slot = 10**w // 2, f"%0{w}d".__mod__
+    blocks = [
+        "".join(map(slot, map(add, reversed(a[i : i + _BLOCK]), repeat(half))))
+        for i in range(0, n, _BLOCK)
+    ]
+    blocks.reverse()  # a_0 ends up in the lowest slot
+    digits = "".join(blocks)
+    del blocks
+    x = decimal.Decimal(digits)
+    del digits
+    return _EXACT.subtract(x, _excess(n, w))
+
+
+def _square_low(x: decimal.Decimal, n: int, w: int) -> bytes:
+    """Digits of (x^2 + E) mod 10^(n w): slot k holds c_k + 10^w / 2.
+
+    c is the square of the packed series truncated to n terms, and every
+    c_k must lie in [-10^w / 2, 10^w / 2).  The top half of the square is
+    cut off by exact scaleb / to_integral_value / subtract, so only n w
+    digits are ever written out as a string.
+    """
+    digits = n * w
+    t = _EXACT.add(_EXACT.multiply(x, x), _excess(n, w))
+    high = t.scaleb(-digits, _EXACT).to_integral_value(decimal.ROUND_DOWN, _EXACT)
+    low = _EXACT.subtract(t, high.scaleb(digits, _EXACT))
+    del t, high
+    return str(low).zfill(digits).encode("ascii")
+
+
+def _widen(slots: bytes, n: int, w: int, w2: int) -> decimal.Decimal:
+    """sum c_k 10^(w2 k) from n excess slots of w <= w2 digits.
+
+    Each slot moves behind w2 - w zeros by w strided copies, so no Python
+    object is made per coefficient; subtracting the excess of the moved
+    slots leaves the signed value.
+    """
+    out = bytearray(b"0") * (n * w2)
+    for j in range(w):
+        out[w2 - w + j :: w2] = slots[j::w]
+    x = decimal.Decimal(out.decode("ascii"))
+    del out
+    return _EXACT.subtract(x, _excess(n, w, w2 - w))
+
+
+def _unpack(slots: bytes, n: int, w: int) -> list[int]:
+    """[c_0, ..., c_(n-1)] from n excess slots of w digits, read block by block."""
+    half = 10**w // 2
+    out: list[int] = []
+    for start in range(0, n, _BLOCK):
+        end = min(n, start + _BLOCK)
+        block = struct.unpack_from(f"{w}s" * (end - start), slots, (n - end) * w)
+        out.extend(map(sub, map(int, reversed(block)), repeat(half)))
+    return out
+
+
 def _square_dense(a: list[int]) -> list[int]:
     """Square of a dense integer series, truncated to len(a) terms.
 
-    Each coefficient is offset by B = max|a_i| into [0, 2B] and packed as
-    one fixed-width decimal slot, a_0 in the most significant one.  A
-    slot of the packed square holds at most len(a) (2B)^2, so it never
-    carries into its neighbour; the offset is removed again per slot:
-    (a^2)_k = slot_k - 2B (a_0 + ... + a_k) - B^2 (k + 1).
+    By Cauchy-Schwarz |(a^2)_k| = |sum a_i a_(k-i)| <= sum a_i^2, so
+    slots of _slot_width(sum a_i^2) digits hold every coefficient.
     """
     n = len(a)
-    big = max(map(abs, a))
-    width = len(str(n * (2 * big) ** 2))
-    slot = f"%0{width}d"
-    chunks = [
-        "".join([slot % (c + big) for c in a[i : i + _PACK_CHUNK]])
-        for i in range(0, n, _PACK_CHUNK)
-    ]
-    # Each buffer is dropped once consumed: at 10^6 terms they are tens of MB.
-    packed = "".join(chunks)
-    del chunks
-    x = decimal.Decimal(packed)
-    del packed
-    square = _EXACT.multiply(x, x)
-    del x
-    # Keep the top n of the square's 2n - 1 slots: scaleb moves the point
-    # exactly, and to_integral_value drops the low slots without signalling
-    # Inexact or Rounded.
-    high = square.scaleb(-(n - 1) * width, _EXACT).to_integral_value(decimal.ROUND_DOWN, _EXACT)
-    del square
-    head = str(high).zfill(n * width)
-    del high
-    two_big, big_sq = 2 * big, big * big
-    return [
-        int(head[k * width : (k + 1) * width]) - two_big * prefix - big_sq * (k + 1)
-        for k, prefix in enumerate(accumulate(a))
-    ]
+    w = _slot_width(sum(c * c for c in a))
+    return _unpack(_square_low(_pack(a, w), n, w), n, w)
 
 
 def tau_series(limit: int, *, ceiling: int = DEFAULT_SERIES_CEILING) -> list[int]:
-    """Exact tau values; returned list has result[n] = tau(n), result[0] = 0."""
+    """Exact tau values; returned list has result[n] = tau(n), result[0] = 0.
+
+    Slot widths, both proved rather than measured:
+
+    * eta^12 uses w1 = _slot_width(sum a_i^2) over the eta^6 coefficients
+      a_i: by Cauchy-Schwarz |eta^12_k| <= sum a_i^2 (17 digits at 10^5).
+    * eta^24 = Delta / q uses w2 = _slot_width(2 limit^6): Deligne's bound
+      |tau(m)| <= d(m) m^(11/2) with d(m) < 2 sqrt(m) (divisors pair up
+      about sqrt(m)) gives |tau(m)| < 2 m^6 <= 2 limit^6 (31 digits at
+      10^5).  w2 is taken at least w1 so that widening only adds digits.
+    """
     if limit < 1:
         raise ValueError(f"series length must be >= 1, got {limit}")
     if limit > ceiling:
         raise BudgetExceededError(
             f"series length {limit} above memory ceiling {ceiling}", needed=limit, cap=ceiling
         )
-    series = _square_sparse(_eta_cube_sparse(limit), limit)  # eta^6
-    series = _square_dense(series)  # eta^12
-    series = _square_dense(series)  # eta^24
+    # each buffer is dropped once consumed: at 10^6 terms they are tens of MB
+    eta6 = _square_sparse(_eta_cube_sparse(limit), limit)
+    w1 = _slot_width(sum(c * c for c in eta6))
+    w2 = max(w1, _slot_width(2 * limit**6))
+    x = _pack(eta6, w1)
+    del eta6
+    eta12 = _square_low(x, limit, w1)
+    del x
+    x = _widen(eta12, limit, w1, w2)
+    del eta12
+    series = _unpack(_square_low(x, limit, w2), limit, w2)
     series.insert(0, 0)
     return series
 

@@ -359,13 +359,15 @@ class TestFlagsPerCommand:
         (["scan", "--x-bound", "100", "--level", "2", "--format", "json"], None,
          "error: the built-in source is the weight-12 level-1 form"),
         # a range that checks nothing is bad input, not a vacuous success
-        (["tower", "--max-odd", "0"], None, "--max-odd: must be >= 3, got 0"),
+        (["tower", "--max-odd", "0"], None, "--max-odd: must be an odd integer >= 3, got 0"),
+        # an even bound would run the same pairs as the odd one below it
+        (["tower", "--max-odd", "4"], None, "--max-odd: must be an odd integer >= 3, got 4"),
         (["tower", "--p-max", "1"], None, "--p-max: must be >= 2, got 1"),
     ], ids=["chebotarev-q", "lift-ell", "verify-config-limit", "scan-overridden-config-eps",
             "density-budget", "lift-budget", "tau-limit", "psi-upto", "sympow-mod0",
             "sympow-mod-7", "chebotarev-d0", "chebotarev-d1", "chebotarev-d-11",
             "chebotarev-d12", "coeff-weight3", "coeff-weight4", "scan-level2",
-            "tower-max-odd0", "tower-p-max1"])
+            "tower-max-odd0", "tower-max-odd4", "tower-p-max1"])
     def test_flag_checks(self, capsys, tmp_path, argv, config, says):
         if config:
             path = tmp_path / "run.conf"

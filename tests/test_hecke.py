@@ -1,6 +1,6 @@
 import decimal
 import threading
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -57,6 +57,38 @@ class TestSeries:
                 if gcd(a, b) == 1:
                     assert series[a * b] == series[a] * series[b], (a, b)
 
+    def test_prime_powers_match_recursion(self):
+        limit = 5000
+        series = tau_series(limit)
+        for p in factor.primes_up_to(limit):
+            value, m = p, 1
+            while value <= limit:
+                assert series[value] == hecke._coeff_from_ap(series[p], p, 12, m), (p, m)
+                value *= p
+                m += 1
+
+    def test_tau_width_holds_every_value(self, monkeypatch):
+        widths = []
+        widen = hecke._widen
+
+        def spy(slots, n, w, w2):
+            widths.append(w2)
+            return widen(slots, n, w, w2)
+
+        monkeypatch.setattr(hecke, "_widen", spy)
+        series = tau_series(10**4)
+        (w2,) = widths
+        largest = max(map(abs, series))
+        # an excess slot of w2 digits holds [-10^w2 / 2, 10^w2 / 2)
+        assert len(str(largest)) < w2 and largest <= 10**w2 // 2 - 1
+
+    def test_lossy_context_raises(self, monkeypatch):
+        lossy = hecke._EXACT.copy()
+        lossy.prec = 8
+        monkeypatch.setattr(hecke, "_EXACT", lossy)
+        with pytest.raises((decimal.Inexact, decimal.Rounded)):
+            tau_series(50)
+
 
 def _naive_truncated_square(a):
     return [sum(a[i] * a[k - i] for i in range(k + 1)) for k in range(len(a))]
@@ -86,6 +118,62 @@ class TestDenseSquare:
         monkeypatch.setattr(hecke, "_EXACT", lossy)
         with pytest.raises((decimal.Inexact, decimal.Rounded)):
             hecke._square_dense([3, -1, 4, 1, -5, 9, -2, 6])
+
+
+def _slot_round_trip(a, w2):
+    """The dense stage of tau_series: pack, square-low, widen to w2, square-low, unpack."""
+    n = len(a)
+    w1 = hecke._slot_width(sum(c * c for c in a))
+    low = hecke._square_low(hecke._pack(a, w1), n, w1)
+    return hecke._unpack(hecke._square_low(hecke._widen(low, n, w1, w2), n, w2), n, w2)
+
+
+class TestSlots:
+    @given(
+        a=st.lists(
+            st.one_of(st.integers(-3, 3), st.integers(-(2**64), 2**64)),
+            min_size=1,
+            max_size=48,
+        ),
+        extra=st.integers(0, 3),
+    )
+    @example(a=[-7], extra=0)  # n = 1
+    @example(a=[4, 2, 2, 2, 2, 4], extra=0)  # slot 5 of the square is +48 = 10^2 / 2 - 2
+    @example(a=[4, 2, 2, -2, -2, -4], extra=0)  # ... and -48
+    @example(a=[4, 2, 2, 1, 2, 2, 4], extra=0)  # +49, the top of a two-digit excess slot
+    @example(a=[5, 5], extra=0)  # +50 = sum a_i^2 needs a third digit
+    @example(a=[-1] * 48, extra=0)  # a packed run of -1
+    @example(a=[1] + [-1] * 47, extra=2)  # square 1, -2, -1, 0, 1, ...
+    @example(a=[0, 1] + [0] * 28 + [-1] + [0] * 17, extra=0)  # -2 at slot 31, zeros above: a borrow chain to the top
+    @example(a=[1] * 47 + [-3], extra=1)  # a negative top slot
+    @example(a=[(-1) ** i for i in range(48)], extra=0)  # 1/(1+x): squares alternate in sign
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_matches_naive(self, a, extra):
+        square = _naive_truncated_square(a)
+        fourth = _naive_truncated_square(square)
+        w1 = hecke._slot_width(sum(c * c for c in a))
+        w2 = max(w1, hecke._slot_width(sum(c * c for c in square))) + extra
+        assert _slot_round_trip(a, w2) == fourth
+
+    @pytest.mark.parametrize("n", [4095, 4096, 4097])
+    def test_round_trip_across_block_edges(self, n):
+        # the quadratic naive square is too slow here; 1/(1+x) squared twice
+        # is 1/(1+x)^4, whose coefficients alternate in sign
+        a = [(-1) ** i for i in range(n)]
+        w2 = hecke._slot_width(sum((k + 1) ** 2 for k in range(n)))
+        assert _slot_round_trip(a, w2) == [(-1) ** k * comb(k + 3, 3) for k in range(n)]
+
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097])
+    def test_unpack_and_widen_read_every_slot(self, n):
+        w, w2 = 3, 7
+        # both ends of a three-digit excess slot, zero and a borrow
+        values = [(-500, 499, 0, -1)[k % 4] for k in range(n)]
+        slots = "".join(str(c + 500).zfill(w) for c in reversed(values)).encode()
+        assert hecke._unpack(slots, n, w) == values
+        packed = 0
+        for c in reversed(values):
+            packed = packed * 10**w2 + c
+        assert int(hecke._widen(slots, n, w, w2)) == packed
 
 
 class TestDeltaCache:
