@@ -8,9 +8,10 @@ flags, and the run function imports only the modules it uses, so
 argument (none, ``-h``, a typo) builds every command, for the full help
 and error messages.
 
-Exit codes: 0 success, 1 bad input, 2 a resource budget stopped the
-computation or the result is partial, 3 a mathematical identity the
-package promises failed (the loudest possible signal).
+Exit codes: 0 success, 1 bad input (a file that cannot be read or
+written included), 2 a resource budget stopped the computation or the
+result is partial, 3 a mathematical identity the package promises
+failed (the loudest possible signal).
 
 Identical configurations (including the seed) produce byte-identical
 output.
@@ -274,7 +275,7 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
     f = _form(ns)
     args = (f, ns.two_n, ns.x_bound)
     budgets = dict(
-        epsilon=None if ns.grh_c is not None else ns.epsilon,
+        epsilon=ns.epsilon,
         grh_c=ns.grh_c,
         trial_bound=ns.trial_bound,
         rho_budget=ns.rho_budget,
@@ -454,7 +455,7 @@ def _main(argv: list[str] | None) -> int:
         return EXIT_USAGE
     try:
         return _COMMANDS[ns.command][2](ns)
-    except (ValueError, TableFormatError, DataExhaustedError, KeyError) as exc:
+    except (OSError, ValueError, TableFormatError, DataExhaustedError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except (BudgetExceededError, PartialFactorizationError) as exc:

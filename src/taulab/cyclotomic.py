@@ -257,9 +257,32 @@ def multiply_by_x_plus_y(p: BivariatePoly) -> BivariatePoly:
     return BivariatePoly(tuple(out))
 
 
-def _sylvester_resultant(f: UnivariatePoly, g: UnivariatePoly) -> int:
-    from .rings import _int_det  # local import avoids a cycle at module load
+def _int_det(rows) -> int:
+    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
+    a = [list(map(int, r)) for r in rows]
+    n = len(a)
+    if n == 1:
+        return a[0][0]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
+
+def _sylvester_resultant(f: UnivariatePoly, g: UnivariatePoly) -> int:
     m, n = f.degree, g.degree
     size = m + n
     fc = list(reversed(f.coeffs))

@@ -27,6 +27,9 @@ p not dividing d that holds exactly when a_f(p)^2 p^(1-k) mod d is a
 root of psi_q(X, 1) mod d, so each prime costs one modular power and a
 lookup, and psi_q is evaluated at most once per residue mod d.  The hit
 frequency is compared against the density with a binomial noise band.
+
+The same root search, taken to q^2 at l = q, also decides whether
+psi_q(u, v) = 0 mod q^2 has a solution with u, v not both divisible by q.
 """
 
 from __future__ import annotations
@@ -463,15 +466,13 @@ def chebotarev_sample(
 def psi_insoluble_mod_q_squared(q: int) -> bool:
     """True when psi_q(u, v) = 0 mod q^2 has no solution with gcd(u, v, q) = 1.
 
-    Exhaustive over (u, v) mod q^2; this is what forces the density to
-    vanish at every power of q for q >= 5.
+    psi_q is homogeneous and monic in X, so for an odd prime q a zero
+    with q not dividing v is a root u / v of psi_q(X, 1) mod q^2, and
+    one with q | v has psi_q(u, v) = u^m mod q, nonzero unless q | u.
+    So the answer is that the count's root search finds no root mod q^2.
+    This is what forces the density to vanish at every power of q for
+    q >= 5.
     """
-    psi = psi_poly(q)
-    m = q * q
-    for u in range(m):
-        for v in range(m):
-            if u % q == 0 and v % q == 0:
-                continue
-            if eval_poly_mod(psi, u, v, m) == 0:
-                return False
-    return True
+    DensityQuery(q, q, 2)  # validates q
+    *_, roots = _root_levels(q, q, 2, DEFAULT_ENUM_BUDGET)
+    return not roots

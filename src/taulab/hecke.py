@@ -171,19 +171,11 @@ def _unpack(slots: bytes, n: int, w: int) -> list[int]:
     return out
 
 
-def _square_dense(a: list[int]) -> list[int]:
-    """Square of a dense integer series, truncated to len(a) terms.
-
-    By Cauchy-Schwarz |(a^2)_k| = |sum a_i a_(k-i)| <= sum a_i^2, so
-    slots of _slot_width(sum a_i^2) digits hold every coefficient.
-    """
-    n = len(a)
-    w = _slot_width(sum(c * c for c in a))
-    return _unpack(_square_low(_pack(a, w), n, w), n, w)
-
-
-def tau_series(limit: int, *, ceiling: int = DEFAULT_SERIES_CEILING) -> list[int]:
+def tau_series(limit: int) -> list[int]:
     """Exact tau values; returned list has result[n] = tau(n), result[0] = 0.
+
+    A limit above DEFAULT_SERIES_CEILING, read at each call, raises
+    BudgetExceededError before any work.
 
     Slot widths, both proved rather than measured:
 
@@ -196,6 +188,7 @@ def tau_series(limit: int, *, ceiling: int = DEFAULT_SERIES_CEILING) -> list[int
     """
     if limit < 1:
         raise ValueError(f"series length must be >= 1, got {limit}")
+    ceiling = DEFAULT_SERIES_CEILING
     if limit > ceiling:
         raise BudgetExceededError(
             f"series length {limit} above memory ceiling {ceiling}", needed=limit, cap=ceiling
@@ -219,18 +212,14 @@ _lock = threading.Lock()
 _series: list[int] = [0]
 
 
-def _tau_upto(n: int, ceiling: int = DEFAULT_SERIES_CEILING) -> list[int]:
+def _tau_upto(n: int) -> list[int]:
     """The shared grow-only tau series, grown to hold index n; safe for concurrent readers."""
     global _series
     if n >= len(_series):
         with _lock:
             if n >= len(_series):
-                target = min(max(n, 2 * (len(_series) - 1), 1024), ceiling)
-                if target < n:
-                    raise BudgetExceededError(
-                        f"tau series request {n} above ceiling {ceiling}", needed=n, cap=ceiling
-                    )
-                _series = tau_series(target, ceiling=ceiling)
+                grown = min(max(2 * (len(_series) - 1), 1024), DEFAULT_SERIES_CEILING)
+                _series = tau_series(max(n, grown))  # tau_series refuses n past the ceiling
     return _series
 
 
@@ -392,9 +381,9 @@ def export_table(f: EigenformSpec, path, bound: int) -> None:
             fh.write(f"{p},{ap}\n")
 
 
-def warm_delta_cache(limit: int, ceiling: int = DEFAULT_SERIES_CEILING) -> None:
+def warm_delta_cache(limit: int) -> None:
     """Precompute the shared tau series up to limit (idempotent)."""
-    _tau_upto(limit, ceiling)
+    _tau_upto(limit)
 
 
 def delta_series_view(limit: int) -> list[int]:
@@ -428,15 +417,16 @@ def iter_prime_coeffs(f: EigenformSpec, x_bound: int) -> Iterator[tuple[int, int
     already proves them prime, so unlike ``EigenformSpec.ap`` the walk
     does not re-test them: a_p is read straight from the warm tau series
     (the built-in form has level 1) or from the table, whose ``ap`` still
-    raises DataExhaustedError past its bound.
+    raises DataExhaustedError past its bound.  The built-in form takes
+    its series before the sieve runs, so a walk past the series ceiling
+    is refused before it sieves.
     """
-    primes = factor.primes_up_to(x_bound)
     if f.table is None:
         series = _tau_upto(x_bound)
-        for p in primes:
+        for p in factor.primes_up_to(x_bound):
             yield p, series[p]
         return
     table, level = f.table, f.level
-    for p in primes:
+    for p in factor.primes_up_to(x_bound):
         if level % p:
             yield p, table.ap(p)

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from math import comb, gcd
 
-from .cyclotomic import _unpack_signed, eval_poly, f_poly
+from .cyclotomic import _int_det, _unpack_signed, eval_poly, f_poly
 from .errors import SingularMatrixError
 
 # sym_pow costs n + 1 big-integer products of O(n^2 log(entry)) bits; the
@@ -54,31 +54,6 @@ ZZ = Ring(None)
 
 def Zmod(m: int) -> Ring:
     return Ring(m)
-
-
-def _int_det(rows) -> int:
-    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
-    a = [list(map(int, r)) for r in rows]
-    n = len(a)
-    if n == 1:
-        return a[0][0]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 @dataclass(frozen=True)

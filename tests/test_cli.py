@@ -415,6 +415,20 @@ class TestConfigFile:
         assert code == EXIT_USAGE and out == ""
 
 
+class TestFileErrors:
+    def test_missing_table(self, capsys, tmp_path):
+        missing = tmp_path / "missing.csv"
+        code, out, err = run(capsys, "coeff", "--p", "2", "--m", "2", "--table", str(missing))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: ") and str(missing) in err
+
+    def test_out_in_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "missing-dir" / "x"
+        code, out, err = run(capsys, "psi", "--n", "5", "--out", str(target))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: ") and str(target) in err
+
+
 GOLDEN_TEXT = json.loads((DATA / "cli_golden.json").read_text())
 
 

@@ -431,6 +431,22 @@ class TestLifts:
         assert psi_insoluble_mod_q_squared(7)
         assert not psi_insoluble_mod_q_squared(3)
 
+    @pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
+    def test_insolubility_matches_every_pair_mod_q_squared(self, q):
+        psi, m = psi_poly(q), q * q
+        soluble = any(
+            eval_poly_mod(psi, u, v, m) == 0
+            for u in range(m)
+            for v in range(m)
+            if u % q or v % q
+        )
+        assert psi_insoluble_mod_q_squared(q) == (not soluble)
+
+    @pytest.mark.parametrize("q", [1, 2, 9, 15])
+    def test_insolubility_rejects_q_not_an_odd_prime(self, q):
+        with pytest.raises(ValueError):
+            psi_insoluble_mod_q_squared(q)
+
     def test_budget_error_carries_requirement(self):
         # the budget counts evaluations of psi_q(X, 1), one word each below
         # 2^64: l for the roots mod l, then l for each root carried to each

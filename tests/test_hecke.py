@@ -46,9 +46,10 @@ class TestSeries:
         with pytest.raises(ValueError):
             tau_series(0)
 
-    def test_memory_ceiling(self):
+    def test_memory_ceiling(self, monkeypatch):
+        monkeypatch.setattr(hecke, "DEFAULT_SERIES_CEILING", 10**5)
         with pytest.raises(BudgetExceededError):
-            tau_series(10**6, ceiling=10**5)
+            tau_series(10**5 + 1)
 
     def test_multiplicativity(self):
         series = delta_series_view(10**4)
@@ -94,6 +95,17 @@ def _naive_truncated_square(a):
     return [sum(a[i] * a[k - i] for i in range(k + 1)) for k in range(len(a))]
 
 
+def _square_dense(a):
+    """One dense squaring of the series stage, with the data-derived width.
+
+    By Cauchy-Schwarz |(a^2)_k| = |sum a_i a_(k-i)| <= sum a_i^2, so
+    slots of _slot_width(sum a_i^2) digits hold every coefficient.
+    """
+    n = len(a)
+    w = hecke._slot_width(sum(c * c for c in a))
+    return hecke._unpack(hecke._square_low(hecke._pack(a, w), n, w), n, w)
+
+
 class TestDenseSquare:
     @given(
         a=st.lists(
@@ -110,14 +122,14 @@ class TestDenseSquare:
     @example(a=[-4, 0])  # offset series [0, 4]: every digit of its square lies past the kept slots
     @settings(max_examples=300, deadline=None)
     def test_matches_naive_convolution(self, a):
-        assert hecke._square_dense(a) == _naive_truncated_square(a)
+        assert _square_dense(a) == _naive_truncated_square(a)
 
     def test_lossy_context_raises(self, monkeypatch):
         lossy = hecke._EXACT.copy()
         lossy.prec = 8
         monkeypatch.setattr(hecke, "_EXACT", lossy)
         with pytest.raises((decimal.Inexact, decimal.Rounded)):
-            hecke._square_dense([3, -1, 4, 1, -5, 9, -2, 6])
+            _square_dense([3, -1, 4, 1, -5, 9, -2, 6])
 
 
 def _slot_round_trip(a, w2):
@@ -178,16 +190,26 @@ class TestSlots:
 
 class TestDeltaCache:
     def test_warm_honours_ceiling(self, monkeypatch):
-        calls = []
-
-        def spy(limit, *, ceiling=hecke.DEFAULT_SERIES_CEILING):
-            calls.append((limit, ceiling))
-            return [0]
-
-        monkeypatch.setattr(hecke, "tau_series", spy)
         monkeypatch.setattr(hecke, "_series", [0])
-        hecke.warm_delta_cache(10**7 + 1, ceiling=2 * 10**7)
-        assert calls == [(10**7 + 1, 2 * 10**7)]
+        monkeypatch.setattr(hecke, "DEFAULT_SERIES_CEILING", 2000)
+        hecke.warm_delta_cache(10)
+        assert len(hecke._series) == 1025  # the smallest build
+        hecke.warm_delta_cache(1500)
+        assert len(hecke._series) == 2001  # doubling stops at the ceiling
+        with pytest.raises(BudgetExceededError):
+            hecke.warm_delta_cache(2001)
+        monkeypatch.setattr(hecke, "DEFAULT_SERIES_CEILING", 500)
+        hecke.warm_delta_cache(2000)  # a warm cache serves any index it holds
+        with pytest.raises(BudgetExceededError):
+            hecke.warm_delta_cache(2001)
+
+    def test_walk_past_the_ceiling_is_refused_before_sieving(self, monkeypatch):
+        sieved = []
+        real_sieve = factor.primes_up_to
+        monkeypatch.setattr(factor, "primes_up_to", lambda n: sieved.append(n) or real_sieve(n))
+        with pytest.raises(BudgetExceededError):
+            list(iter_prime_coeffs(EigenformSpec.delta(), hecke.DEFAULT_SERIES_CEILING + 1))
+        assert sieved == []
 
 
 class TestPrimePowers:
