@@ -7,8 +7,9 @@ Modules:
 * ``hecke``      -- tau series, prime-power coefficients, table ingestion
 * ``density``    -- trace-zero densities over GL2 of finite rings, Chebotarev scans
 * ``factor``     -- factorization and primality plumbing
-* ``scans``      -- largest-prime-factor scans, divisibility towers, value histograms
-* ``identities`` -- the identity checks behind ``taulab verify`` and the acceptance suite
+* ``scans``      -- largest-prime-factor scans, Sato-Tate value histograms
+* ``identities`` -- each promised identity written once: the checks behind ``taulab verify``,
+                    ``taulab tower`` and the test suite
 * ``cli``        -- every operation as a subcommand
 """
 

@@ -302,18 +302,15 @@ def _flags_tower(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_tower(ns: argparse.Namespace) -> int:
-    from . import scans
+    from . import hecke, identities
 
     f = _form(ns)
-    checked = 0
-    for p in factor.primes_up_to(ns.p_max):
-        if f.level % p == 0:
-            continue
-        for n in range(1, (ns.max_odd - 1) // 2 + 1):
-            if not scans.check_divisibility_tower(f, p, n):
-                raise IdentityViolationError(f"divisibility tower failed at p={p}, 2n={2 * n}")
-            checked += 1
-    _emit(ns, f"tower verified on {checked} (p, n) pairs")
+    for line in identities.divisibility_tower(f=f, p_max=ns.p_max, max_odd=ns.max_odd):
+        raise IdentityViolationError(line.removeprefix("FAIL "))
+    primes = sum(1 for _ in hecke.iter_prime_coeffs(f, ns.p_max))
+    if not primes:
+        raise ValueError(f"no prime up to --p-max {ns.p_max} is coprime to the level {f.level}")
+    _emit(ns, f"tower verified on {primes * ((ns.max_odd - 1) // 2)} (p, n) pairs")
     return EXIT_OK
 
 

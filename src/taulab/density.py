@@ -57,6 +57,11 @@ DELTA_EXCEPTIONAL_PRIMES = frozenset({2, 3, 5, 7, 23, 691})
 _CLASS_KEYS = ("central", "nonsemisimple", "splitSemisimple", "nonsplitSemisimple")
 
 
+def _check_q(q: int) -> None:
+    if q < 3 or q % 2 == 0 or not factor.is_prime(q):
+        raise ValueError(f"q must be an odd prime, got {q}")
+
+
 @dataclass(frozen=True)
 class DensityQuery:
     q: int
@@ -65,8 +70,7 @@ class DensityQuery:
     weight: int = 12
 
     def __post_init__(self):
-        if self.q < 3 or self.q % 2 == 0 or not factor.is_prime(self.q):
-            raise ValueError(f"q must be an odd prime, got {self.q}")
+        _check_q(self.q)
         if not factor.is_prime(self.ell):
             raise ValueError(f"ell must be prime, got {self.ell}")
         if self.n < 1:
@@ -408,11 +412,20 @@ class ChebotarevSample:
 
 
 def _factor_prime_power(d: int) -> tuple[int, int]:
-    factors = factor.factorize(d).factors if d >= 2 else {}
-    if len(factors) != 1:
-        raise ValueError(f"modulus {d} is not a prime power")
-    [(ell, n)] = factors.items()
-    return ell, n
+    """(ell, n) with ell prime and ell^n = d, found by integer roots without factoring.
+
+    For the largest k with d an exact k-th power r^k, d is a prime power
+    exactly when r is prime, so one ``factor.is_prime`` call decides it:
+    the test ``factorize`` certifies its primes with.
+    """
+    if d >= 2:
+        for k in range(d.bit_length(), 0, -1):
+            r = factor._iroot(d, k)
+            if r**k == d:
+                if factor.is_prime(r):
+                    return r, k
+                break
+    raise ValueError(f"modulus {d} is not a prime power")
 
 
 def chebotarev_sample(
@@ -436,7 +449,7 @@ def chebotarev_sample(
     if x_bound < 10**3:
         raise ValueError(f"x bound must be at least 1000, got {x_bound}")
     ell, n = _factor_prime_power(d)
-    DensityQuery(q, ell, n, f.weight)  # validates q and ell
+    _check_q(q)  # ell is proven prime above, and the form has checked its weight
     psi = psi_poly(q)
     is_root = cache(lambda r: eval_poly_mod(psi, r, 1, d) == 0)  # residues repeat across classes
     target = closed_form_density(q, ell, n, f.weight)
@@ -473,6 +486,6 @@ def psi_insoluble_mod_q_squared(q: int) -> bool:
     This is what forces the density to vanish at every power of q for
     q >= 5.
     """
-    DensityQuery(q, q, 2)  # validates q
+    _check_q(q)
     *_, roots = _root_levels(q, q, 2, DEFAULT_ENUM_BUDGET)
     return not roots

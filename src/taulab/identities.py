@@ -1,15 +1,18 @@
-"""The exact identities taulab promises, one check per ``taulab verify`` line.
+"""The exact identities taulab promises, each written once.
 
 Each check takes its range as keyword arguments, whose defaults are the
 ranges ``verify`` uses, and yields one ``FAIL`` line per input where its
 law breaks.  ``check.passed`` is the line ``verify`` prints when a check
 yields nothing, formatted with the keyword arguments ``verify`` passes.
-The acceptance criteria call the same checks at their own ranges.
+``divisibility_tower`` is the check ``taulab tower`` runs instead, so it
+has no such line.  The acceptance criteria and the test suite call the
+same checks at their own ranges.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from typing import Iterator
@@ -129,10 +132,10 @@ def lift_ratio(*, cases=((3, 5), (3, 7)), budget=density.DEFAULT_ENUM_BUDGET) ->
 
 @_passes("PASS series agrees with the recursion at all prime powers <= {limit}")
 def series_recursion(*, limit: int) -> Iterator[str]:
-    """tau(p^m) from the series equals the Hecke recursion, for p^m <= limit, m >= 2."""
-    series = hecke.tau_series(limit)
+    """tau(p^m) from the shared series equals the Hecke recursion, for p^m <= limit, m >= 2."""
+    series = hecke.delta_series_view(limit)
     delta = hecke.EigenformSpec.delta()
-    for p in factor.primes_up_to(limit):
+    for p in factor.primes_up_to(math.isqrt(limit)):
         pm, m = p * p, 2
         while pm <= limit:
             if series[pm] != hecke.coeff_prime_power(delta, p, m):
@@ -151,3 +154,18 @@ def psi_coefficients(*, qs=(3, 5, 7), primes=(2, 3, 5, 7, 11, 13)) -> Iterator[s
             rhs = cyclotomic.eval_poly(cyclotomic.psi_poly(q), delta.ap(p) ** 2, p**11)
             if lhs != rhs:
                 yield f"FAIL trace-polynomial identity at q={q}, p={p}"
+
+
+def divisibility_tower(*, f: hecke.EigenformSpec, p_max: int, max_odd: int) -> Iterator[str]:
+    """a_f(p^(d-1)) divides a_f(p^(2n)) for every divisor d > 1 of 2n+1.
+
+    Runs over the primes p <= p_max that do not divide the level and every
+    odd 2n+1 <= max_odd, p first; a zero a_f(p^(d-1)) divides only zero.
+    """
+    for p, ap in hecke.iter_prime_coeffs(f, p_max):
+        values = [hecke._coeff_from_ap(ap, p, f.weight, m) for m in range(max_odd)]
+        for odd in range(3, max_odd + 1, 2):
+            top = values[odd - 1]
+            lowers = [values[d - 1] for d in range(3, odd + 1, 2) if odd % d == 0]
+            if any(top % lower if lower else top for lower in lowers):
+                yield f"FAIL divisibility tower failed at p={p}, 2n={odd - 1}"

@@ -1,4 +1,4 @@
-"""Largest-prime-factor scans, divisibility towers, and value histograms.
+"""Largest-prime-factor scans and Sato-Tate value histograms.
 
 The headline scan walks primes p and asks whether the largest prime
 factor of a_f(p^(2n)) clears a slowly growing threshold.  Rows are
@@ -40,7 +40,7 @@ import mpmath
 
 from . import factor
 from .errors import IdentityViolationError
-from .hecke import EigenformSpec, _coeff_from_ap, coeff_prime_power, iter_prime_coeffs
+from .hecke import EigenformSpec, _coeff_from_ap, iter_prime_coeffs
 
 # log log p > 1 from the first prime past e^e, so the threshold is a
 # positive real from here on
@@ -220,25 +220,6 @@ def threshold_scan(
     rows = list(scan_rows(f, two_n, x_bound, epsilon=epsilon, grh_c=grh_c,
                           trial_bound=trial_bound, rho_budget=rho_budget, pin=True))
     return rows, ScanSummary.of(rows)
-
-
-def check_divisibility_tower(f: EigenformSpec, p: int, n: int) -> bool:
-    """a_f(p^(d-1)) divides a_f(p^(2n)) for every divisor d > 1 of 2n+1."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    odd = 2 * n + 1
-    top = coeff_prime_power(f, p, 2 * n)
-    for d in range(3, odd + 1, 2):
-        if odd % d:
-            continue
-        lower = coeff_prime_power(f, p, d - 1)
-        if lower == 0:
-            if top != 0:
-                return False
-            continue
-        if top % lower:
-            return False
-    return True
 
 
 def st_cdf(t: float) -> float:

@@ -24,13 +24,8 @@ from taulab.density import (
     enumerate_density,
     psi_insoluble_mod_q_squared,
 )
-from taulab.hecke import (
-    EigenformSpec,
-    coeff_prime_power,
-    delta_series_view,
-    find_first_prime_tau,
-)
-from taulab.scans import ScanSummary, check_divisibility_tower, sato_tate_histogram, scan_rows
+from taulab.hecke import EigenformSpec, delta_series_view, find_first_prime_tau
+from taulab.scans import ScanSummary, sato_tate_histogram, scan_rows
 
 X_LARGE = 10**6
 
@@ -41,39 +36,34 @@ def _report(name: str, started: float, limit_s: float, detail: str = ""):
     assert elapsed < limit_s, f"{name} exceeded its {limit_s}s ceiling ({elapsed:.1f}s)"
 
 
-def _holds(check, **ranges):
-    failures = list(check(**ranges))
-    assert not failures, failures[:5]
-
-
-def test_criterion_01_symbolic_identities():
+def test_criterion_01_symbolic_identities(holds):
     started = time.time()
-    _holds(identities.square_product, n_max=200)
-    _holds(identities.partial_scaling, q_max=101)
+    holds(identities.square_product, n_max=200)
+    holds(identities.partial_scaling, q_max=101)
     for q in [p for p in factor.primes_up_to(101) if p % 2]:
         assert psi_poly(q).degree == (q - 1) // 2, q
     _report("01 symbolic identities (n <= 200, partials q <= 101)", started, 60)
 
 
-def test_criterion_02_discriminant_law():
+def test_criterion_02_discriminant_law(holds):
     started = time.time()
-    _holds(identities.discriminant_law, qs=(3, 5, 7, 11, 13, 17, 19))
+    holds(identities.discriminant_law, qs=(3, 5, 7, 11, 13, 17, 19))
     _report("02 discriminant law (q <= 19)", started, 10)
 
 
-def test_criterion_03_symmetric_power_laws():
+def test_criterion_03_symmetric_power_laws(holds):
     started = time.time()
     for modulus in (3, 5):
         assert len(identities.invertible_matrices(modulus)) == (modulus**2 - 1) * (modulus**2 - modulus)
-    _holds(identities.trace_kernel_laws, n_max=8)
-    _holds(identities.functoriality, seed=0, pairs=1000)
+    holds(identities.trace_kernel_laws, n_max=8)
+    holds(identities.functoriality, seed=0, pairs=1000)
     _report("03 symmetric-power laws (GL2(F3), GL2(F5), n in 2..8; 1000 pairs mod 11)", started, 60)
 
 
-def test_criterion_04_density_closed_forms():
+def test_criterion_04_density_closed_forms(holds):
     started = time.time()
     qs, ells = (3, 5, 7), (2, 3, 5, 7, 11, 13)
-    _holds(identities.density_closed_forms, qs=qs, ells=ells)
+    holds(identities.density_closed_forms, qs=qs, ells=ells)
     expected_spot = {(3, 7): Fraction(1, 6), (3, 3): Fraction(3, 8), (5, 7): Fraction(0)}
     for q in qs:
         for ell in ells:
@@ -85,9 +75,9 @@ def test_criterion_04_density_closed_forms():
     _report("04 density closed forms (q in {3,5,7}, ell <= 13, k = 12)", started, 300)
 
 
-def test_criterion_05_lift_law():
+def test_criterion_05_lift_law(holds):
     started = time.time()
-    _holds(identities.lift_ratio, cases=((3, 5), (3, 7), (5, 11)), budget=3 * 10**8)
+    holds(identities.lift_ratio, cases=((3, 5), (3, 7), (5, 11)), budget=3 * 10**8)
     for q in (5, 7):
         assert psi_insoluble_mod_q_squared(q), q
         lifted = enumerate_density(DensityQuery(q, q, 2, 12))
@@ -95,17 +85,11 @@ def test_criterion_05_lift_law():
     _report("05 lift law 1/ell and vanishing at q^2 for q in {5,7}", started, 600)
 
 
-def test_criterion_06_tau_engine():
+def test_criterion_06_tau_engine(holds):
     started = time.time()
     limit = 63001
+    holds(identities.series_recursion, limit=limit)
     series = delta_series_view(limit)
-    delta = EigenformSpec.delta()
-    for p in factor.primes_up_to(limit):
-        value, m = p, 1
-        while value <= limit:
-            assert series[value] == coeff_prime_power(delta, p, m), (p, m)
-            value *= p
-            m += 1
     first = find_first_prime_tau(limit)
     assert first is not None and first[0] == 63001, first
     assert factor.is_prime(abs(first[1]))
@@ -114,14 +98,10 @@ def test_criterion_06_tau_engine():
     _report("06 tau engine to 63001 (recursion, first prime value, unit values)", started, 300)
 
 
-def test_criterion_07_divisibility_tower():
+def test_criterion_07_divisibility_tower(holds):
     started = time.time()
-    delta = EigenformSpec.delta()
-    checked = 0
-    for p in factor.primes_up_to(10**3):
-        for n in range(1, 23):  # 2n+1 <= 45
-            assert check_divisibility_tower(delta, p, n), (p, n)
-            checked += 1
+    holds(identities.divisibility_tower, f=EigenformSpec.delta(), p_max=10**3, max_odd=45)
+    checked = len(factor.primes_up_to(10**3)) * 22  # n = 1..22, 2n+1 <= 45
     _report("07 divisibility tower (p <= 1000, odd exponents <= 45)", started, 600,
             detail=f"{checked} (p, n) pairs")
 

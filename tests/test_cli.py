@@ -217,6 +217,31 @@ class TestScanCommands:
         code, out, _ = run(capsys, "tower", "--p-max", "30", "--max-odd", "9")
         assert code == EXIT_OK and "verified" in out
 
+    def test_tower_with_no_prime_coprime_to_the_level_exits_usage(self, capsys, tmp_path):
+        # a valid level-2 table, but the only prime up to 2 divides the level
+        table = tmp_path / "level2.csv"
+        table.write_text("3,0\n")
+        code, out, err = run(capsys, "tower", "--p-max", "2", "--table", str(table),
+                             "--weight", "2", "--level", "2")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: no prime up to --p-max 2 is coprime to the level 2\n"
+        code, out, _ = run(capsys, "tower", "--p-max", "3", "--table", str(table),
+                           "--weight", "2", "--level", "2")
+        assert code == EXIT_OK and out == "tower verified on 4 (p, n) pairs\n"
+
+    @pytest.mark.parametrize("max_odd, two_n, shift", [
+        ("9", 8, lambda real, ap, p, k: 1),  # breaks a(p^2) | a(p^8)
+        # keeps a(p^2) | a(p^14) but breaks a(p^4) | a(p^14): every divisor is checked
+        ("15", 14, lambda real, ap, p, k: real(ap, p, k, 2)),
+    ], ids=["d3", "d5"])
+    def test_tower_catches_planted_fault(self, capsys, monkeypatch, max_odd, two_n, shift):
+        real = hecke._coeff_from_ap
+        monkeypatch.setattr(hecke, "_coeff_from_ap", lambda ap, p, k, m: real(ap, p, k, m) + (
+            shift(real, ap, p, k) if m == two_n else 0))
+        code, out, err = run(capsys, "tower", "--p-max", "30", "--max-odd", max_odd)
+        assert code == EXIT_IDENTITY and out == ""
+        assert err == f"IDENTITY VIOLATION: divisibility tower failed at p=2, 2n={two_n}\n"
+
     def test_sato_tate(self, capsys):
         code, out, _ = run(capsys, "sato-tate", "--x-bound", "2000", "--bins", "10")
         payload = json.loads(out)
@@ -467,7 +492,7 @@ class TestParserText:
 
     def test_density_loads_no_scan_modules(self):
         # a fresh interpreter: density never imports scans (and mpmath) or
-        # identities, while tower does import scans
+        # identities, and tower imports identities but still not scans
         script = (
             "import os, sys\n"
             "from taulab.cli import main\n"
@@ -475,10 +500,10 @@ class TestParserText:
             "lazy = ('mpmath', 'taulab.scans', 'taulab.identities')\n"
             "print([name for name in lazy if name in sys.modules])\n"
             "assert main(['tower', '--p-max', '10', '--out', os.devnull]) == 0\n"
-            "print('taulab.scans' in sys.modules)\n"
+            "print([name for name in lazy if name in sys.modules])\n"
         )
         src = str(Path(cli.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, check=True)
-        assert done.stdout.splitlines()[-2:] == ["[]", "True"]
+        assert done.stdout.splitlines()[-2:] == ["[]", "['taulab.identities']"]

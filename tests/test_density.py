@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from math import gcd
@@ -11,6 +12,7 @@ import pytest
 from taulab import density, factor
 from taulab.density import (
     DEFAULT_ENUM_BUDGET,
+    _factor_prime_power,
     _square_root_count,
     DELTA_EXCEPTIONAL_PRIMES,
     DensityQuery,
@@ -680,6 +682,30 @@ class TestChebotarev:
             counts.append(len(calls))
         # only q and the modulus are validated: nothing per walked prime
         assert counts[0] == counts[1] <= 2
+
+    def test_prime_power_decision_matches_factorize(self):
+        for d in range(2, 5001):
+            factors = factor.factorize(d).factors
+            if len(factors) == 1:
+                assert _factor_prime_power(d) == next(iter(factors.items())), d
+            else:
+                with pytest.raises(ValueError, match=f"^modulus {d} is not a prime power$"):
+                    _factor_prime_power(d)
+        for d in (-7, 0, 1):
+            with pytest.raises(ValueError, match=f"^modulus {d} is not a prime power$"):
+                _factor_prime_power(d)
+
+    def test_prime_power_decision_factors_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the prime-power decision called the factorizer")
+
+        monkeypatch.setattr(factor, "factorize", refuse)
+        started = time.perf_counter()
+        assert _factor_prime_power((2**61 - 1) ** 2) == (2**61 - 1, 2)
+        # a 119-bit composite that no rho budget splits quickly
+        with pytest.raises(ValueError, match="is not a prime power"):
+            _factor_prime_power(537419873285734614188140100631946957)
+        assert time.perf_counter() - started < 0.5
 
     def test_prime_power_modulus_accepted(self, delta_warm_small):
         sample = chebotarev_sample(delta_warm_small, 3, 121, 10**4)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from taulab import factor, hecke
+from taulab import factor, hecke, identities
 from taulab.cyclotomic import eval_poly, psi_poly
 from taulab.errors import BudgetExceededError, DataExhaustedError, TableFormatError
 from taulab.hecke import (
@@ -58,15 +58,10 @@ class TestSeries:
                 if gcd(a, b) == 1:
                     assert series[a * b] == series[a] * series[b], (a, b)
 
-    def test_prime_powers_match_recursion(self):
-        limit = 5000
-        series = tau_series(limit)
-        for p in factor.primes_up_to(limit):
-            value, m = p, 1
-            while value <= limit:
-                assert series[value] == hecke._coeff_from_ap(series[p], p, 12, m), (p, m)
-                value *= p
-                m += 1
+    def test_prime_powers_match_recursion(self, monkeypatch, holds):
+        # the shared check, reading one cold build of 5000 terms as the cache
+        monkeypatch.setattr(hecke, "_series", tau_series(5000))
+        holds(identities.series_recursion, limit=5000)
 
     def test_tau_width_holds_every_value(self, monkeypatch):
         widths = []
@@ -219,15 +214,8 @@ class TestPrimePowers:
         tau5 = delta.ap(5)
         assert coeff_prime_power(delta, 5, 4) == eval_poly(psi_poly(5), tau5 * tau5, 5**11)
 
-    def test_series_matches_recursion(self, delta_warm_small):
-        series = delta_series_view(10**4)
-        for p in factor.primes_up_to(100):
-            value = p * p
-            m = 2
-            while value <= 10**4:
-                assert series[value] == coeff_prime_power(delta_warm_small, p, m)
-                value *= p
-                m += 1
+    def test_series_matches_recursion(self, delta_warm_small, holds):
+        holds(identities.series_recursion, limit=10**4)
 
     def test_level_divisor_rejected(self, delta):
         table_form = EigenformSpec(weight=4, level=6, label="toy", table=_toy_table())
@@ -253,13 +241,8 @@ class TestPrimePowers:
         m = rnd.randrange(0, 51)
         assert coeff_lucas(delta_warm_small, p, m) == coeff_prime_power(delta_warm_small, p, m)
 
-    def test_trace_polynomial_identity(self, delta_warm_small):
-        for q in (3, 5, 7, 11, 13):
-            psi = psi_poly(q)
-            for p in factor.primes_up_to(1000):
-                lhs = coeff_prime_power(delta_warm_small, p, q - 1)
-                ap = delta_warm_small.ap(p)
-                assert lhs == eval_poly(psi, ap * ap, p**11), (q, p)
+    def test_trace_polynomial_identity(self, delta_warm_small, holds):
+        holds(identities.psi_coefficients, qs=(3, 5, 7, 11, 13), primes=factor.primes_up_to(1000))
 
 
 class TestZeroPattern:

@@ -7,20 +7,14 @@ acceptance suite has warmed it.
 
 from math import gcd
 
-from taulab import factor
+from taulab import factor, identities
 from taulab.cyclotomic import eval_poly_mod, psi_poly
 from taulab.density import chebotarev_sample, psi_insoluble_mod_q_squared
 from taulab.hecke import coeff_prime_power, delta_series_view, deligne_check
 
 
-def test_series_recursion_consistency_to_million(delta_warm_million):
-    series = delta_series_view(10**6)
-    for p in factor.primes_up_to(1000):
-        value, m = p * p, 2
-        while value <= 10**6:
-            assert series[value] == coeff_prime_power(delta_warm_million, p, m), (p, m)
-            value *= p
-            m += 1
+def test_series_recursion_consistency_to_million(delta_warm_million, holds):
+    holds(identities.series_recursion, limit=10**6)
 
 
 def test_multiplicativity_to_hundred_thousand(delta_warm_million):

@@ -23,14 +23,6 @@ from taulab.rings import (
 )
 
 
-def all_invertible(modulus):
-    ring = Zmod(modulus)
-    for a, b, c, d in itertools.product(range(modulus), repeat=4):
-        mat = RingMatrix.make(ring, [[a, b], [c, d]])
-        if mat.is_invertible():
-            yield mat
-
-
 def bezout(a, b):
     """(x, y) with a x + b y = 1, for coprime a and b."""
     old_r, r, old_x, x, old_y, y = a, b, 1, 0, 0, 1
@@ -200,7 +192,7 @@ class TestSymPow:
             sym_pow(RingMatrix.identity(ZZ, 2), 33)
 
     def test_matches_orbit_enumeration_exhaustive_f3(self):
-        for mat in all_invertible(3):
+        for mat in invertible_matrices(3):
             for n in (1, 2, 3, 4, 5):
                 assert sym_pow(mat, n).entries == sym_pow_via_orbits(mat, n).entries
 
@@ -380,7 +372,7 @@ class TestTraceLaw:
                 checked += 1
 
     def test_exhaustive_f3(self):
-        for mat in all_invertible(3):
+        for mat in invertible_matrices(3):
             for n in range(2, 9):
                 assert sym_pow(mat, n).trace() == sym_pow_trace(mat, n)
 
@@ -409,7 +401,7 @@ class TestKernelLaw:
 
     @pytest.mark.parametrize("modulus", [4, 5, 6, 9])
     def test_exhaustive_kernel_characterization(self, modulus):
-        for mat in all_invertible(modulus):
+        for mat in invertible_matrices(modulus):
             for n in (2, 3, 4):
                 assert sym_pow_kernel_test(mat, n) == is_torsion_scalar(mat, n)
 
@@ -417,7 +409,7 @@ class TestKernelLaw:
         # Recorded, not asserted: kernel behavior over extra composite moduli.
         mismatches = []
         for modulus in (8, 12):
-            for mat in all_invertible(modulus):
+            for mat in invertible_matrices(modulus):
                 for n in (2, 3):
                     if sym_pow_kernel_test(mat, n) != is_torsion_scalar(mat, n):
                         mismatches.append((modulus, mat.entries, n))

@@ -6,13 +6,13 @@ from taulab import factor
 from taulab.cli import EXIT_BUDGET, EXIT_OK, main
 from taulab.errors import IdentityViolationError
 from taulab.hecke import CoefficientTable, EigenformSpec, coeff_prime_power, ingest_table
+from taulab.identities import divisibility_tower
 from taulab.scans import (
     CSV_HEADER,
     MIN_SCAN_PRIME,
     ScanRow,
     ScanSummary,
     bound_value,
-    check_divisibility_tower,
     sato_tate_histogram,
     scan_rows,
     threshold_scan,
@@ -243,19 +243,17 @@ class TestSummaryPath:
 
 
 class TestDivisibilityTower:
-    def test_examples(self, delta):
-        assert check_divisibility_tower(delta, 2, 4)  # divisors {3, 9} of 9
-        assert check_divisibility_tower(delta, 11, 1)  # d = 3 only, self-division
+    def test_examples(self, delta, holds):
+        # (p, 2n) = (2, 8) has the divisors {3, 9} of 9; (11, 2) only d = 3, self-division
+        holds(divisibility_tower, f=delta, p_max=11, max_odd=9)
 
     def test_explicit_division(self, delta):
         nine = coeff_prime_power(delta, 2, 8)
         three = coeff_prime_power(delta, 2, 2)
         assert nine % three == 0
 
-    def test_sweep_small(self, delta_warm_small):
-        for p in factor.primes_up_to(60):
-            for n in range(1, 16):
-                assert check_divisibility_tower(delta_warm_small, p, n), (p, n)
+    def test_sweep_small(self, delta_warm_small, holds):
+        holds(divisibility_tower, f=delta_warm_small, p_max=60, max_odd=31)
 
     def test_odd_exponent_reduction(self, delta_warm_small):
         # a_p divides a(p^(2n-1)): every odd-exponent term of the recursion carries a_p
