@@ -29,7 +29,6 @@ from .errors import (
     BudgetExceededError,
     DataExhaustedError,
     IdentityViolationError,
-    PartialFactorizationError,
     TableFormatError,
 )
 
@@ -455,7 +454,7 @@ def _main(argv: list[str] | None) -> int:
     except (OSError, ValueError, TableFormatError, DataExhaustedError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except (BudgetExceededError, PartialFactorizationError) as exc:
+    except BudgetExceededError as exc:
         sys.stderr.write(f"budget: {exc}\n")
         return EXIT_BUDGET
     except IdentityViolationError as exc:

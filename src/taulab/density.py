@@ -103,7 +103,7 @@ class DensityReport:
             return None
         return self.delta == self.closed_form
 
-    def to_json_dict(self, empirical: dict | None = None) -> dict:
+    def to_json_dict(self) -> dict:
         frac = self.delta
         out = {
             "query": {
@@ -125,12 +125,10 @@ class DensityReport:
             out["unitPowerGroupOrderDiffers"] = self.tl_group_order
         if self.class_tally is not None:
             out["classTally"] = dict(self.class_tally)
-        if empirical is not None:
-            out["empirical"] = empirical
         return out
 
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_json_dict(**kw), indent=2, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 def closed_form_density(q: int, ell: int, n: int = 1, weight: int = 12) -> Fraction | None:

@@ -1,11 +1,12 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: plain ``ValueError`` (and
-``TableFormatError``) mean bad input, ``BudgetExceededError`` and
-``PartialFactorizationError`` mean the computation hit a configured
-resource ceiling, and ``IdentityViolationError`` means a mathematical
-identity the package promises to uphold failed, which is the loudest
-signal the tool can emit.
+``TableFormatError``) mean bad input, ``BudgetExceededError`` means the
+computation hit a configured resource ceiling, and
+``IdentityViolationError`` means a mathematical identity the package
+promises to uphold failed, which is the loudest signal the tool can
+emit.  A factorization that runs out of budget raises nothing: it
+returns a partial result (``factor.Factorization.is_complete``).
 """
 
 
@@ -32,20 +33,6 @@ class TableFormatError(ValueError):
     def __init__(self, message: str, line: int | None = None):
         super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
-
-
-class PartialFactorizationError(RuntimeError):
-    """Factorization stopped with a composite cofactor left over.
-
-    Carries the partial result so callers can still use the factors
-    found and the lower bound on any prime dividing the cofactor.
-    """
-
-    def __init__(self, partial):
-        super().__init__(
-            f"cofactor {partial.cofactor} resisted the factorization budget"
-        )
-        self.partial = partial
 
 
 class IdentityViolationError(RuntimeError):

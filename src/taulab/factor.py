@@ -1,15 +1,17 @@
 """Integer factorization and primality plumbing.
 
-Strategy per value: strip small primes by trial division against a
-cached sieve, then split the remaining cofactor with Brent-cycle
-Pollard rho, certifying every reported prime with Miller-Rabin.  Trial
-division takes the sieve's primes in blocks of 64 and tests each block
-with one gcd against the block's product, cached beside the sieve (the
-batch-gcd idea of Bernstein's product trees); only a block that shares
-a factor with the value is divided prime by prime.  Both
-stages take explicit budgets; when a composite cofactor survives them
-the result is returned (or raised) as a partial factorization that
-still knows a lower bound on any prime hiding in the cofactor.
+``factorize`` is two stages.  The trial stage (``trial_factor``) strips
+the primes up to a bound by trial division against a cached sieve and
+runs no primality test.  It takes the sieve's primes in blocks of 64
+and tests each block with one gcd against the block's product, cached
+beside the sieve (the batch-gcd idea of Bernstein's product trees);
+only a block that shares a factor with the value is divided prime by
+prime.  The split stage (``split_cofactor``) splits what is left by a
+primality test, perfect-power roots and Brent-cycle Pollard rho,
+certifying every reported prime with Miller-Rabin.  Both stages take
+explicit budgets; when a composite cofactor survives them the result is
+a partial factorization that still knows a lower bound on any prime
+hiding in the cofactor.
 
 Rho runs are deterministic: the polynomial constant and starting point
 are derived from the input and the attempt counter, never from a
@@ -23,8 +25,6 @@ import math
 import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-
-from .errors import PartialFactorizationError
 
 try:
     from gmpy2 import gcd as _gcd
@@ -135,23 +135,6 @@ def _trial_divide(n: int, bound: int, factors: dict[int, int]) -> int:
                 if g == 1:
                     break
     return n
-
-
-def smooth_largest_prime(n: int, cut: int) -> int | None:
-    """P(n) when no prime above cut divides n >= 1, else None.
-
-    One trial division by the sieve primes <= cut decides it.  What is
-    left is 1, a prime (the walk stopped early) or a product of primes
-    above cut, so n is cut-smooth exactly when the rest is at most cut.
-    Nothing past cut is factored and no primality test runs.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    factors: dict[int, int] = {}
-    rest = _trial_divide(n, cut, factors)
-    if rest > max(cut, 1):
-        return None
-    return max(rest, max(factors, default=1))
 
 
 def is_prime(n: int) -> bool:
@@ -270,9 +253,10 @@ def _perfect_root(n: int) -> tuple[int, int] | None:
 class Factorization:
     """sign * product(p^e) * cofactor == the input, exactly.
 
-    ``cofactor`` is 1 for a complete factorization; otherwise it is a
-    certified composite all of whose prime factors exceed
-    ``cofactor_floor``.
+    ``cofactor`` is 1 for a complete factorization; otherwise all of its
+    prime factors exceed ``cofactor_floor``.  After the trial stage the
+    cofactor may still be prime; after the split stage it is a certified
+    composite.
     """
 
     sign: int
@@ -293,62 +277,61 @@ class Factorization:
     def largest_known_prime(self) -> int:
         return max(self.factors, default=1)
 
-    def largest_prime(self) -> int:
-        if not self.is_complete:
-            raise PartialFactorizationError(self)
-        return self.largest_known_prime()
 
+def trial_factor(n: int, bound: int) -> Factorization:
+    """The trial stage: divide the primes <= bound out of n.
 
-def factorize(
-    n: int,
-    trial_bound: int = DEFAULT_TRIAL_BOUND,
-    rho_budget: int = DEFAULT_RHO_BUDGET,
-    allow_partial: bool = False,
-) -> Factorization:
-    """Factor n completely, or raise carrying the partial result.
-
-    Trial division runs over the primes up to min(trial_bound, isqrt(n) + 1)
-    a block of 64 at a time: one gcd with the block's product decides
+    Trial division runs over the primes up to min(bound, isqrt(n) + 1) a
+    block of 64 at a time: one gcd with the block's product decides
     whether any of them divides n, and the walk stops at the first block
     whose smallest prime squared exceeds what is left of n.  A survivor
-    at most trial_bound^2 is then prime.
+    at most bound^2 is then prime; anything else left over becomes the
+    cofactor, whose primes all exceed ``cofactor_floor = bound``.  No
+    primality test runs.  A bound of 0 tries no prime.
+    """
+    if bound < 0:
+        raise ValueError(f"trial bound must be >= 0, got {bound}")
+    if n == 0:
+        return Factorization(sign=0)
+    result = Factorization(sign=1 if n > 0 else -1)
+    n = abs(n)
+    if n == 1:
+        return result
+    n = _trial_divide(n, min(bound, math.isqrt(n) + 1), result.factors)
+    if 1 < n <= bound * bound:
+        # a survivor of trial division at most bound^2 must be prime
+        result.factors[n] = result.factors.get(n, 0) + 1
+    elif n > 1:
+        result.cofactor, result.cofactor_floor = n, bound
+    return result
 
-    Largest-prime conventions: 0 and +-1 factor into nothing, so their
-    largest prime factor reads as 1.  A ``rho_budget`` of 0 skips rho:
-    trial division, the survivor-is-prime rule and one primality test
-    on the cofactor still run.
+
+def split_cofactor(fac: Factorization, rho_budget: int) -> Factorization:
+    """The split stage: split the cofactor of ``fac`` into primes, in place.
+
+    Each pending piece gets one primality test, then a perfect square or
+    cube root, then Brent rho with a budget of ``rho_budget`` iterations.
+    A budget of 0 skips rho: the primality test and the perfect-power
+    split still run.  Pieces that resist stay in the cofactor, which is
+    then a certified composite whose primes exceed ``cofactor_floor``.
+    Returns ``fac``.
 
     ``rho_budget`` is checked between Brent's doubling rounds, not
     inside them: a round of length r costs 2r iterations and starts
     whenever fewer than ``rho_budget`` have been spent, so one run can
     spend up to 2 * rho_budget + 2 iterations (524286 against 300000).
     """
-    if trial_bound < 1:
-        raise ValueError(f"trial bound must be >= 1, got {trial_bound}")
     if rho_budget < 0:
         raise ValueError(f"rho budget must be >= 0, got {rho_budget}")
-    if n == 0:
-        return Factorization(sign=0)
-    sign = 1 if n > 0 else -1
-    n = abs(n)
-    result = Factorization(sign=sign)
-    if n == 1:
-        return result
-
-    n = _trial_divide(n, min(trial_bound, math.isqrt(n) + 1), result.factors)
-    if 1 < n <= trial_bound * trial_bound:
-        # survivor of trial division below bound^2 must be prime
-        result.factors[n] = result.factors.get(n, 0) + 1
-        n = 1
-    if n == 1:
-        return result
-
-    # rho stage: stack of pending cofactors, budget accounted per cofactor
-    pending = [n]
+    if fac.is_complete:
+        return fac
+    # a stack of pending cofactors, budget accounted per cofactor
+    pending = [fac.cofactor]
+    fac.cofactor = 1
     while pending:
         m = pending.pop()
         if is_prime(m):
-            result.factors[m] = result.factors.get(m, 0) + 1
+            fac.factors[m] = fac.factors.get(m, 0) + 1
             continue
         root = _perfect_root(m)
         if root is not None:
@@ -363,22 +346,27 @@ def factorize(
             budget -= max(spent, 1)
             attempt += 1
         if found is None:
-            result.cofactor *= m
+            fac.cofactor *= m
             continue
         pending.append(found)
         pending.append(m // found)
-
-    if result.cofactor != 1:
-        result.cofactor_floor = trial_bound
-        if not allow_partial:
-            raise PartialFactorizationError(result)
-    return result
+    if fac.is_complete:
+        fac.cofactor_floor = 1
+    return fac
 
 
-def largest_prime_factor(
+def factorize(
     n: int,
     trial_bound: int = DEFAULT_TRIAL_BOUND,
     rho_budget: int = DEFAULT_RHO_BUDGET,
-) -> int:
-    """P(n): the largest prime dividing n, with P(0) = P(+-1) = 1."""
-    return factorize(n, trial_bound, rho_budget).largest_prime()
+) -> Factorization:
+    """Factor n: the trial stage to ``trial_bound``, then the split stage.
+
+    The result is complete when the budgets allow and partial otherwise;
+    check ``is_complete``.  0 and +-1 factor into nothing, so their
+    largest known prime reads as 1.  A negative ``rho_budget`` raises
+    ValueError, as a trial bound below 1 does.
+    """
+    if trial_bound < 1:
+        raise ValueError(f"trial bound must be >= 1, got {trial_bound}")
+    return split_cofactor(trial_factor(n, trial_bound), rho_budget)

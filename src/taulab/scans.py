@@ -7,25 +7,27 @@ prime not pinned down), or ``unknown`` (verdict undecidable within
 budget).
 
 ``scan_rows`` produces the rows and ``ScanSummary.of`` folds them into
-verdict counts.  The CSV pins P on every row where the rho budget
-allows: trial division to the trial bound, then rho, and a composite
-cofactor left over still clears the threshold when the trial bound
-does, since all its primes exceed that bound.  A summary (the CLI's
-json and text output) needs no pinned P.  P(v) > bound holds exactly
-when v has a prime factor above cut = floor(bound), so while cut is
-below the trial bound one trial division by the primes <= cut decides
-the row (``factor.smooth_largest_prime``); at desk scale cut is 1 (the
-threshold is below 2 for p up to 10^4) and no prime is tried at all.
-Rows with cut at or above the trial bound take the CSV's path, with rho
-only where trial division and one primality test leave the verdict
-open.  Both give the same verdicts.
+verdict counts.  Each row runs the trial stage of ``factor`` once, and
+the split stage on what it leaves where that is needed.  The CSV pins P
+on every row where the rho budget allows: trial division to the trial
+bound, then rho, and a composite cofactor left over still clears the
+threshold when the trial bound does, since all its primes exceed that
+bound.  A summary (the CLI's json and text output) needs no pinned P.
+P(v) > bound holds exactly when v has a prime factor above cut =
+floor(bound), so while cut is below the trial bound the trial stage at
+cut decides the row; at desk scale cut is 1 (the threshold is below 2
+for p up to 10^4) and no prime is tried at all.  Rows with cut at or
+above the trial bound get the trial stage at the trial bound, and the
+split stage only where that leaves the verdict open.  Both give the
+same verdicts.
 
 An ``exact`` row's P is certified by Miller-Rabin (``factor.is_prime``),
 which is deterministic below 3.3e24 and uses 30 fixed bases above it, so
 a pinned P above 3.3e24 is a strong probable prime, not a proven one.
 At 2n = 2 the values pass 3.3e24 from p ~ 170.  A summary row decided
-below the trial bound reads ``exact`` only when its value is
-cut-smooth, so its P is proven by trial division alone.
+below the trial bound reads ``exact`` only when trial division to cut
+factors its value completely (a survivor at most cut^2 is prime), so
+its P is proven by trial division alone.
 """
 
 from __future__ import annotations
@@ -138,14 +140,16 @@ class ScanSummary:
         )
 
 
-def _row(p: int, two_n: int, value: int, bound: mpmath.mpf, fac: factor.Factorization) -> ScanRow:
+def _row(p: int, two_n: int, value: int, bound: mpmath.mpf, cut: int,
+         fac: factor.Factorization) -> ScanRow:
+    # an integer exceeds the bound exactly when it exceeds cut = floor(bound)
     if fac.is_complete:
         lpf = fac.largest_known_prime()
-        return ScanRow(p, two_n, value, float(bound), "exact", lpf, lpf, lpf > bound)
-    # the surviving cofactor has no prime factor at or below the trial
-    # bound, so P(value) >= cofactor_floor + 1 unconditionally
+        return ScanRow(p, two_n, value, float(bound), "exact", lpf, lpf, lpf > cut)
+    # the cofactor left by either stage has no prime factor at or below
+    # its floor, so P(value) >= cofactor_floor + 1 unconditionally
     floor = max(fac.largest_known_prime(), fac.cofactor_floor + 1)
-    passes = True if floor > bound else None
+    passes = True if floor > cut else None
     status = "partial" if passes is not None else "unknown"
     return ScanRow(p, two_n, value, float(bound), status, None, floor, passes)
 
@@ -163,21 +167,21 @@ def scan_rows(
 ) -> Iterator[ScanRow]:
     """One row per prime p in [17, x]: P(a_f(p^(2n))) against the threshold.
 
-    With ``pin`` every row gets the full rho budget, so P is pinned
-    wherever the budget allows.  Without it a row whose cut =
-    floor(bound) is below ``trial_bound`` is decided by one trial
-    division by the primes <= cut, with no primality test or rho: it
-    reads ``partial`` with floor cut + 1 when P > cut, else ``exact``
-    with its P.  Any other row first gets trial division to the trial
-    bound and one primality test on the cofactor, and rho runs only
-    when that leaves the verdict open.  The verdicts are the same
-    either way.
+    Each row runs the trial stage once.  With ``pin`` it divides by the
+    primes up to ``trial_bound`` and the split stage always follows, so P
+    is pinned wherever the rho budget allows.  Without it the trial stage
+    stops at min(cut, trial_bound), cut = floor(bound), and the split
+    stage runs only when the verdict is still open.  Below the trial
+    bound that never happens: a cofactor's primes all exceed cut, so the
+    row passes.  The verdicts are the same either way.
 
     A vanishing coefficient would contradict the even-exponent
     nonvanishing law in this range and raises IdentityViolationError.
     """
     if two_n < 2 or two_n % 2:
         raise ValueError(f"exponent must be even and >= 2, got {two_n}")
+    if trial_bound < 1:
+        raise ValueError(f"trial bound must be >= 1, got {trial_bound}")
     if grh_c is not None:
         epsilon = None
     for p, ap in iter_prime_coeffs(f, x_bound):
@@ -189,22 +193,12 @@ def scan_rows(
                 f"a(p^{two_n}) vanished at p={p}: even exponents cannot vanish here"
             )
         bound = bound_value(p, epsilon=epsilon, grh_c=grh_c)
-        if not pin:
-            cut = int(bound)  # the bound is positive, so this is its floor
-            if cut < trial_bound:
-                lpf = factor.smooth_largest_prime(abs(value), cut)
-                if lpf is None:
-                    yield ScanRow(p, two_n, value, float(bound), "partial", None, cut + 1, True)
-                else:
-                    yield ScanRow(p, two_n, value, float(bound), "exact", lpf, lpf, lpf > bound)
-                continue
-            row = _row(p, two_n, value, bound,
-                       factor.factorize(abs(value), trial_bound, 0, allow_partial=True))
-            if row.passes is not None:
-                yield row
-                continue
-        fac = factor.factorize(abs(value), trial_bound, rho_budget, allow_partial=True)
-        yield _row(p, two_n, value, bound, fac)
+        cut = int(bound)  # the bound is positive, so this is its floor
+        fac = factor.trial_factor(abs(value), trial_bound if pin else min(cut, trial_bound))
+        row = _row(p, two_n, value, bound, cut, fac)
+        if pin or row.passes is None:
+            row = _row(p, two_n, value, bound, cut, factor.split_cofactor(fac, rho_budget))
+        yield row
 
 
 def threshold_scan(

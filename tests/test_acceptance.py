@@ -176,6 +176,7 @@ def test_criterion_11_prime_power_classification_sweep():
                 if value == 0:
                     continue
                 fac = factor.factorize(abs(value), trial_bound=10**4, rho_budget=10**6)
+                assert fac.is_complete, value
                 for p in fac.factors:
                     classify_psi_prime_power(m, u, v, p)  # raises on violation
                     checked += 1

@@ -262,7 +262,9 @@ class TestClassification:
                     value = eval_poly(psi_poly(m), u, v)
                     if value == 0:
                         continue
-                    for p in factor.factorize(abs(value)).factors:
+                    fac = factor.factorize(abs(value))
+                    assert fac.is_complete, value
+                    for p in fac.factors:
                         classify_psi_prime_power(m, u, v, p)  # must not raise
 
 
@@ -276,7 +278,9 @@ class TestPrimitiveDivisors:
         seen: set[int] = set()
         without = []
         for idx, value in enumerate(seq[1:], start=1):
-            primes = set(factor.factorize(value).factors)
+            fac = factor.factorize(value)
+            assert fac.is_complete, value
+            primes = set(fac.factors)
             for p in primes - seen:
                 assert p % idx in (1, idx - 1) or idx % p == 0, (idx, p)
             if not primes - seen:

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taulab import factor
-from taulab.errors import PartialFactorizationError
 
 
 class TestPrimesAndPrimality:
@@ -57,7 +56,7 @@ class TestPrimesAndPrimality:
 
 
 def _trial_oracle(n, trial_bound):
-    """factorize(n, trial_bound, 0, allow_partial=True) with one n % p per prime."""
+    """factorize(n, trial_bound, 0) with one n % p per prime."""
     n = abs(n)
     factors = {}
     if n <= 1:
@@ -89,7 +88,7 @@ def _trial_oracle(n, trial_bound):
 
 
 def _assert_trial_matches(n, trial_bound):
-    f = factor.factorize(n, trial_bound, 0, allow_partial=True)
+    f = factor.factorize(n, trial_bound, 0)
     got = (list(f.factors.items()), f.cofactor, f.cofactor_floor)
     assert got == _trial_oracle(n, trial_bound), (n, trial_bound)
 
@@ -125,16 +124,15 @@ class TestBlockTrialDivision:
 
 class TestFactorize:
     def test_conventions(self):
-        assert factor.largest_prime_factor(0) == 1
-        assert factor.largest_prime_factor(1) == 1
-        assert factor.largest_prime_factor(-1) == 1
+        for n in (0, 1, -1):
+            assert factor.factorize(n).largest_known_prime() == 1
 
     def test_examples(self):
         f = factor.factorize(-1472)
         assert f.sign == -1 and f.factors == {2: 6, 23: 1}
-        assert factor.largest_prime_factor(-1472) == 23
+        assert f.largest_known_prime() == 23
         assert factor.factorize(252).factors == {2: 2, 3: 2, 7: 1}
-        assert factor.largest_prime_factor(252) == 7
+        assert factor.factorize(252).largest_known_prime() == 7
 
     def test_perfect_powers(self):
         p = 1000003
@@ -144,7 +142,7 @@ class TestFactorize:
     @given(st.integers(-(10**30), 10**30))
     @settings(max_examples=60, deadline=None)
     def test_round_trip(self, n):
-        f = factor.factorize(n, trial_bound=10**4, rho_budget=10**6, allow_partial=True)
+        f = factor.factorize(n, trial_bound=10**4, rho_budget=10**6)
         assert f.value() == n
         for p in f.factors:
             assert factor.is_prime(p)
@@ -158,22 +156,33 @@ class TestFactorize:
         b = factor.factorize(n)
         assert a.factors == b.factors
 
-    def test_partial_error_carries_cofactor(self):
-        hard = (2**89 - 1) * (2**107 - 1)  # two large primes, rho will give up
-        with pytest.raises(PartialFactorizationError) as exc:
-            factor.factorize(hard, trial_bound=10**3, rho_budget=10**3)
-        partial = exc.value.partial
-        assert partial.cofactor == hard
-        assert partial.cofactor_floor == 10**3
-        assert partial.value() == hard
-
     def test_partial_allowed(self):
-        hard = (2**89 - 1) * (2**107 - 1)
-        f = factor.factorize(hard, trial_bound=10**3, rho_budget=10**3, allow_partial=True)
+        hard = (2**89 - 1) * (2**107 - 1)  # two large primes, rho will give up
+        f = factor.factorize(hard, trial_bound=10**3, rho_budget=10**3)
         assert not f.is_complete
-        with pytest.raises(PartialFactorizationError):
-            f.largest_prime()
+        assert (f.cofactor, f.cofactor_floor, f.value()) == (hard, 10**3, hard)
         assert f.largest_known_prime() == 1
+
+    def test_trial_stage_tests_no_primality(self, monkeypatch):
+        big = 2**89 - 1
+
+        def forbidden(n):
+            raise AssertionError("the trial stage ran a primality test")
+
+        monkeypatch.setattr(factor, "is_prime", forbidden)
+        f = factor.trial_factor(-12 * big, 100)
+        assert (f.sign, f.factors, f.cofactor, f.cofactor_floor) == (-1, {2: 2, 3: 1}, big, 100)
+        # 9973 <= 100^2 has no prime factor up to 100, so it is prime
+        assert factor.trial_factor(12 * 9973, 100).factors == {2: 2, 3: 1, 9973: 1}
+        # a bound of 0 tries no prime and leaves everything above 1 to the cofactor
+        f = factor.trial_factor(12, 0)
+        assert (f.factors, f.cofactor, f.cofactor_floor) == ({}, 12, 0)
+        assert factor.trial_factor(1, 0).is_complete and factor.trial_factor(0, 0).sign == 0
+        with pytest.raises(ValueError):
+            factor.trial_factor(9, -1)
+        monkeypatch.undo()
+        f = factor.split_cofactor(factor.trial_factor(12 * big, 100), 0)
+        assert (f.factors, f.cofactor, f.cofactor_floor) == ({2: 2, 3: 1, big: 1}, 1, 1)
 
     def test_semiprime_within_budget(self):
         a, b = 999999937, 999999893
@@ -191,7 +200,7 @@ class TestFactorize:
 
     def test_zero_rho_budget(self):
         big = (2**61 - 1) * (2**89 - 1)
-        f = factor.factorize(12 * big, trial_bound=100, rho_budget=0, allow_partial=True)
+        f = factor.factorize(12 * big, trial_bound=100, rho_budget=0)
         assert f.factors == {2: 2, 3: 1}
         assert f.cofactor == big and f.cofactor_floor == 100
         # the cofactor's primality test still runs without rho

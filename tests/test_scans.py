@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 
@@ -18,6 +19,12 @@ from taulab.scans import (
     threshold_scan,
     st_measure,
 )
+
+def largest_prime(n):
+    """P(n) from sympy, so a pinned P is checked against code other than the scan's."""
+    sympy = pytest.importorskip("sympy")
+    return max(sympy.factorint(n), default=1)
+
 
 def isqrt_bin(ap, p, bins):
     """The benchmark's bin oracle: floor(bins * lam) from one integer square root."""
@@ -111,6 +118,11 @@ class TestThresholdScan:
         with pytest.raises(ValueError):
             threshold_scan(delta, 3, 100)
 
+    def test_rejects_trial_bound_below_one(self, delta):
+        for pin in (False, True):
+            with pytest.raises(ValueError):
+                next(scan_rows(delta, 2, 100, trial_bound=0, pin=pin))
+
     def test_small_scan_all_pass(self, delta_warm_small):
         rows, summary = threshold_scan(
             delta_warm_small, 2, 10**3, epsilon=0.1, trial_bound=10**4, rho_budget=10**5
@@ -128,9 +140,7 @@ class TestThresholdScan:
         for row in rows:
             assert row.value == coeff_prime_power(delta_warm_small, row.p, 2)
             if row.status == "exact":
-                assert row.largest_prime_factor == factor.largest_prime_factor(
-                    abs(row.value), trial_bound=10**4, rho_budget=10**6
-                )
+                assert row.largest_prime_factor == largest_prime(abs(row.value))
                 assert row.passes == (row.largest_prime_factor > row.bound)
             else:
                 assert row.known_prime_floor > row.bound
@@ -166,8 +176,7 @@ class TestSummaryPath:
         assert pinned.pass_count and pinned.fail_count and pinned.unknown_count
         rows = list(scan_rows(delta_warm_small, two_n, x_bound, pin=False, **kwargs))
         fallback = [r for r in rows if not factor.factorize(
-            abs(r.value), kwargs["trial_bound"], 0, allow_partial=True).is_complete
-            and r.status != "partial"]
+            abs(r.value), kwargs["trial_bound"], 0).is_complete and r.status != "partial"]
         # rho pinned some undecided rows and gave up on others
         assert {r.status for r in fallback} == {"exact", "unknown"}
 
@@ -200,12 +209,12 @@ class TestSummaryPath:
         assert smooth and (cut_71 < trial_bound) == (71 in [row.p for row, _ in smooth])
         for row, ref in smooth:
             assert row.passes == ref.passes
-            if row.passes:
-                assert row.status == "partial"
-                assert row.bound < row.known_prime_floor <= ref.largest_prime_factor
-            else:
-                assert row.status == "exact"
+            if row.status == "exact":
+                # a failing row, or a passing one whose survivor is at most cut^2
                 assert row.largest_prime_factor == ref.largest_prime_factor
+            else:
+                assert row.passes and row.status == "partial"
+                assert row.bound < row.known_prime_floor <= ref.largest_prime_factor
         failing = [row.p for row in rows if row.passes is False]
         assert 71 in failing
         args = ["scan", "--two-n", "2", "--x-bound", "80", "--grh-c", repr(grh_c),
@@ -215,6 +224,19 @@ class TestSummaryPath:
             assert main(args + ["--format", fmt]) == code
             captured = capsys.readouterr()
             assert (captured.err if fmt == "csv" else captured.out) == want.to_json() + "\n"
+
+    @pytest.mark.parametrize("pin", [False, True], ids=["summary", "pinned"])
+    @pytest.mark.parametrize("two_n, x_bound, kwargs", SUMMARY_CASES)
+    def test_one_trial_division_per_row(self, delta_warm_small, monkeypatch, two_n, x_bound,
+                                        kwargs, pin):
+        calls = []
+        real = factor._trial_divide
+        monkeypatch.setattr(factor, "_trial_divide", lambda n, *a: calls.append(n) or real(n, *a))
+        rows = list(scan_rows(delta_warm_small, two_n, x_bound, pin=pin, **kwargs))
+        # every row's value is divided at most once: a row the trial stage
+        # leaves open goes on to the split stage, not to a second division
+        assert len(calls) <= len(rows)
+        assert max(Counter(calls).values()) == 1
 
     def test_cofactor_above_trial_bound_passes(self, delta_warm_small, capsys):
         # a(17^2) = 842087 * 15936629 and floor(bound) = 100 is the trial
@@ -268,19 +290,11 @@ class TestDivisibilityTower:
         for p in (2, 3, 5):
             for n in (4, 13):
                 odd = 2 * n + 1
-                top = factor.largest_prime_factor(
-                    abs(coeff_prime_power(delta_warm_small, p, 2 * n)),
-                    trial_bound=10**5,
-                    rho_budget=10**7,
-                )
+                top = largest_prime(abs(coeff_prime_power(delta_warm_small, p, 2 * n)))
                 for d in range(3, odd + 1, 2):
                     if odd % d:
                         continue
-                    low = factor.largest_prime_factor(
-                        abs(coeff_prime_power(delta_warm_small, p, d - 1)),
-                        trial_bound=10**5,
-                        rho_budget=10**7,
-                    )
+                    low = largest_prime(abs(coeff_prime_power(delta_warm_small, p, d - 1)))
                     assert top >= low
 
 
