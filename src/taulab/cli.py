@@ -60,10 +60,11 @@ _ODD_PRIME = _checked(int, "an odd prime", lambda q: q % 2 == 1 and factor.is_pr
 _PRIME = _checked(int, "prime", lambda p: factor.is_prime(p))
 
 
-def _add_common(p: argparse.ArgumentParser, *, formats: bool = False) -> None:
+def _add_common(p: argparse.ArgumentParser, formats: tuple[str, ...] = ()) -> None:
+    """--out and --config, and --format with these choices, the first the default."""
     p.add_argument("--out", help="write output to this path instead of stdout")
     if formats:
-        p.add_argument("--format", dest="fmt", choices=("text", "csv", "json"), default="text")
+        p.add_argument("--format", dest="fmt", choices=formats, default=formats[0])
     p.add_argument("--config", help="key=value file supplying defaults")
 
 
@@ -93,7 +94,7 @@ def _flags_tau(p: argparse.ArgumentParser) -> None:
     p.add_argument("--limit", type=_int_at_least(1), default=100)
     p.add_argument("--find-first-prime", action="store_true",
                    help="print the smallest n with |tau(n)| prime instead of the series")
-    _add_common(p, formats=True)
+    _add_common(p)
 
 
 def _cmd_tau(ns: argparse.Namespace) -> int:
@@ -104,8 +105,7 @@ def _cmd_tau(ns: argparse.Namespace) -> int:
         if hit is None:
             _emit(ns, f"no prime value up to {ns.limit}")
             return EXIT_OK
-        n, value = hit
-        _emit(ns, f"{n}" if ns.fmt != "json" else json.dumps({"n": n, "value": str(value)}))
+        _emit(ns, str(hit[0]))
         return EXIT_OK
     series = hecke.tau_series(ns.limit)
     _emit(ns, "\n".join(str(series[n]) for n in range(1, ns.limit + 1)))
@@ -116,16 +116,13 @@ def _flags_coeff(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     _add_form(p)
-    p.add_argument("--lucas", action="store_true", help="use the Lucas ladder path")
-    _add_common(p, formats=True)
+    _add_common(p, ("text", "json"))
 
 
 def _cmd_coeff(ns: argparse.Namespace) -> int:
     from . import hecke
 
-    f = _form(ns)
-    fn = hecke.coeff_lucas if ns.lucas else hecke.coeff_prime_power
-    value = fn(f, ns.p, ns.m)
+    value = hecke.coeff_prime_power(_form(ns), ns.p, ns.m)
     if ns.fmt == "json":
         _emit(ns, json.dumps({"p": ns.p, "m": ns.m, "value": str(value)}))
     else:
@@ -156,7 +153,7 @@ def _flags_sympow(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--entries", required=True, help="a,b,c,d")
     p.add_argument("--mod", type=int, help="work mod this integer (default: integers)")
-    _add_common(p, formats=True)
+    _add_common(p, ("text", "json"))
 
 
 def _cmd_sympow(ns: argparse.Namespace) -> int:
@@ -257,15 +254,15 @@ def _flags_scan(p: argparse.ArgumentParser) -> None:
     p.add_argument("--x-bound", type=_int_at_least(17), default=10**3)
     p.add_argument("--trial-bound", type=_int_at_least(1),
                    default=factor.DEFAULT_TRIAL_BOUND,
-                   help="largest prime tried by division before rho; json and text "
-                   "summaries try only primes up to the threshold's floor while that "
-                   "is below TRIAL_BOUND")
+                   help="largest prime tried by division before rho; json summaries "
+                   "try only primes up to the threshold's floor while that is below "
+                   "TRIAL_BOUND")
     p.add_argument("--rho-budget", type=_int_at_least(0),
                    default=factor.DEFAULT_RHO_BUDGET,
                    help="rho iterations per cofactor, checked between Brent's doubling "
                    "rounds, so a run can spend up to 2*BUDGET+2")
     _add_form(p)
-    _add_common(p, formats=True)
+    _add_common(p, ("json", "csv"))
 
 
 def _cmd_scan(ns: argparse.Namespace) -> int:
@@ -317,7 +314,7 @@ def _flags_sato_tate(p: argparse.ArgumentParser) -> None:
     p.add_argument("--x-bound", type=int, default=10**4)
     p.add_argument("--bins", type=int, default=20)
     _add_form(p)
-    _add_common(p, formats=True)
+    _add_common(p, ("json", "csv"))
 
 
 def _cmd_sato_tate(ns: argparse.Namespace) -> int:

@@ -15,10 +15,11 @@ are read back into Python integers.  The context traps every rounding
 signal, so each step is exact or raises, and the same path runs whether
 or not the optional gmpy2 package is installed.
 
-General forms are ingested from CSV tables of a_p values; prime-power
-coefficients then come from the weight-k recursion
-a(p^m) = a(p) a(p^(m-1)) - p^(k-1) a(p^(m-2)) or, equivalently, the
-Lucas sequence U_{m+1}(a(p), p^(k-1)).
+General forms are ingested from CSV tables of a_p values.  The
+prime-power coefficient a(p^m) is the Lucas term U_{m+1}(a(p), p^(k-1))
+of the weight-k recursion a(p^m) = a(p) a(p^(m-1)) - p^(k-1) a(p^(m-2)).
+A single term comes from the doubling ladder in O(log m) products; a
+prefix a(p^0), ..., a(p^(count-1)) from one pass of the recursion.
 """
 
 from __future__ import annotations
@@ -275,47 +276,41 @@ class EigenformSpec:
 
 
 def _coeff_from_ap(ap: int, p: int, weight: int, m: int) -> int:
-    """a(p^m) for m >= 0 from a(p) = ap by the weight-k recursion."""
-    if m == 0:
-        return 1
+    """a(p^m) for m >= 0 from a(p) = ap: the Lucas term U_{m+1}(ap, p^(k-1)).
+
+    Climbs the bits of m + 1 from U_1 = 1, U_2 = ap by the doubling
+    identities U_{2j} = U_j (2 U_{j+1} - P U_j) and
+    U_{2j+1} = U_{j+1}^2 - Q U_j^2, all in exact integers.
+    """
     q = p ** (weight - 1)
-    prev, cur = 1, ap
-    for _ in range(m - 1):
-        prev, cur = cur, ap * cur - q * prev
-    return cur
+    u, u_next = 1, ap  # U_j, U_(j+1) with j = 1
+    for bit in bin(m + 1)[3:]:
+        u, u_next = u * (2 * u_next - ap * u), u_next * u_next - q * u * u
+        if bit == "1":
+            u, u_next = u_next, ap * u_next - q * u
+    return u
+
+
+def _coeff_powers(ap: int, p: int, weight: int, count: int) -> list[int]:
+    """[a(p^0), ..., a(p^(count-1))] from a(p) = ap, one recursion step per term."""
+    q = p ** (weight - 1)
+    values = [1, ap][:count]
+    while len(values) < count:
+        values.append(ap * values[-1] - q * values[-2])
+    return values
 
 
 def coeff_prime_power(f: EigenformSpec, p: int, m: int) -> int:
-    """a_f(p^m) by the weight-k second-order recursion; a_f(p^0) = 1."""
-    if m < 0:
-        raise ValueError(f"exponent must be >= 0, got {m}")
-    if m == 0:
-        return 1
-    return _coeff_from_ap(f.ap(p), p, f.weight, m)
+    """a_f(p^m) by the Lucas doubling ladder; a_f(p^0) = 1.
 
-
-def coeff_lucas(f: EigenformSpec, p: int, m: int) -> int:
-    """a_f(p^m) as the Lucas term U_{m+1}(a_f(p), p^(k-1)).
-
-    Uses the doubling identities U_{2k} = U_k (2 U_{k+1} - P U_k) and
-    U_{2k+1} = U_{k+1}^2 - Q U_k^2, all in exact integers.
+    One term costs O(log m) products.  Callers that need every term up
+    to some m take the prefix from the recursion (``_coeff_powers``).
     """
     if m < 0:
         raise ValueError(f"exponent must be >= 0, got {m}")
     if m == 0:
         return 1
-    big_p = f.ap(p)
-    big_q = p ** (f.weight - 1)
-    target = m + 1
-    u, u_next = 0, 1  # U_0, U_1
-    for bit in bin(target)[2:]:
-        u2 = u * (2 * u_next - big_p * u)
-        u2_next = u_next * u_next - big_q * u * u
-        if bit == "0":
-            u, u_next = u2, u2_next
-        else:
-            u, u_next = u2_next, big_p * u2_next - big_q * u2
-    return u
+    return _coeff_from_ap(f.ap(p), p, f.weight, m)
 
 
 def deligne_check(f: EigenformSpec, p: int, m: int) -> bool:

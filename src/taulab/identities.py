@@ -136,12 +136,13 @@ def series_recursion(*, limit: int) -> Iterator[str]:
     series = hecke.delta_series_view(limit)
     delta = hecke.EigenformSpec.delta()
     for p in factor.primes_up_to(math.isqrt(limit)):
-        pm, m = p * p, 2
-        while pm <= limit:
-            if series[pm] != hecke.coeff_prime_power(delta, p, m):
+        powers = [1]  # p^0, ..., p^m <= limit
+        while powers[-1] * p <= limit:
+            powers.append(powers[-1] * p)
+        values = hecke._coeff_powers(delta.ap(p), p, delta.weight, len(powers))
+        for m in range(2, len(powers)):
+            if series[powers[m]] != values[m]:
                 yield f"FAIL series/recursion mismatch at {p}^{m}"
-            pm *= p
-            m += 1
 
 
 @_passes("PASS coefficient identity a(p^(q-1)) = psi_q(a(p)^2, p^(k-1)) spot checks")
@@ -163,7 +164,7 @@ def divisibility_tower(*, f: hecke.EigenformSpec, p_max: int, max_odd: int) -> I
     odd 2n+1 <= max_odd, p first; a zero a_f(p^(d-1)) divides only zero.
     """
     for p, ap in hecke.iter_prime_coeffs(f, p_max):
-        values = [hecke._coeff_from_ap(ap, p, f.weight, m) for m in range(max_odd)]
+        values = hecke._coeff_powers(ap, p, f.weight, max_odd)
         for odd in range(3, max_odd + 1, 2):
             top = values[odd - 1]
             lowers = [values[d - 1] for d in range(3, odd + 1, 2) if odd % d == 0]

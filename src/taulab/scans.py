@@ -12,7 +12,7 @@ the split stage on what it leaves where that is needed.  The CSV pins P
 on every row where the rho budget allows: trial division to the trial
 bound, then rho, and a composite cofactor left over still clears the
 threshold when the trial bound does, since all its primes exceed that
-bound.  A summary (the CLI's json and text output) needs no pinned P.
+bound.  A summary (the CLI's json output) needs no pinned P.
 P(v) > bound holds exactly when v has a prime factor above cut =
 floor(bound), so while cut is below the trial bound the trial stage at
 cut decides the row; at desk scale cut is 1 (the threshold is below 2

@@ -41,8 +41,6 @@ class TestCoeffAndPsi:
     def test_coeff(self, capsys):
         code, out, _ = run(capsys, "coeff", "--p", "2", "--m", "2")
         assert code == EXIT_OK and out.strip() == "-1472"
-        code, out, _ = run(capsys, "coeff", "--p", "2", "--m", "2", "--lucas")
-        assert out.strip() == "-1472"
 
     def test_values_past_the_int_str_digit_limit(self, capsys):
         # tau(2^3000) has 4967 digits, past the 4300 that Python >= 3.10.7
@@ -150,9 +148,8 @@ class TestScanCommands:
         csv_code, _, pinned = run(capsys, "scan", *argv, "--format", "csv")
         want = EXIT_BUDGET if json.loads(pinned)["unknown"] else EXIT_OK
         assert csv_code == want
-        for fmt in ("json", "text"):
-            code, out, _ = run(capsys, "scan", *argv, "--format", fmt)
-            assert (code, out) == (want, pinned)
+        code, out, _ = run(capsys, "scan", *argv, "--format", "json")
+        assert (code, out) == (want, pinned)
 
     def test_scan_golden_default_trial_bound(self, capsys):
         # trial-only rows at the default trial bound of 10^6, recorded from
@@ -230,14 +227,19 @@ class TestScanCommands:
         assert code == EXIT_OK and out == "tower verified on 4 (p, n) pairs\n"
 
     @pytest.mark.parametrize("max_odd, two_n, shift", [
-        ("9", 8, lambda real, ap, p, k: 1),  # breaks a(p^2) | a(p^8)
+        ("9", 8, lambda values: 1),  # breaks a(p^2) | a(p^8)
         # keeps a(p^2) | a(p^14) but breaks a(p^4) | a(p^14): every divisor is checked
-        ("15", 14, lambda real, ap, p, k: real(ap, p, k, 2)),
+        ("15", 14, lambda values: values[2]),
     ], ids=["d3", "d5"])
     def test_tower_catches_planted_fault(self, capsys, monkeypatch, max_odd, two_n, shift):
-        real = hecke._coeff_from_ap
-        monkeypatch.setattr(hecke, "_coeff_from_ap", lambda ap, p, k, m: real(ap, p, k, m) + (
-            shift(real, ap, p, k) if m == two_n else 0))
+        real = hecke._coeff_powers
+
+        def planted(ap, p, k, count):
+            values = real(ap, p, k, count)
+            values[two_n] += shift(values)
+            return values
+
+        monkeypatch.setattr(hecke, "_coeff_powers", planted)
         code, out, err = run(capsys, "tower", "--p-max", "30", "--max-odd", max_odd)
         assert code == EXIT_IDENTITY and out == ""
         assert err == f"IDENTITY VIOLATION: divisibility tower failed at p=2, 2n={two_n}\n"
@@ -311,8 +313,9 @@ PLANTED_FAULTS = [
      lambda real: lambda q, ell, n=1, k=12: real(q, ell, n, k) + ((q, ell) == (5, 11))),
     ("lift_ratio", "density", density, "lift_factor",
      lambda real: lambda q, ell, *a, **kw: real(q, 5 if ell == 7 else ell, *a, **kw)),
-    ("series_recursion", "tau", hecke, "coeff_prime_power",
-     lambda real: lambda f, p, m: real(f, p, m) + ((p, m) == (3, 3))),
+    ("series_recursion", "tau", hecke, "_coeff_powers",
+     lambda real: lambda ap, p, k, count: [v + ((p, m) == (3, 3))
+                                           for m, v in enumerate(real(ap, p, k, count))]),
     ("psi_coefficients", "tau", hecke, "coeff_prime_power",
      lambda real: lambda f, p, m: real(f, p, m) + ((p, m) == (13, 6))),
 ]
@@ -343,6 +346,37 @@ class TestFlagsPerCommand:
     def test_flag_the_command_does_not_read_exits_usage(self, capsys, argv):
         code, out, _ = run(capsys, *argv)
         assert code == EXIT_USAGE and out == ""
+
+    # a choice that printed what another one prints, or picked between two
+    # paths to one answer, is gone and exits 1
+    @pytest.mark.parametrize("argv", [
+        ["coeff", "--p", "2", "--m", "2", "--lucas"],
+        ["coeff", "--p", "2", "--m", "2", "--format", "csv"],
+        ["sympow", "--n", "2", "--entries", "1,1,0,1", "--format", "csv"],
+        ["scan", "--x-bound", "100", "--format", "text"],
+        ["sato-tate", "--x-bound", "2000", "--format", "text"],
+        ["tau", "--limit", "3", "--format", "json"],
+    ], ids=lambda argv: f"{argv[0]} {argv[-1]}")
+    def test_removed_choice_exits_usage(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+
+    # every --format value a command accepts prints something the others do
+    # not, and the first value is the default
+    @pytest.mark.parametrize("argv, formats", [
+        (["coeff", "--p", "2", "--m", "2"], ("text", "json")),
+        (["sympow", "--n", "2", "--entries", "1,1,0,1"], ("text", "json")),
+        (["scan", "--x-bound", "100"], ("json", "csv")),
+        (["sato-tate", "--x-bound", "2000", "--bins", "5"], ("json", "csv")),
+    ], ids=["coeff", "sympow", "scan", "sato-tate"])
+    def test_format_values_print_different_output(self, capsys, argv, formats):
+        outputs = []
+        for fmt in formats:
+            code, out, _ = run(capsys, *argv, "--format", fmt)
+            assert code == EXIT_OK
+            outputs.append(out)
+        assert len(set(outputs)) == len(formats)
+        assert run(capsys, *argv)[:2] == (EXIT_OK, outputs[0])
 
     def test_config_key_the_command_does_not_read(self, capsys, tmp_path):
         cfg = tmp_path / "run.conf"
@@ -432,11 +466,15 @@ class TestConfigFile:
         code, _, err = run(capsys, "scan", "--config", str(cfg))
         assert code == EXIT_USAGE and "--eps" in err
 
-    @pytest.mark.parametrize("text", ["limt=4\n", "limit=four\n", "format=xml\n", "limit 4\n"])
-    def test_bad_entries_rejected(self, capsys, tmp_path, text):
+    # format=xml runs on coeff, which has a --format, so it is a bad value, not an unknown key
+    BAD_ENTRIES = [(["tau"], "limt=4\n"), (["tau"], "limit=four\n"),
+                   (["coeff", "--p", "2", "--m", "2"], "format=xml\n"), (["tau"], "limit 4\n")]
+
+    @pytest.mark.parametrize("argv, text", BAD_ENTRIES, ids=[text for _, text in BAD_ENTRIES])
+    def test_bad_entries_rejected(self, capsys, tmp_path, argv, text):
         cfg = tmp_path / "run.conf"
         cfg.write_text(text)
-        code, out, _ = run(capsys, "tau", "--config", str(cfg))
+        code, out, _ = run(capsys, *argv, "--config", str(cfg))
         assert code == EXIT_USAGE and out == ""
 
 

@@ -1,6 +1,6 @@
 import decimal
 import threading
-from math import comb, gcd
+from math import comb, gcd, isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +11,6 @@ from taulab.cyclotomic import eval_poly, psi_poly
 from taulab.errors import BudgetExceededError, DataExhaustedError, TableFormatError
 from taulab.hecke import (
     EigenformSpec,
-    coeff_lucas,
     coeff_prime_power,
     deligne_check,
     delta_series_view,
@@ -227,9 +226,11 @@ class TestPrimePowers:
             coeff_prime_power(delta, 10, 1)
 
     def test_lucas_examples(self, delta):
-        assert coeff_lucas(delta, 2, 2) == -1472
-        assert coeff_lucas(delta, 11, 0) == 1
-        assert coeff_lucas(delta, 3, 4) == eval_poly(psi_poly(5), 252 * 252, 3**11)
+        # single terms from the doubling ladder against the recursion's prefix
+        psi5 = eval_poly(psi_poly(5), 252 * 252, 3**11)
+        for p, m, want in ((2, 2, -1472), (11, 0, 1), (3, 4, psi5)):
+            assert coeff_prime_power(delta, p, m) == want
+            assert hecke._coeff_powers(delta.ap(p), p, 12, m + 1)[m] == want
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=80, deadline=None)
@@ -239,10 +240,34 @@ class TestPrimePowers:
         rnd = random.Random(seed)
         p = rnd.choice(factor.primes_up_to(500))
         m = rnd.randrange(0, 51)
-        assert coeff_lucas(delta_warm_small, p, m) == coeff_prime_power(delta_warm_small, p, m)
+        prefix = hecke._coeff_powers(delta_warm_small.ap(p), p, 12, m + 1)
+        assert coeff_prime_power(delta_warm_small, p, m) == prefix[m]
 
     def test_trace_polynomial_identity(self, delta_warm_small, holds):
         holds(identities.psi_coefficients, qs=(3, 5, 7, 11, 13), primes=factor.primes_up_to(1000))
+
+
+def _at_powers_of_two(test):
+    """Pin the ladder's bit patterns: m = 2^j and 2^j +- 1 for 2^j <= 256."""
+    for j in range(9):
+        for m in (2**j - 1, 2**j, 2**j + 1):
+            test = example(p=2 if j % 2 else 691, weight=2 * j + 2,
+                           ap_at=("zero", "high", "low")[j % 3], m=m)(test)
+    return test
+
+
+@_at_powers_of_two
+@given(p=st.sampled_from(factor.primes_up_to(1000)), weight=st.sampled_from(range(2, 25, 2)),
+       ap_at=st.sampled_from(("zero", "high", "low")) | st.integers(), m=st.integers(0, 300))
+@settings(max_examples=150, deadline=None)
+def test_ladder_matches_recursion_prefix(p, weight, ap_at, m):
+    # the ladder's one term against the recursion's prefix, a_p anywhere in
+    # the coefficient bound |a_p| <= 2 p^((k-1)/2), its edges and 0 included
+    edge = isqrt(4 * p ** (weight - 1))
+    ap = {"zero": 0, "high": edge, "low": -edge}.get(ap_at)
+    if ap is None:
+        ap = max(-edge, min(edge, ap_at))
+    assert hecke._coeff_from_ap(ap, p, weight, m) == hecke._coeff_powers(ap, p, weight, m + 1)[m]
 
 
 class TestZeroPattern:

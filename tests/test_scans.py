@@ -220,7 +220,7 @@ class TestSummaryPath:
         args = ["scan", "--two-n", "2", "--x-bound", "80", "--grh-c", repr(grh_c),
                 "--trial-bound", str(trial_bound), "--rho-budget", str(10**6)]
         code = EXIT_BUDGET if want.unknown_count else EXIT_OK
-        for fmt in ("json", "text", "csv"):
+        for fmt in ("json", "csv"):
             assert main(args + ["--format", fmt]) == code
             captured = capsys.readouterr()
             assert (captured.err if fmt == "csv" else captured.out) == want.to_json() + "\n"
@@ -249,7 +249,7 @@ class TestSummaryPath:
             assert (row.status, row.passes, row.known_prime_floor) == ("partial", True, 101)
         args = ["scan", "--two-n", "2", "--x-bound", "17", "--grh-c", "60.961298",
                 "--trial-bound", "100", "--rho-budget", "0"]
-        for fmt in ("json", "text", "csv"):
+        for fmt in ("json", "csv"):
             assert main(args + ["--format", fmt]) == EXIT_OK
             captured = capsys.readouterr()
             assert '"pass": 1' in (captured.err if fmt == "csv" else captured.out)
