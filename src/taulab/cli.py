@@ -24,7 +24,7 @@ import json
 import math
 import sys
 
-from . import factor
+from . import __version__, factor
 from .errors import (
     BudgetExceededError,
     DataExhaustedError,
@@ -365,7 +365,7 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
 # name -> (help line, function adding its flags, function running it), in help order
 _COMMANDS = {
     "tau": ("coefficient series of the built-in weight-12 form", _flags_tau, _cmd_tau),
-    "coeff": ("a_f(p^m) by recursion or the Lucas ladder", _flags_coeff, _cmd_coeff),
+    "coeff": ("a_f(p^m) by the Lucas ladder", _flags_coeff, _cmd_coeff),
     "psi": ("dump trace / cyclotomic polynomial coefficients", _flags_psi, _cmd_psi),
     "sympow": ("symmetric power of a 2x2 matrix", _flags_sympow, _cmd_sympow),
     "density": ("trace-zero density over GL2(Z/ell^n) by enumeration",
@@ -394,6 +394,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         "series, trace polynomials, symmetric powers, trace-zero densities, and "
         "largest-prime-factor scans.",
     )
+    # left out of the usage line, which every usage error repeats
+    parser.add_argument("--version", action="version", version=f"taulab {__version__}",
+                        help=argparse.SUPPRESS)
     metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in _COMMANDS if command is None else (command,):

@@ -107,24 +107,25 @@ def _trial_divide(n: int, bound: int, factors: dict[int, int]) -> int:
     if bound > _sieve_limit:
         primes_up_to(bound)
     # read the list after the limit (see is_prime); a growth racing this call
-    # only lengthens the products, and at most count // _BLOCK of them are used
+    # only appends the products of later blocks, and no walk passes the bound
     primes = _sieve_primes
     products = _block_products
     count = bisect_right(primes, bound)
-    cached = min(count // _BLOCK, len(products))
     for start in range(0, count, _BLOCK):
         p = primes[start]
         if p * p > n:
             break
         b = start // _BLOCK
-        if b < cached:
+        # a block cut by the bound still takes its cached full product: the
+        # walk below stops at the bound, so primes above it stay in n
+        if b < len(products):
             g = math.gcd(n, products[b])
         else:
-            g = math.gcd(n, math.prod(primes[start : min(start + _BLOCK, count)]))
+            g = math.gcd(n, math.prod(primes[start:count]))
         if g == 1:
             continue
-        # every prime of g lies in this block, so the walk stops inside it
-        for p in primes[start : start + _BLOCK]:
+        # every prime of g at or below the bound lies in this slice
+        for p in primes[start : min(start + _BLOCK, count)]:
             if g % p == 0:
                 e = 0
                 while n % p == 0:

@@ -265,11 +265,15 @@ class EigenformSpec:
     def is_builtin(self) -> bool:
         return self.table is None
 
-    def ap(self, p: int) -> int:
+    def _check_prime(self, p: int) -> None:
+        """Raise ValueError unless p is a prime not dividing the level."""
         if not factor.is_prime(p):
             raise ValueError(f"{p} is not prime")
         if self.level % p == 0:
             raise ValueError(f"prime {p} divides the level {self.level}")
+
+    def ap(self, p: int) -> int:
+        self._check_prime(p)
         if self.table is None:
             return _tau_upto(p)[p]
         return self.table.ap(p)
@@ -309,6 +313,7 @@ def coeff_prime_power(f: EigenformSpec, p: int, m: int) -> int:
     if m < 0:
         raise ValueError(f"exponent must be >= 0, got {m}")
     if m == 0:
+        f._check_prime(p)  # a_f(p^0) = 1 needs no a_p, but p must still be a valid prime
         return 1
     return _coeff_from_ap(f.ap(p), p, f.weight, m)
 

@@ -21,6 +21,13 @@ above the trial bound get the trial stage at the trial bound, and the
 split stage only where that leaves the verdict open.  Both give the
 same verdicts.
 
+Values, thresholds and the trial stage run in the calling process.  The
+split stage runs on every CPU in the process's affinity mask: one
+forked child per CPU (at most one per open row) takes every W-th open
+row, so ``taskset -c 0`` keeps it to one core.  Rho's start points
+depend only on its input, so the rows, and every byte printed from
+them, are the same at any CPU count.
+
 An ``exact`` row's P is certified by Miller-Rabin (``factor.is_prime``),
 which is deterministic below 3.3e24 and uses 30 fixed bases above it, so
 a pinned P above 3.3e24 is a strong probable prime, not a proven one.
@@ -34,6 +41,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
+import signal
+import threading
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -175,6 +186,10 @@ def scan_rows(
     bound that never happens: a cofactor's primes all exceed cut, so the
     row passes.  The verdicts are the same either way.
 
+    Every row's trial stage runs first; the split stage then runs on the
+    open rows at once, across the CPUs (``_split_all``), and the rows
+    come out in order of p.
+
     A vanishing coefficient would contradict the even-exponent
     nonvanishing law in this range and raises IdentityViolationError.
     """
@@ -184,6 +199,9 @@ def scan_rows(
         raise ValueError(f"trial bound must be >= 1, got {trial_bound}")
     if grh_c is not None:
         epsilon = None
+    heads: list[tuple[int, int, mpmath.mpf, int]] = []  # (p, value, bound, cut)
+    facs: list[factor.Factorization] = []
+    need_split: list[int] = []  # rows the split stage runs on
     for p, ap in iter_prime_coeffs(f, x_bound):
         if p < MIN_SCAN_PRIME:
             continue
@@ -195,10 +213,85 @@ def scan_rows(
         bound = bound_value(p, epsilon=epsilon, grh_c=grh_c)
         cut = int(bound)  # the bound is positive, so this is its floor
         fac = factor.trial_factor(abs(value), trial_bound if pin else min(cut, trial_bound))
-        row = _row(p, two_n, value, bound, cut, fac)
-        if pin or row.passes is None:
-            row = _row(p, two_n, value, bound, cut, factor.split_cofactor(fac, rho_budget))
-        yield row
+        if not fac.is_complete and (pin or _row(p, two_n, value, bound, cut, fac).passes is None):
+            need_split.append(len(facs))
+        heads.append((p, value, bound, cut))
+        facs.append(fac)
+    for i, fac in zip(need_split, _split_all([facs[i] for i in need_split], rho_budget)):
+        facs[i] = fac
+    for (p, value, bound, cut), fac in zip(heads, facs):
+        yield _row(p, two_n, value, bound, cut, fac)
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where the OS keeps one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks (macOS, Windows)
+        return os.cpu_count() or 1
+
+
+def _split_all(facs: list[factor.Factorization], rho_budget: int) -> list[factor.Factorization]:
+    """``factor.split_cofactor`` on each factorization, split over the CPUs.
+
+    W = min(len(facs), CPUs) forked children run when W >= 2: child w
+    takes facs w, w + W, ... and sends its results back pickled through
+    its own pipe.  Otherwise the calls run here, as they do where there
+    is no fork or where other threads run (a fork copies no thread, but
+    may copy a lock one of them holds).  Rho depends only on its input,
+    so the results are the same at any W.  Every child is reaped before
+    this returns or raises; an exception in a child is raised here.
+    """
+    workers = min(len(facs), _cpu_count())
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [factor.split_cofactor(fac, rho_budget) for fac in facs]
+    children = []  # (pid, read end of its pipe)
+    blobs: list[bytes] = []
+    try:
+        for w in range(workers):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _split_worker(write_end, facs[w::workers], rho_budget)
+            os.close(write_end)
+            children.append((pid, os.fdopen(read_end, "rb")))
+        blobs = [pipe.read() for _, pipe in children]
+    finally:
+        statuses = []
+        for pid, pipe in children:
+            pipe.close()
+            if not blobs:
+                # the parent was stopped: end the children rather than wait for them
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    out: list = [None] * len(facs)
+    for w, (status, blob) in enumerate(zip(statuses, blobs)):
+        if status == 0:
+            out[w::workers] = pickle.loads(blob)
+        elif status == _SENT_ERROR:
+            raise pickle.loads(blob)
+        else:
+            raise ChildProcessError(f"split worker exited with status {status}")
+    return out
+
+
+# a split worker's exit status when it raised and sent the exception whole
+_SENT_ERROR = 2
+
+
+def _split_worker(write_end: int, facs: list[factor.Factorization], rho_budget: int) -> None:
+    """A forked child's whole life: split, pickle the results (or the error), exit."""
+    code = 1
+    try:
+        try:
+            payload, sent = [factor.split_cofactor(fac, rho_budget) for fac in facs], 0
+        except BaseException as exc:  # raised again in the parent
+            payload, sent = exc, _SENT_ERROR
+        with os.fdopen(write_end, "wb") as pipe:
+            pickle.dump(payload, pipe)
+        code = sent
+    finally:
+        os._exit(code)
 
 
 def threshold_scan(

@@ -417,6 +417,9 @@ class TestFlagsPerCommand:
          "error: the built-in source is the weight-12 level-1 form"),
         (["scan", "--x-bound", "100", "--level", "2", "--format", "json"], None,
          "error: the built-in source is the weight-12 level-1 form"),
+        # a(p^0) = 1 still needs p to be a prime
+        (["coeff", "--p", "10", "--m", "0"], None, "error: 10 is not prime"),
+        (["coeff", "--p", "1", "--m", "0"], None, "error: 1 is not prime"),
         # a range that checks nothing is bad input, not a vacuous success
         (["tower", "--max-odd", "0"], None, "--max-odd: must be an odd integer >= 3, got 0"),
         # an even bound would run the same pairs as the odd one below it
@@ -426,6 +429,7 @@ class TestFlagsPerCommand:
             "density-budget", "lift-budget", "tau-limit", "psi-upto", "sympow-mod0",
             "sympow-mod-7", "chebotarev-d0", "chebotarev-d1", "chebotarev-d-11",
             "chebotarev-d12", "coeff-weight3", "coeff-weight4", "scan-level2",
+            "coeff-p10-m0", "coeff-p1-m0",
             "tower-max-odd0", "tower-max-odd4", "tower-p-max1"])
     def test_flag_checks(self, capsys, tmp_path, argv, config, says):
         if config:

@@ -122,6 +122,46 @@ class TestBlockTrialDivision:
                 _assert_trial_matches(n, trial_bound)
 
 
+    def test_bounds_ending_mid_block(self, monkeypatch):
+        # the bound cuts a cached block, and primes just above it divide n: the
+        # block's full product sees them, and they must stay in the cofactor
+        size = factor._BLOCK
+        primes = factor.primes_up_to(10**5)
+        big = 2**89 - 1
+        cases = []
+        for b in (0, 1, 5, 20):
+            for j in (1, 17, 40, size - 2):
+                i = size * b + j
+                assert b < len(factor._block_products)
+                lo, at, hi, top = primes[i - 1 : i + 3]  # two at or below the bound, two above
+                for n in (lo * at * hi * top, lo * at * hi * top * big, hi**3 * lo,
+                          top * big, -(at**2) * hi * top):
+                    cases.append((n, at))
+        # every block the walk needs is cached, so no product is rebuilt
+        monkeypatch.setattr(math, "prod", lambda xs: pytest.fail("block product rebuilt"))
+        for n, bound in cases:
+            f = factor.trial_factor(n, bound)
+            got = (f.sign, f.factors, f.cofactor, f.cofactor_floor)
+            assert got == _trial_stage_oracle(n, bound), (n, bound)
+
+
+def _trial_stage_oracle(n, bound):
+    """trial_factor(n, bound) with one n % p per prime up to min(bound, isqrt(|n|) + 1)."""
+    sign, n = (1 if n > 0 else -1), abs(n)
+    factors = {}
+    for p in factor.primes_up_to(min(bound, math.isqrt(n) + 1)):
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            factors[p] = e
+    if 1 < n <= bound * bound:
+        factors[n] = factors.get(n, 0) + 1
+        n = 1
+    return sign, factors, n, bound if n > 1 else 1
+
+
 class TestFactorize:
     def test_conventions(self):
         for n in (0, 1, -1):

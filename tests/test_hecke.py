@@ -225,6 +225,17 @@ class TestPrimePowers:
         with pytest.raises(ValueError):
             coeff_prime_power(delta, 10, 1)
 
+    def test_exponent_zero_checks_the_prime_without_fetching_ap(self, monkeypatch):
+        table_form = EigenformSpec(weight=4, level=6, label="toy", table=_toy_table())
+        monkeypatch.setattr(hecke, "_tau_upto", lambda n: pytest.fail("series built"))
+        monkeypatch.setattr(hecke.CoefficientTable, "ap", lambda *a: pytest.fail("table read"))
+        for form, p in ((EigenformSpec.delta(), 10), (EigenformSpec.delta(), 1),
+                        (table_form, 2), (table_form, 3)):
+            with pytest.raises(ValueError):
+                coeff_prime_power(form, p, 0)
+        assert coeff_prime_power(EigenformSpec.delta(), 1000003, 0) == 1
+        assert coeff_prime_power(table_form, 10**9 + 7, 0) == 1
+
     def test_lucas_examples(self, delta):
         # single terms from the doubling ladder against the recursion's prefix
         psi5 = eval_poly(psi_poly(5), 252 * 252, 3**11)

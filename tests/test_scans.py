@@ -1,9 +1,15 @@
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from taulab import factor
+from taulab import factor, scans
 from taulab.cli import EXIT_BUDGET, EXIT_OK, main
 from taulab.errors import IdentityViolationError
 from taulab.hecke import CoefficientTable, EigenformSpec, coeff_prime_power, ingest_table
@@ -262,6 +268,142 @@ class TestSummaryPath:
         assert (summary.total_rows, summary.pass_count, summary.fail_count,
                 summary.unknown_count, summary.zero_rows) == (3, 1, 1, 1, 0)
         assert ScanSummary.of([]).pass_fraction == 0.0
+
+
+# a pinned CSV and a GRH summary with pass, fail and unknown rows, at small budgets
+SPLIT_ARGV = [
+    ["scan", "--two-n", "2", "--x-bound", "300", "--trial-bound", "1000",
+     "--rho-budget", "20000", "--format", "csv"],
+    ["scan", "--two-n", "2", "--x-bound", "400", "--grh-c", "1e7", "--trial-bound", "1000",
+     "--rho-budget", "100000", "--format", "json"],
+]
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSplitWorkers:
+    """The split stage runs in forked children, one per CPU, and prints the same at any count."""
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        def expire(signum, frame):
+            raise TimeoutError("the scan and its workers did not finish in 120 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(120)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        calls = []
+        real = os.fork
+        monkeypatch.setattr(os, "fork", lambda: calls.append(1) or real())
+        return calls
+
+    @pytest.mark.parametrize("argv", SPLIT_ARGV, ids=["csv", "grh-summary"])
+    def test_output_is_the_same_at_any_worker_count(self, delta_warm_small, capsys, monkeypatch,
+                                                    forks, argv):
+        outcomes = {}
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(scans, "_cpu_count", lambda: cpus)
+            forks.clear()
+            code = main(argv)
+            captured = capsys.readouterr()
+            outcomes[cpus] = (code, captured.out, captured.err)
+            assert len(forks) == (0 if cpus == 1 else cpus)
+            assert_no_children()
+        assert outcomes[1] == outcomes[2] == outcomes[3]
+        assert outcomes[1][0] == (EXIT_OK if argv[-1] == "csv" else EXIT_BUDGET)
+
+    def test_summary_below_the_trial_bound_forks_nothing(self, delta_warm_small, capsys,
+                                                         monkeypatch):
+        # the benchmark's eps summary: trial division at cut decides every row
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        assert main(["scan", "--two-n", "2", "--x-bound", "1000", "--trial-bound", "10000",
+                     "--rho-budget", "300000", "--format", "json"]) == EXIT_OK
+        assert '"pass": 162' in capsys.readouterr().out
+
+    def test_other_threads_keep_the_split_in_process(self, delta_warm_small, capsys,
+                                                    monkeypatch):
+        monkeypatch.setattr(scans, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked beside a thread"))
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert main(SPLIT_ARGV[0]) == EXIT_OK
+        finally:
+            release.set()
+            other.join(10)
+        assert not other.is_alive()
+        assert capsys.readouterr().out.startswith(CSV_HEADER)
+
+    def test_worker_exception_is_raised_in_the_parent(self, delta_warm_small, monkeypatch):
+        monkeypatch.setattr(scans, "_cpu_count", lambda: 2)
+        parent = os.getpid()
+
+        def broken(fac, rho_budget):
+            assert os.getpid() != parent, "the split ran in the parent"
+            raise ValueError("planted split failure")
+
+        monkeypatch.setattr(factor, "split_cofactor", broken)
+        with pytest.raises(ValueError, match="planted split failure"):
+            threshold_scan(delta_warm_small, 2, 300, trial_bound=1000, rho_budget=20000)
+        assert_no_children()
+
+    def test_worker_that_dies_is_reported(self, delta_warm_small, monkeypatch):
+        monkeypatch.setattr(scans, "_cpu_count", lambda: 2)
+        parent = os.getpid()
+        real = factor.split_cofactor
+
+        def dying(fac, rho_budget):
+            if os.getpid() != parent:
+                os._exit(7)
+            return real(fac, rho_budget)
+
+        monkeypatch.setattr(factor, "split_cofactor", dying)
+        with pytest.raises(ChildProcessError, match="status 7"):
+            threshold_scan(delta_warm_small, 2, 300, trial_bound=1000, rho_budget=20000)
+        assert_no_children()
+
+    def test_parent_interrupted_ends_its_workers(self, delta_warm_small, monkeypatch):
+        # a parent that stops while its workers run kills and reaps them
+        monkeypatch.setattr(scans, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(factor, "split_cofactor", lambda fac, budget: os.pause())
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        real_fdopen = os.fdopen
+
+        def fdopen(fd, mode):
+            pipe = real_fdopen(fd, mode)
+            if mode == "rb":
+                pipe.read = interrupted
+            return pipe
+
+        monkeypatch.setattr(os, "fdopen", fdopen)
+        with pytest.raises(KeyboardInterrupt):
+            threshold_scan(delta_warm_small, 2, 300, trial_bound=1000, rho_budget=20000)
+        assert_no_children()
+
+    def test_imports_load_no_process_pools(self):
+        script = (
+            "import sys\n"
+            "import taulab.scans, taulab.cli\n"
+            "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])\n"
+        )
+        src = str(Path(scans.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "[]"
 
 
 class TestDivisibilityTower:
