@@ -48,6 +48,7 @@ import threading
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from typing import BinaryIO
 
 import mpmath
 
@@ -186,9 +187,11 @@ def scan_rows(
     bound that never happens: a cofactor's primes all exceed cut, so the
     row passes.  The verdicts are the same either way.
 
-    Every row's trial stage runs first; the split stage then runs on the
-    open rows at once, across the CPUs (``_split_all``), and the rows
-    come out in order of p.
+    Rows come out in order of p.  Those before the first row the split
+    stage must finish go out as they are made; the rest wait until every
+    row's trial stage is done and the split stage has run on the open
+    rows at once, across the CPUs (``_split_all``).  Only an open row
+    keeps its factorization until then.
 
     A vanishing coefficient would contradict the even-exponent
     nonvanishing law in this range and raises IdentityViolationError.
@@ -197,11 +200,14 @@ def scan_rows(
         raise ValueError(f"exponent must be even and >= 2, got {two_n}")
     if trial_bound < 1:
         raise ValueError(f"trial bound must be >= 1, got {trial_bound}")
+    if rho_budget < 0:
+        raise ValueError(f"rho budget must be >= 0, got {rho_budget}")
     if grh_c is not None:
         epsilon = None
-    heads: list[tuple[int, int, mpmath.mpf, int]] = []  # (p, value, bound, cut)
-    facs: list[factor.Factorization] = []
-    need_split: list[int] = []  # rows the split stage runs on
+    # rows from the first open one on: a ScanRow, or (p, value, bound, cut)
+    # for an open row, whose factorization waits in open_facs
+    held: list[ScanRow | tuple[int, int, mpmath.mpf, int]] = []
+    open_facs: list[factor.Factorization] = []
     for p, ap in iter_prime_coeffs(f, x_bound):
         if p < MIN_SCAN_PRIME:
             continue
@@ -213,14 +219,20 @@ def scan_rows(
         bound = bound_value(p, epsilon=epsilon, grh_c=grh_c)
         cut = int(bound)  # the bound is positive, so this is its floor
         fac = factor.trial_factor(abs(value), trial_bound if pin else min(cut, trial_bound))
-        if not fac.is_complete and (pin or _row(p, two_n, value, bound, cut, fac).passes is None):
-            need_split.append(len(facs))
-        heads.append((p, value, bound, cut))
-        facs.append(fac)
-    for i, fac in zip(need_split, _split_all([facs[i] for i in need_split], rho_budget)):
-        facs[i] = fac
-    for (p, value, bound, cut), fac in zip(heads, facs):
-        yield _row(p, two_n, value, bound, cut, fac)
+        row = _row(p, two_n, value, bound, cut, fac)
+        if not fac.is_complete and (pin or row.passes is None):
+            held.append((p, value, bound, cut))
+            open_facs.append(fac)
+        elif held:
+            held.append(row)
+        else:
+            yield row  # no open row before it, so it goes out at once
+    split = iter(_split_all(open_facs, rho_budget))
+    for row in held:
+        if not isinstance(row, ScanRow):
+            p, value, bound, cut = row
+            row = _row(p, two_n, value, bound, cut, next(split))
+        yield row
 
 
 def _cpu_count() -> int:
@@ -234,64 +246,101 @@ def _cpu_count() -> int:
 def _split_all(facs: list[factor.Factorization], rho_budget: int) -> list[factor.Factorization]:
     """``factor.split_cofactor`` on each factorization, split over the CPUs.
 
-    W = min(len(facs), CPUs) forked children run when W >= 2: child w
-    takes facs w, w + W, ... and sends its results back pickled through
-    its own pipe.  Otherwise the calls run here, as they do where there
-    is no fork or where other threads run (a fork copies no thread, but
-    may copy a lock one of them holds).  Rho depends only on its input,
-    so the results are the same at any W.  Every child is reaped before
-    this returns or raises; an exception in a child is raised here.
+    W = min(len(facs), CPUs) forked children run when W >= 2 (see
+    ``_split_forked``).  Otherwise the calls run here, as they do where
+    there is no fork, where other threads run (a fork copies no thread,
+    but may copy a lock one of them holds), or where no pipe or child
+    can be made.  Rho depends only on its input, so the results are the
+    same at any W.
     """
     workers = min(len(facs), _cpu_count())
-    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return [factor.split_cofactor(fac, rho_budget) for fac in facs]
-    children = []  # (pid, read end of its pipe)
-    blobs: list[bytes] = []
+    if workers >= 2 and hasattr(os, "fork") and threading.active_count() == 1:
+        split = _split_forked(facs, rho_budget, workers)
+        if split is not None:
+            return split
+    return [factor.split_cofactor(fac, rho_budget) for fac in facs]
+
+
+def _split_forked(facs: list[factor.Factorization], rho_budget: int,
+                  workers: int) -> list[factor.Factorization] | None:
+    """The split in ``workers`` forked children; None when one cannot be started.
+
+    Child w takes facs w, w + W, ... and sends back, pickled through its
+    own pipe, its results or the exception it raised, which is raised
+    here.  A child that exits nonzero died before it could answer.
+    Every child is reaped before this returns or raises; when a pipe or
+    a fork fails (out of descriptors or processes), or this process is
+    interrupted, the children are killed first.
+    """
+    children: list[tuple[int, BinaryIO]] = []
+    replies: list[bytes] | None = None
     try:
         for w in range(workers):
-            read_end, write_end = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _split_worker(write_end, facs[w::workers], rho_budget)
-            os.close(write_end)
-            children.append((pid, os.fdopen(read_end, "rb")))
-        blobs = [pipe.read() for _, pipe in children]
+            try:
+                children.append(_start_worker(facs[w::workers], rho_budget))
+            except OSError:
+                return None
+        replies = [pipe.read() for _, pipe in children]
     finally:
-        statuses = []
-        for pid, pipe in children:
-            pipe.close()
-            if not blobs:
-                # the parent was stopped: end the children rather than wait for them
-                os.kill(pid, signal.SIGKILL)
-            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    out: list = [None] * len(facs)
-    for w, (status, blob) in enumerate(zip(statuses, blobs)):
-        if status == 0:
-            out[w::workers] = pickle.loads(blob)
-        elif status == _SENT_ERROR:
-            raise pickle.loads(blob)
-        else:
+        statuses = _reap(children, stop=replies is None)
+    for status in statuses:
+        if status:
             raise ChildProcessError(f"split worker exited with status {status}")
+    out: list = [None] * len(facs)
+    for w, reply in enumerate(replies):
+        error, results = pickle.loads(reply)
+        if error is not None:
+            raise error
+        out[w::workers] = results
     return out
 
 
-# a split worker's exit status when it raised and sent the exception whole
-_SENT_ERROR = 2
+def _start_worker(facs: list[factor.Factorization], rho_budget: int) -> tuple[int, BinaryIO]:
+    """Fork a child that splits ``facs``; its pid and the read end of its pipe."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        _split_worker(write_end, facs, rho_budget)
+    os.close(write_end)
+    return pid, os.fdopen(read_end, "rb")
 
 
 def _split_worker(write_end: int, facs: list[factor.Factorization], rho_budget: int) -> None:
-    """A forked child's whole life: split, pickle the results (or the error), exit."""
-    code = 1
+    """A forked child's whole life: split, pickle (error, results) into the pipe, exit."""
     try:
         try:
-            payload, sent = [factor.split_cofactor(fac, rho_budget) for fac in facs], 0
+            reply = None, [factor.split_cofactor(fac, rho_budget) for fac in facs]
         except BaseException as exc:  # raised again in the parent
-            payload, sent = exc, _SENT_ERROR
+            reply = exc, []
         with os.fdopen(write_end, "wb") as pipe:
-            pickle.dump(payload, pipe)
-        code = sent
+            pickle.dump(reply, pipe)
+        os._exit(0)
     finally:
-        os._exit(code)
+        os._exit(1)  # the reply could not be sent
+
+
+def _reap(children: list[tuple[int, BinaryIO]], stop: bool) -> list[int]:
+    """Wait for every child, killing it first when ``stop``; their exit statuses.
+
+    SIGINT is held back meanwhile, so a second interrupt cannot cut the
+    loop short and leave a child unreaped.
+    """
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        statuses = []
+        for pid, pipe in children:
+            pipe.close()
+            if stop:
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+        return statuses
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
 def threshold_scan(

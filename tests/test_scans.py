@@ -124,10 +124,12 @@ class TestThresholdScan:
         with pytest.raises(ValueError):
             threshold_scan(delta, 3, 100)
 
-    def test_rejects_trial_bound_below_one(self, delta):
+    @pytest.mark.parametrize("kwargs", [dict(trial_bound=0), dict(rho_budget=-1)])
+    def test_rejects_bad_budgets(self, delta, kwargs):
+        # checked before any row, whether or not a row reaches the split stage
         for pin in (False, True):
             with pytest.raises(ValueError):
-                next(scan_rows(delta, 2, 100, trial_bound=0, pin=pin))
+                next(scan_rows(delta, 2, 100, pin=pin, **kwargs))
 
     def test_small_scan_all_pass(self, delta_warm_small):
         rows, summary = threshold_scan(
@@ -369,6 +371,44 @@ class TestSplitWorkers:
         monkeypatch.setattr(factor, "split_cofactor", dying)
         with pytest.raises(ChildProcessError, match="status 7"):
             threshold_scan(delta_warm_small, 2, 300, trial_bound=1000, rho_budget=20000)
+        assert_no_children()
+
+    def test_failed_fork_splits_in_process(self, delta_warm_small, monkeypatch):
+        # the first child is started, the second cannot be: it is killed and
+        # reaped, and the parent splits every row itself
+        monkeypatch.setattr(scans, "_cpu_count", lambda: 1)
+        expected, _ = threshold_scan(delta_warm_small, 2, 300, trial_bound=1000, rho_budget=20000)
+        monkeypatch.setattr(scans, "_cpu_count", lambda: 2)
+        real, forks = os.fork, []
+
+        def second_fails():
+            forks.append(1)
+            if len(forks) == 2:
+                raise OSError(11, "Resource temporarily unavailable")
+            return real()
+
+        monkeypatch.setattr(os, "fork", second_fails)
+        rows, _ = threshold_scan(delta_warm_small, 2, 300, trial_bound=1000, rho_budget=20000)
+        assert rows == expected
+        assert len(forks) == 2
+        assert_no_children()
+
+    def test_reaping_holds_back_sigint(self, delta_warm_small, monkeypatch):
+        # a SIGINT sent while the workers are reaped waits until they all are
+        monkeypatch.setattr(scans, "_cpu_count", lambda: 2)
+        real_waitpid = os.waitpid
+        interrupts = []
+
+        def waitpid(pid, options):
+            if not interrupts:
+                interrupts.append(1)
+                os.kill(os.getpid(), signal.SIGINT)
+            return real_waitpid(pid, options)
+
+        monkeypatch.setattr(os, "waitpid", waitpid)
+        with pytest.raises(KeyboardInterrupt):
+            threshold_scan(delta_warm_small, 2, 300, trial_bound=1000, rho_budget=20000)
+        monkeypatch.setattr(os, "waitpid", real_waitpid)
         assert_no_children()
 
     def test_parent_interrupted_ends_its_workers(self, delta_warm_small, monkeypatch):
