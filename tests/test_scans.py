@@ -124,12 +124,16 @@ class TestThresholdScan:
         with pytest.raises(ValueError):
             threshold_scan(delta, 3, 100)
 
-    @pytest.mark.parametrize("kwargs", [dict(trial_bound=0), dict(rho_budget=-1)])
-    def test_rejects_bad_budgets(self, delta, kwargs):
-        # checked before any row, whether or not a row reaches the split stage
+    def test_rejects_trial_bound_below_one(self, delta):
         for pin in (False, True):
             with pytest.raises(ValueError):
-                next(scan_rows(delta, 2, 100, pin=pin, **kwargs))
+                next(scan_rows(delta, 2, 100, trial_bound=0, pin=pin))
+
+    def test_rejects_negative_rho_budget(self, delta):
+        # checked before any row, whether or not a row reaches the split stage
+        for pin in (False, True):
+            with pytest.raises(ValueError, match="rho budget"):
+                next(scan_rows(delta, 2, 100, rho_budget=-1, pin=pin))
 
     def test_small_scan_all_pass(self, delta_warm_small):
         rows, summary = threshold_scan(
