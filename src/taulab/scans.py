@@ -35,6 +35,15 @@ At 2n = 2 the values pass 3.3e24 from p ~ 170.  A summary row decided
 below the trial bound reads ``exact`` only when trial division to cut
 factors its value completely (a survivor at most cut^2 is prime), so
 its P is proven by trial division alone.
+
+A verdict needs the threshold only through cut = floor(bound), and both
+modes take it from ``_threshold_floor``: the bound in double precision,
+decided there unless it lies within a relative 2^-40 of an integer, and
+proven by interval arithmetic (``mpmath.iv``) where it does.  A pinned
+(CSV) row prints the 80-bit value of ``bound_value``; a summary row is
+never printed and keeps the double.  mpmath is imported only by
+``bound_value``, ``st_cdf`` and a deferred floor, so importing this
+module, or an eps-mode summary scan, never loads it.
 """
 
 from __future__ import annotations
@@ -48,19 +57,34 @@ import threading
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from typing import BinaryIO
-
-import mpmath
+from typing import TYPE_CHECKING, BinaryIO
 
 from . import factor
-from .errors import IdentityViolationError
+from .errors import BudgetExceededError, IdentityViolationError
 from .hecke import EigenformSpec, _coeff_from_ap, iter_prime_coeffs
+
+if TYPE_CHECKING:
+    import mpmath
 
 # log log p > 1 from the first prime past e^e, so the threshold is a
 # positive real from here on
 MIN_SCAN_PRIME = 17
 
 _BOUND_PRECISION_BITS = 80
+# the double decides a floor only this far, relatively, from every integer
+_FLOOR_MARGIN = 2.0**-40
+# a deferred floor doubles its interval precision from 80 bits up to this
+_FLOOR_PRECISION_CAP = 80 * 2**7
+
+
+def _check_mode(epsilon: float | None, grh_c: float | None) -> None:
+    """Exactly one threshold mode: epsilon finite and >= 0, or grh_c finite and > 0."""
+    if (epsilon is None) == (grh_c is None):
+        raise ValueError("pass exactly one of epsilon or grh_c")
+    if grh_c is not None and not (math.isfinite(grh_c) and grh_c > 0):
+        raise ValueError(f"grh_c must be finite and > 0, got {grh_c}")
+    if epsilon is not None and not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
 
 
 def bound_value(
@@ -77,20 +101,84 @@ def bound_value(
 
     epsilon must be finite and >= 0, c finite and > 0.
     """
-    if (epsilon is None) == (grh_c is None):
-        raise ValueError("pass exactly one of epsilon or grh_c")
-    if grh_c is not None and not (math.isfinite(grh_c) and grh_c > 0):
-        raise ValueError(f"grh_c must be finite and > 0, got {grh_c}")
-    if epsilon is not None and not (math.isfinite(epsilon) and epsilon >= 0):
-        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
+    _check_mode(epsilon, grh_c)
     if p < MIN_SCAN_PRIME:
         raise ValueError(f"threshold needs p >= {MIN_SCAN_PRIME}, got {p}")
+    import mpmath
+
     with mpmath.workprec(_BOUND_PRECISION_BITS):
-        lp = mpmath.log(p)
+        return _bound_in(mpmath.mp, p, epsilon, grh_c)
+
+
+def _bound_in(ctx, p: int, epsilon: float | None, grh_c: float | None):
+    """The threshold at p in an mpmath context: a value in ``mpmath.mp``, an interval in ``iv``."""
+    lp = ctx.log(p)
+    if epsilon is None:
+        return ctx.mpf(grh_c) * ctx.mpf(p) ** (ctx.mpf(1) / 14) * lp ** (ctx.mpf(2) / 7)
+    return lp ** (ctx.mpf(1) / 8) * ctx.log(lp) ** (ctx.mpf(3) / 8 - ctx.mpf(epsilon))
+
+
+def _threshold_floor(p: int, epsilon: float | None, grh_c: float | None) -> tuple[float, int]:
+    """(b, floor(bound)) at p >= 17: the bound in doubles, and its floor, proven.
+
+    b comes from ``math.log`` and ``**``.  Wherever b > 1/2 its relative
+    error is below 2^-44, a sixteenth of the 2^-40 margin:
+
+    * each libm call is within a few ulp, and each product half an ulp;
+    * rounding the exponents 1/14, 2/7 and 3/8 - epsilon once moves a
+      power x^e by a relative |ln x^e| 2^-53, and |ln x^e| < 51 (p^(1/14)
+      with p below the largest double is the largest);
+    * the epsilon mode's base log log p > 1.04 carries the error of a log
+      into x^e times |e|, and |e| < 25.
+
+    Below 1/2 the floor is 0 whatever the error, the bound being positive.
+    So when b is finite and [b(1 - 2^-40), b(1 + 2^-40)] holds no
+    integer, floor(b) is the bound's floor; otherwise (b overflowed, came
+    out 0, or lies that close to an integer) ``_interval_floor`` proves
+    it.  The caller checks the mode.
+    """
+    try:
+        lp = math.log(p)
         if epsilon is None:
-            return +(mpmath.mpf(grh_c) * mpmath.power(p, mpmath.mpf(1) / 14) * lp ** (mpmath.mpf(2) / 7))
-        exp2 = mpmath.mpf(3) / 8 - mpmath.mpf(epsilon)
-        return +(lp ** (mpmath.mpf(1) / 8) * mpmath.log(lp) ** exp2)
+            b = grh_c * p ** (1 / 14) * lp ** (2 / 7)
+        else:
+            b = lp ** 0.125 * math.log(lp) ** (0.375 - epsilon)
+    except OverflowError:  # p itself past the largest double
+        b = math.inf
+    if math.isfinite(b):
+        low, high = b * (1 - _FLOOR_MARGIN), b * (1 + _FLOOR_MARGIN)
+        cut = math.floor(low)
+        if cut < low and high < cut + 1:
+            return b, cut
+    return b, _interval_floor(p, epsilon, grh_c)
+
+
+def _interval_floor(p: int, epsilon: float | None, grh_c: float | None) -> int:
+    """floor(bound) at p, proven: ``mpmath.iv`` from 80 bits, doubled until both ends agree.
+
+    A bound closer to an integer than ``_FLOOR_PRECISION_CAP`` bits can
+    resolve (or on one) raises BudgetExceededError.
+    """
+    from mpmath import iv
+
+    saved = iv.prec
+    prec = _BOUND_PRECISION_BITS
+    try:
+        while prec <= _FLOOR_PRECISION_CAP:
+            iv.prec = prec
+            b = _bound_in(iv, p, epsilon, grh_c)
+            # both ends are positive, so int() is their exact floor
+            low, high = int(b.a), int(b.b)
+            if low == high:
+                return low
+            prec *= 2
+    finally:
+        iv.prec = saved
+    raise BudgetExceededError(
+        f"the threshold at p={p} is within 2^-{_FLOOR_PRECISION_CAP} of an integer: "
+        "its floor is not decided",
+        needed=prec, cap=_FLOOR_PRECISION_CAP,
+    )
 
 
 @dataclass
@@ -98,7 +186,7 @@ class ScanRow:
     p: int
     exponent: int
     value: int
-    bound: float
+    bound: float  # a pinned row's printed 80-bit bound; a summary row's double b
     status: str  # exact | partial | unknown
     largest_prime_factor: int | None  # exact P when status == 'exact'
     known_prime_floor: int  # P(value) is at least this; certain even when partial
@@ -152,18 +240,18 @@ class ScanSummary:
         )
 
 
-def _row(p: int, two_n: int, value: int, bound: mpmath.mpf, cut: int,
+def _row(p: int, two_n: int, value: int, bound: float, cut: int,
          fac: factor.Factorization) -> ScanRow:
     # an integer exceeds the bound exactly when it exceeds cut = floor(bound)
     if fac.is_complete:
         lpf = fac.largest_known_prime()
-        return ScanRow(p, two_n, value, float(bound), "exact", lpf, lpf, lpf > cut)
+        return ScanRow(p, two_n, value, bound, "exact", lpf, lpf, lpf > cut)
     # the cofactor left by either stage has no prime factor at or below
     # its floor, so P(value) >= cofactor_floor + 1 unconditionally
     floor = max(fac.largest_known_prime(), fac.cofactor_floor + 1)
     passes = True if floor > cut else None
     status = "partial" if passes is not None else "unknown"
-    return ScanRow(p, two_n, value, float(bound), status, None, floor, passes)
+    return ScanRow(p, two_n, value, bound, status, None, floor, passes)
 
 
 def scan_rows(
@@ -204,9 +292,10 @@ def scan_rows(
         raise ValueError(f"rho budget must be >= 0, got {rho_budget}")
     if grh_c is not None:
         epsilon = None
+    _check_mode(epsilon, grh_c)
     # rows from the first open one on: a ScanRow, or (p, value, bound, cut)
     # for an open row, whose factorization waits in open_facs
-    held: list[ScanRow | tuple[int, int, mpmath.mpf, int]] = []
+    held: list[ScanRow | tuple[int, int, float, int]] = []
     open_facs: list[factor.Factorization] = []
     for p, ap in iter_prime_coeffs(f, x_bound):
         if p < MIN_SCAN_PRIME:
@@ -216,8 +305,9 @@ def scan_rows(
             raise IdentityViolationError(
                 f"a(p^{two_n}) vanished at p={p}: even exponents cannot vanish here"
             )
-        bound = bound_value(p, epsilon=epsilon, grh_c=grh_c)
-        cut = int(bound)  # the bound is positive, so this is its floor
+        bound, cut = _threshold_floor(p, epsilon, grh_c)
+        if pin:
+            bound = float(bound_value(p, epsilon=epsilon, grh_c=grh_c))
         fac = factor.trial_factor(abs(value), trial_bound if pin else min(cut, trial_bound))
         row = _row(p, two_n, value, bound, cut, fac)
         if not fac.is_complete and (pin or row.passes is None):
@@ -359,9 +449,12 @@ def threshold_scan(
 
 
 def st_cdf(t: float) -> float:
-    """Cumulative semicircle measure of [-1, t]."""
+    """Cumulative semicircle measure of [-1, t], at 53 bits whatever mpmath's precision."""
+    import mpmath
+
     t = min(1.0, max(-1.0, t))
-    return float((mpmath.asin(t) + t * mpmath.sqrt(1 - t * t)) / mpmath.pi + 0.5)
+    with mpmath.workprec(53):
+        return float((mpmath.asin(t) + t * mpmath.sqrt(1 - t * t)) / mpmath.pi + 0.5)
 
 
 def st_measure(a: float, b: float) -> float:

@@ -11,7 +11,7 @@ import pytest
 
 from taulab import factor, scans
 from taulab.cli import EXIT_BUDGET, EXIT_OK, main
-from taulab.errors import IdentityViolationError
+from taulab.errors import BudgetExceededError, IdentityViolationError
 from taulab.hecke import CoefficientTable, EigenformSpec, coeff_prime_power, ingest_table
 from taulab.identities import divisibility_tower
 from taulab.scans import (
@@ -134,6 +134,13 @@ class TestThresholdScan:
         for pin in (False, True):
             with pytest.raises(ValueError, match="rho budget"):
                 next(scan_rows(delta, 2, 100, rho_budget=-1, pin=pin))
+
+    @pytest.mark.parametrize("kwargs", [dict(epsilon=math.nan), dict(epsilon=None, grh_c=None)])
+    def test_rejects_a_bad_threshold_mode_before_any_row(self, delta, kwargs):
+        # x = 16 scans no prime, so only the check at the top can raise
+        for pin in (False, True):
+            with pytest.raises(ValueError):
+                list(scan_rows(delta, 2, 16, pin=pin, **kwargs))
 
     def test_small_scan_all_pass(self, delta_warm_small):
         rows, summary = threshold_scan(
@@ -274,6 +281,106 @@ class TestSummaryPath:
         assert (summary.total_rows, summary.pass_count, summary.fail_count,
                 summary.unknown_count, summary.zero_rows) == (3, 1, 1, 1, 0)
         assert ScanSummary.of([]).pass_fraction == 0.0
+
+
+def planted_grh_c(k):
+    """A GRH constant that puts the bound at p = 71 within a few ulp of the integer k."""
+    return k / float(bound_value(71, grh_c=1.0))
+
+
+class TestThresholdFloor:
+    """``_threshold_floor``: the bound's floor from a double, proven by intervals near an integer."""
+
+    @pytest.fixture
+    def deferred(self, monkeypatch):
+        calls = []
+        real = scans._interval_floor
+        monkeypatch.setattr(scans, "_interval_floor",
+                            lambda p, *mode: calls.append(p) or real(p, *mode))
+        return calls
+
+    @pytest.mark.parametrize("mode", [
+        dict(epsilon=0.0), dict(epsilon=0.1), dict(epsilon=0.375), dict(epsilon=2.0),
+        dict(grh_c=2.5), dict(grh_c=1e7),
+    ])
+    def test_double_floor_matches_bound_value(self, deferred, mode):
+        mode = dict(dict(epsilon=None, grh_c=None), **mode)
+        for p in factor.primes_up_to(2 * 10**4):
+            if p >= MIN_SCAN_PRIME:
+                b, cut = scans._threshold_floor(p, **mode)
+                want = bound_value(p, **mode)
+                assert cut == int(want), p
+                assert abs(b - float(want)) <= float(want) * 2.0**-40, p
+        assert deferred == []  # the doubles decided every row
+
+    @pytest.mark.parametrize("k", [2, 7, 1000])
+    def test_near_integer_bound_is_proven_by_intervals(self, deferred, k):
+        grh_c = planted_grh_c(k)
+        want = bound_value(71, grh_c=grh_c)
+        assert abs(want - k) < k * 2.0**-40
+        assert scans._threshold_floor(71, None, grh_c)[1] == int(want)
+        assert deferred == [71]
+
+    def test_interval_precision_doubles_up_to_the_cap(self, monkeypatch):
+        grh_c = planted_grh_c(7)
+        want = int(bound_value(71, grh_c=grh_c))
+        # from 20 bits the doubling reaches 80, which decides the planted bound
+        monkeypatch.setattr(scans, "_BOUND_PRECISION_BITS", 20)
+        assert scans._interval_floor(71, None, grh_c) == want
+        # 40 bits cannot tell the bound from 7, and 80 is past the cap
+        monkeypatch.setattr(scans, "_FLOOR_PRECISION_CAP", 40)
+        with pytest.raises(BudgetExceededError):
+            scans._interval_floor(71, None, grh_c)
+
+    def test_undecided_floor_exits_2(self, delta_warm_small, capsys, monkeypatch):
+        grh_c = planted_grh_c(7)
+        monkeypatch.setattr(scans, "_FLOOR_PRECISION_CAP", 40)
+        code = main(["scan", "--two-n", "2", "--x-bound", "80", "--grh-c", repr(grh_c),
+                     "--format", "json"])
+        assert code == EXIT_BUDGET
+        assert "p=71" in capsys.readouterr().err
+
+    def test_overflowing_double_defers(self, delta_warm_small, deferred):
+        # c p^(1/14) (log p)^(2/7) passes the largest double at p = 17 and 19
+        rows = list(scan_rows(delta_warm_small, 2, 20, grh_c=1.7e308, pin=False))
+        assert deferred == [17, 19]
+        assert [(r.p, r.passes, r.bound) for r in rows] == [(17, False, math.inf),
+                                                            (19, False, math.inf)]
+        assert ScanSummary.of(rows).to_json() == (
+            '{"fail": 2, "pass": 0, "passFraction": 0.0, "rows": 2, "unknown": 0, "zeroRows": 0}')
+
+    @pytest.mark.parametrize("two_n, x_bound, kwargs", SUMMARY_CASES)
+    def test_summary_and_pinned_rows_agree(self, delta_warm_small, two_n, x_bound, kwargs):
+        pinned, _ = threshold_scan(delta_warm_small, two_n, x_bound, **kwargs)
+        rows = list(scan_rows(delta_warm_small, two_n, x_bound, pin=False, **kwargs))
+        assert [r.p for r in rows] == [r.p for r in pinned]
+        for row, ref in zip(rows, pinned):
+            assert row.passes == ref.passes
+            assert abs(row.bound - ref.bound) <= ref.bound * 2.0**-40
+            assert int(row.bound) == int(ref.bound)
+        if "grh_c" in kwargs:
+            # the cut is above the trial bound on every row, so the summary
+            # splits every row it cannot close and pins the same P
+            assert [r.status for r in rows] == [r.status for r in pinned]
+
+    def test_json_scans_never_load_mpmath(self):
+        script = (
+            "import os, sys\n"
+            "import taulab.scans\n"
+            "from taulab.cli import main\n"
+            "print('mpmath' in sys.modules)\n"
+            "scan = ['scan', '--two-n', '2', '--x-bound', '200', '--out', os.devnull]\n"
+            "assert main(scan + ['--format', 'json']) == 0\n"
+            "print('mpmath' in sys.modules)\n"
+            "assert main(scan + ['--format', 'csv']) == 0\n"
+            "print('mpmath' in sys.modules)\n"
+        )
+        src = str(Path(scans.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.splitlines() == ["False", "False", "True"]
 
 
 # a pinned CSV and a GRH summary with pass, fail and unknown rows, at small budgets
@@ -556,6 +663,17 @@ class TestSatoTate:
         form = EigenformSpec(12, 1, table=CoefficientTable(bound=1000, entries=entries))
         with pytest.raises(IdentityViolationError):
             sato_tate_histogram(form, 1000, bins=2)
+
+    def test_expected_ignores_the_callers_mpmath_precision(self, delta_warm_small):
+        mpmath = pytest.importorskip("mpmath")
+        want = sato_tate_histogram(delta_warm_small, 10**4, bins=20).expected
+        saved = mpmath.mp.prec
+        mpmath.mp.prec = 20
+        try:
+            got = sato_tate_histogram(delta_warm_small, 10**4, bins=20).expected
+        finally:
+            mpmath.mp.prec = saved
+        assert got == want
 
     def test_csv_lines(self, delta_warm_small):
         hist = sato_tate_histogram(delta_warm_small, 10**4, bins=10)
