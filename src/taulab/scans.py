@@ -126,8 +126,8 @@ def _threshold_floor(p: int, epsilon: float | None, grh_c: float | None) -> tupl
 
     * each libm call is within a few ulp, and each product half an ulp;
     * rounding the exponents 1/14, 2/7 and 3/8 - epsilon once moves a
-      power x^e by a relative |ln x^e| 2^-53, and |ln x^e| < 51 (p^(1/14)
-      with p below the largest double is the largest);
+      power x^e by a relative |ln x^e| 2^-53, and |ln x^e| < 51 (p^(1/14),
+      p a double, is the largest);
     * the epsilon mode's base log log p > 1.04 carries the error of a log
       into x^e times |e|, and |e| < 25.
 
@@ -137,14 +137,11 @@ def _threshold_floor(p: int, epsilon: float | None, grh_c: float | None) -> tupl
     out 0, or lies that close to an integer) ``_interval_floor`` proves
     it.  The caller checks the mode.
     """
-    try:
-        lp = math.log(p)
-        if epsilon is None:
-            b = grh_c * p ** (1 / 14) * lp ** (2 / 7)
-        else:
-            b = lp ** 0.125 * math.log(lp) ** (0.375 - epsilon)
-    except OverflowError:  # p itself past the largest double
-        b = math.inf
+    lp = math.log(p)
+    if epsilon is None:
+        b = grh_c * p ** (1 / 14) * lp ** (2 / 7)
+    else:
+        b = lp ** 0.125 * math.log(lp) ** (0.375 - epsilon)
     if math.isfinite(b):
         low, high = b * (1 - _FLOOR_MARGIN), b * (1 + _FLOOR_MARGIN)
         cut = math.floor(low)
