@@ -4,7 +4,7 @@
 help line, a function that adds its flags and a function that runs it.
 A call whose first argument names a command builds only that command's
 flags, and the run function imports only the modules it uses, so
-``taulab density`` never loads ``scans`` or ``mpmath``.  Any other first
+``taulab density`` never loads ``scans``.  Any other first
 argument (none, ``-h``, a typo) builds every command, for the full help
 and error messages.
 

@@ -13,9 +13,10 @@ explicit budgets; when a composite cofactor survives them the result is
 a partial factorization that still knows a lower bound on any prime
 hiding in the cofactor.
 
-Rho runs are deterministic: the polynomial constant and starting point
-are derived from the input and the attempt counter, never from a
-global RNG, so results are identical across runs and worker layouts.
+Rho runs on Python ints and is deterministic: the polynomial constant
+and starting point are derived from the input and the attempt counter,
+never from a global RNG, so results are identical across runs and
+worker layouts.
 """
 
 from __future__ import annotations
@@ -25,14 +26,6 @@ import math
 import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-
-try:
-    from gmpy2 import gcd as _gcd
-    from gmpy2 import mpz
-except ImportError:  # gmpy2 is optional (the "gmpy" extra); rho then runs on Python ints
-    from math import gcd as _gcd
-
-    mpz = int
 
 DEFAULT_TRIAL_BOUND = 10**6
 DEFAULT_RHO_BUDGET = 10**8
@@ -189,13 +182,12 @@ def _brent_rho(n: int, attempt: int, budget: int) -> tuple[int | None, int]:
     Returns (factor or None, iterations spent).  Start point and
     constant are derived from (n, attempt) for reproducibility.
     """
-    n = mpz(n)
-    c = mpz(1 + (int(n) + attempt * 2654435761) % (int(n) - 3))
-    y = mpz(2 + attempt)
+    c = 1 + (n + attempt * 2654435761) % (n - 3)
+    y = 2 + attempt
     m = 128
-    g = mpz(1)
+    g = 1
     r = 1
-    q = mpz(1)
+    q = 1
     spent = 0
     x = y
     ys = y
@@ -212,16 +204,15 @@ def _brent_rho(n: int, attempt: int, budget: int) -> tuple[int | None, int]:
                 y = (y * y + c) % n
                 q = q * abs(x - y) % n
             spent += steps
-            g = _gcd(q, n)
+            g = math.gcd(q, n)
             k += m
         r <<= 1
     if g == n:
         # batch gcd collapsed; replay one step at a time
-        g = mpz(1)
+        g = 1
         while g == 1:
             ys = (ys * ys + c) % n
-            g = _gcd(abs(x - ys), n)
-    g = int(g)
+            g = math.gcd(abs(x - ys), n)
     if 1 < g < n:
         return g, spent
     return None, spent

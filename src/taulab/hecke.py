@@ -12,8 +12,7 @@ square's low n slots, taken mod 10^(n w), are the ten's complement of
 eta^12; eta^12 stays in ``decimal``, is widened slot by slot to the
 second width and squared again, and only the low slots of that square
 are read back into Python integers.  The context traps every rounding
-signal, so each step is exact or raises, and the same path runs whether
-or not the optional gmpy2 package is installed.
+signal, so each step is exact or raises.
 
 General forms are ingested from CSV tables of a_p values.  The
 prime-power coefficient a(p^m) is the Lucas term U_{m+1}(a(p), p^(k-1))
@@ -35,9 +34,10 @@ from typing import Iterator
 
 from . import factor
 from .errors import BudgetExceededError, DataExhaustedError, TableFormatError
-from .factor import mpz  # noqa: F401  (kept as hecke.mpz for environment reports)
 
 DEFAULT_SERIES_CEILING = 10**7
+
+mpz = int  # read only by the benchmark's environment report (perfbench/run.py)
 
 # Context of the series squarings.  With every rounding-related signal
 # trapped, a step that would lose a digit raises instead of returning

@@ -39,15 +39,15 @@ its P is proven by trial division alone.
 A verdict needs the threshold only through cut = floor(bound), and both
 modes take it from ``_threshold_floor``: the bound in double precision,
 decided there unless it lies within a relative 2^-40 of an integer, and
-proven by interval arithmetic (``mpmath.iv``) where it does.  A pinned
-(CSV) row prints the 80-bit value of ``bound_value``; a summary row is
-never printed and keeps the double.  mpmath is imported only by
-``bound_value``, ``st_cdf`` and a deferred floor, so importing this
-module, or an eps-mode summary scan, never loads it.
+proven in ``decimal`` (``_decimal_floor``) where it does.  A pinned (CSV)
+row prints the double nearest the 40-digit ``bound_value``, or past the
+largest double that value to 17 digits; a summary row is never printed
+and keeps the double.
 """
 
 from __future__ import annotations
 
+import decimal
 import json
 import math
 import os
@@ -57,24 +57,23 @@ import threading
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, BinaryIO
+from decimal import Decimal
+from fractions import Fraction
+from typing import BinaryIO
 
 from . import factor
 from .errors import BudgetExceededError, IdentityViolationError
 from .hecke import EigenformSpec, _coeff_from_ap, iter_prime_coeffs
 
-if TYPE_CHECKING:
-    import mpmath
-
 # log log p > 1 from the first prime past e^e, so the threshold is a
 # positive real from here on
 MIN_SCAN_PRIME = 17
 
-_BOUND_PRECISION_BITS = 80
+_BOUND_DIGITS = 40
 # the double decides a floor only this far, relatively, from every integer
 _FLOOR_MARGIN = 2.0**-40
-# a deferred floor doubles its interval precision from 80 bits up to this
-_FLOOR_PRECISION_CAP = 80 * 2**7
+# a deferred floor doubles its digits from _BOUND_DIGITS up to this (10240 bits)
+_FLOOR_DIGITS_CAP = 3083
 
 
 def _check_mode(epsilon: float | None, grh_c: float | None) -> None:
@@ -91,8 +90,8 @@ def bound_value(
     p: int,
     epsilon: float | None = None,
     grh_c: float | None = None,
-) -> mpmath.mpf:
-    """Threshold value at p, computed with 80-bit working precision.
+) -> Decimal:
+    """Threshold value at p to 40 significant digits.
 
     Exactly one mode applies:
 
@@ -104,18 +103,31 @@ def bound_value(
     _check_mode(epsilon, grh_c)
     if p < MIN_SCAN_PRIME:
         raise ValueError(f"threshold needs p >= {MIN_SCAN_PRIME}, got {p}")
-    import mpmath
-
-    with mpmath.workprec(_BOUND_PRECISION_BITS):
-        return _bound_in(mpmath.mp, p, epsilon, grh_c)
+    return _bound_decimal(p, epsilon, grh_c, _BOUND_DIGITS)
 
 
-def _bound_in(ctx, p: int, epsilon: float | None, grh_c: float | None):
-    """The threshold at p in an mpmath context: a value in ``mpmath.mp``, an interval in ``iv``."""
-    lp = ctx.log(p)
-    if epsilon is None:
-        return ctx.mpf(grh_c) * ctx.mpf(p) ** (ctx.mpf(1) / 14) * lp ** (ctx.mpf(2) / 7)
-    return lp ** (ctx.mpf(1) / 8) * ctx.log(lp) ** (ctx.mpf(3) / 8 - ctx.mpf(epsilon))
+def _bound_decimal(p: int, epsilon: float | None, grh_c: float | None, digits: int) -> Decimal:
+    """The threshold at p to ``digits`` digits, whatever the caller's context.
+
+    Each power x^e is exp(e ln x), never ``**``, which ``decimal`` rounds
+    correctly only almost always; every step is correctly rounded.
+    """
+    context = decimal.Context(prec=digits, rounding=decimal.ROUND_HALF_EVEN,
+                              Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX,
+                              traps=[decimal.InvalidOperation])
+    with decimal.localcontext(context):
+        lp = Decimal(p).ln()
+        if epsilon is None:
+            return Decimal(grh_c) * (lp / 14 + 2 * lp.ln() / 7).exp()
+        llp = lp.ln()
+        return (llp / 8 + (Decimal("0.375") - Decimal(epsilon)) * llp.ln()).exp()
+
+
+def _margin_floor(b: float | Fraction, margin: float | Fraction) -> int | None:
+    """floor(b) when [b(1 - margin), b(1 + margin)] holds no integer, else None."""
+    low, high = b * (1 - margin), b * (1 + margin)
+    cut = math.floor(low)
+    return cut if cut < low and high < cut + 1 else None
 
 
 def _threshold_floor(p: int, epsilon: float | None, grh_c: float | None) -> tuple[float, int]:
@@ -134,7 +146,7 @@ def _threshold_floor(p: int, epsilon: float | None, grh_c: float | None) -> tupl
     Below 1/2 the floor is 0 whatever the error, the bound being positive.
     So when b is finite and [b(1 - 2^-40), b(1 + 2^-40)] holds no
     integer, floor(b) is the bound's floor; otherwise (b overflowed, came
-    out 0, or lies that close to an integer) ``_interval_floor`` proves
+    out 0, or lies that close to an integer) ``_decimal_floor`` proves
     it.  The caller checks the mode.
     """
     lp = math.log(p)
@@ -143,39 +155,35 @@ def _threshold_floor(p: int, epsilon: float | None, grh_c: float | None) -> tupl
     else:
         b = lp ** 0.125 * math.log(lp) ** (0.375 - epsilon)
     if math.isfinite(b):
-        low, high = b * (1 - _FLOOR_MARGIN), b * (1 + _FLOOR_MARGIN)
-        cut = math.floor(low)
-        if cut < low and high < cut + 1:
+        cut = _margin_floor(b, _FLOOR_MARGIN)
+        if cut is not None:
             return b, cut
-    return b, _interval_floor(p, epsilon, grh_c)
+    return b, _decimal_floor(p, epsilon, grh_c)
 
 
-def _interval_floor(p: int, epsilon: float | None, grh_c: float | None) -> int:
-    """floor(bound) at p, proven: ``mpmath.iv`` from 80 bits, doubled until both ends agree.
+def _decimal_floor(p: int, epsilon: float | None, grh_c: float | None) -> int:
+    """floor(bound) at p, proven by ``_bound_decimal`` at D = 40, 80, ... digits.
 
-    A bound closer to an integer than ``_FLOOR_PRECISION_CAP`` bits can
-    resolve (or on one) raises BudgetExceededError.
+    Each step there is off by a relative u = 5 10^-D at most.  exp turns
+    the absolute error of its argument y into a relative one, and where
+    the bound exceeds 1/2, y is off by 162u in the GRH mode (103u from
+    ln(p)/14 < 51 for any sieved p) and by 390u in the epsilon mode (an
+    absolute 9.5u in ln(ln(ln p)) > 0.0405 is a relative 235u, on a term
+    below 1.6), so b is off by a relative 400u.  Below 1/2 the floor is 0
+    and y's error stays below |y|, so b < 1.  So the margin test with
+    d = 10^(4-D) = 2000u, run exactly in fractions, proves the floor; a
+    b that underflowed to 0 has floor 0.  Past ``_FLOOR_DIGITS_CAP``
+    digits it raises BudgetExceededError.
     """
-    from mpmath import iv
-
-    saved = iv.prec
-    prec = _BOUND_PRECISION_BITS
-    try:
-        while prec <= _FLOOR_PRECISION_CAP:
-            iv.prec = prec
-            b = _bound_in(iv, p, epsilon, grh_c)
-            # both ends are positive, so int() is their exact floor
-            low, high = int(b.a), int(b.b)
-            if low == high:
-                return low
-            prec *= 2
-    finally:
-        iv.prec = saved
-    raise BudgetExceededError(
-        f"the threshold at p={p} is within 2^-{_FLOOR_PRECISION_CAP} of an integer: "
-        "its floor is not decided",
-        needed=prec, cap=_FLOOR_PRECISION_CAP,
-    )
+    digits = _BOUND_DIGITS
+    while digits <= _FLOOR_DIGITS_CAP:
+        b = Fraction(_bound_decimal(p, epsilon, grh_c, digits))
+        cut = _margin_floor(b, Fraction(1, 10 ** (digits - 4))) if b else 0
+        if cut is not None:
+            return cut
+        digits *= 2
+    raise BudgetExceededError(f"the threshold at p={p} is within 10^-{_FLOOR_DIGITS_CAP} of an "
+                              "integer: its floor is not decided", digits, _FLOOR_DIGITS_CAP)
 
 
 @dataclass
@@ -183,7 +191,7 @@ class ScanRow:
     p: int
     exponent: int
     value: int
-    bound: float  # a pinned row's printed 80-bit bound; a summary row's double b
+    bound: float | Decimal  # a pinned row's printed bound; a summary row's double b
     status: str  # exact | partial | unknown
     largest_prime_factor: int | None  # exact P when status == 'exact'
     known_prime_floor: int  # P(value) is at least this; certain even when partial
@@ -192,7 +200,7 @@ class ScanRow:
     def csv_line(self) -> str:
         lpf = self.largest_prime_factor if self.largest_prime_factor is not None else ""
         passes = "" if self.passes is None else str(self.passes).lower()
-        return f"{self.p},{self.exponent},{self.value},{lpf},{self.bound!r},{passes},{self.status}"
+        return f"{self.p},{self.exponent},{self.value},{lpf},{self.bound},{passes},{self.status}"
 
 
 CSV_HEADER = "p,exponent,value,largest_prime_factor,bound,passes,status"
@@ -304,7 +312,10 @@ def scan_rows(
             )
         bound, cut = _threshold_floor(p, epsilon, grh_c)
         if pin:
-            bound = float(bound_value(p, epsilon=epsilon, grh_c=grh_c))
+            printed = bound_value(p, epsilon=epsilon, grh_c=grh_c)
+            bound = float(printed)
+            if bound == math.inf:  # past the largest double: 17 digits
+                bound = decimal.Context(prec=17, rounding=decimal.ROUND_HALF_EVEN).plus(printed)
         fac = factor.trial_factor(abs(value), trial_bound if pin else min(cut, trial_bound))
         row = _row(p, two_n, value, bound, cut, fac)
         if not fac.is_complete and (pin or row.passes is None):
@@ -446,12 +457,9 @@ def threshold_scan(
 
 
 def st_cdf(t: float) -> float:
-    """Cumulative semicircle measure of [-1, t], at 53 bits whatever mpmath's precision."""
-    import mpmath
-
+    """Cumulative semicircle measure of [-1, t]."""
     t = min(1.0, max(-1.0, t))
-    with mpmath.workprec(53):
-        return float((mpmath.asin(t) + t * mpmath.sqrt(1 - t * t)) / mpmath.pi + 0.5)
+    return (math.asin(t) + t * math.sqrt(1 - t * t)) / math.pi + 0.5
 
 
 def st_measure(a: float, b: float) -> float:

@@ -533,13 +533,13 @@ class TestParserText:
         assert err.endswith("error: the following arguments are required: command\n")
 
     def test_density_loads_no_scan_modules(self):
-        # a fresh interpreter: density never imports scans (and mpmath) or
-        # identities, and tower imports identities but still not scans
+        # a fresh interpreter: density never imports scans or identities,
+        # and tower imports identities but still not scans
         script = (
             "import os, sys\n"
             "from taulab.cli import main\n"
             "assert main(['density', '--q', '3', '--ell', '31', '--n', '2']) == 0\n"
-            "lazy = ('mpmath', 'taulab.scans', 'taulab.identities')\n"
+            "lazy = ('taulab.scans', 'taulab.identities')\n"
             "print([name for name in lazy if name in sys.modules])\n"
             "assert main(['tower', '--p-max', '10', '--out', os.devnull]) == 0\n"
             "print([name for name in lazy if name in sys.modules])\n"
@@ -549,3 +549,26 @@ class TestParserText:
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, check=True)
         assert done.stdout.splitlines()[-2:] == ["[]", "['taulab.identities']"]
+
+    def test_commands_load_only_the_standard_library(self):
+        # a fresh interpreter without site-packages (-S): verify, pinned CSV
+        # scans (one with deferred floors past the largest double) and
+        # sato-tate import no module outside the standard library and taulab
+        script = (
+            "import os, sys\n"
+            "before = set(sys.modules)\n"
+            "from taulab.cli import main\n"
+            "out = ['--out', os.devnull]\n"
+            "assert main(['verify', '--suite', 'all'] + out) == 0\n"
+            "scan = ['scan', '--two-n', '2', '--format', 'csv'] + out\n"
+            "assert main(scan + ['--x-bound', '300', '--trial-bound', '10000']) == 0\n"
+            "assert main(scan + ['--x-bound', '20', '--grh-c', '1.7e308']) == 0\n"
+            "assert main(['sato-tate'] + out) == 0\n"
+            "ours = sys.stdlib_module_names | {'taulab'}\n"
+            "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] not in ours))\n"
+        )
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "[]"

@@ -1,3 +1,5 @@
+import decimal
+import hashlib
 import math
 import os
 import signal
@@ -288,21 +290,51 @@ def planted_grh_c(k):
     return k / float(bound_value(71, grh_c=1.0))
 
 
+def mpmath_bound(ctx, p, epsilon, grh_c):
+    """The threshold at p in an mpmath context, an oracle apart from ``decimal``."""
+    lp = ctx.log(p)
+    if epsilon is None:
+        return ctx.mpf(grh_c) * ctx.mpf(p) ** (ctx.mpf(1) / 14) * lp ** (ctx.mpf(2) / 7)
+    return lp ** (ctx.mpf(1) / 8) * ctx.log(lp) ** (ctx.mpf(3) / 8 - ctx.mpf(epsilon))
+
+
+def mpmath_interval_floor(p, grh_c):
+    """floor(bound) at p in the GRH mode from ``mpmath.iv``, from 80 bits until the ends agree."""
+    iv = pytest.importorskip("mpmath").iv
+    saved = iv.prec
+    try:
+        for j in range(8):
+            iv.prec = 80 * 2**j
+            b = mpmath_bound(iv, p, None, grh_c)
+            if int(b.a) == int(b.b):  # both ends are positive: int() is their floor
+                return int(b.a)
+    finally:
+        iv.prec = saved
+    raise AssertionError(f"no floor at p={p} within 10240 bits")
+
+
+THRESHOLD_MODES = [
+    dict(epsilon=0.0), dict(epsilon=0.1), dict(epsilon=0.375), dict(epsilon=2.0),
+    dict(grh_c=2.5), dict(grh_c=1e7),
+]
+# the primes up to 10^6 whose bound at c = 10^7 the double leaves undecided
+DEFERRED_AT_C7 = [186097, 244219, 352949, 526667, 666683, 901787]
+PINNED_CSV_2 = ["scan", "--two-n", "2", "--x-bound", "1000", "--eps", "0.1",
+                "--trial-bound", "10000", "--rho-budget", "300000", "--format", "csv"]
+
+
 class TestThresholdFloor:
-    """``_threshold_floor``: the bound's floor from a double, proven by intervals near an integer."""
+    """``_threshold_floor``: the floor from a double, proven in ``decimal`` near an integer."""
 
     @pytest.fixture
     def deferred(self, monkeypatch):
         calls = []
-        real = scans._interval_floor
-        monkeypatch.setattr(scans, "_interval_floor",
+        real = scans._decimal_floor
+        monkeypatch.setattr(scans, "_decimal_floor",
                             lambda p, *mode: calls.append(p) or real(p, *mode))
         return calls
 
-    @pytest.mark.parametrize("mode", [
-        dict(epsilon=0.0), dict(epsilon=0.1), dict(epsilon=0.375), dict(epsilon=2.0),
-        dict(grh_c=2.5), dict(grh_c=1e7),
-    ])
+    @pytest.mark.parametrize("mode", THRESHOLD_MODES)
     def test_double_floor_matches_bound_value(self, deferred, mode):
         mode = dict(dict(epsilon=None, grh_c=None), **mode)
         for p in factor.primes_up_to(2 * 10**4):
@@ -312,6 +344,23 @@ class TestThresholdFloor:
                 assert cut == int(want), p
                 assert abs(b - float(want)) <= float(want) * 2.0**-40, p
         assert deferred == []  # the doubles decided every row
+
+    @pytest.mark.parametrize("mode", THRESHOLD_MODES)
+    def test_bound_value_matches_mpmath(self, mode):
+        mpmath = pytest.importorskip("mpmath")
+        mode = dict(dict(epsilon=None, grh_c=None), **mode)
+        with mpmath.workprec(80):
+            for p in factor.primes_up_to(2 * 10**4):
+                if p >= MIN_SCAN_PRIME:
+                    want = float(mpmath_bound(mpmath.mp, p, **mode))
+                    assert float(bound_value(p, **mode)) == want, p
+
+    @pytest.mark.parametrize("p, k", [(71, 2), (71, 7), (71, 1000)]
+                             + [(p, None) for p in DEFERRED_AT_C7])
+    def test_deferred_floor_matches_mpmath_intervals(self, deferred, p, k):
+        grh_c = 1e7 if k is None else planted_grh_c(k)
+        assert scans._threshold_floor(p, None, grh_c)[1] == mpmath_interval_floor(p, grh_c)
+        assert deferred == [p]
 
     @pytest.mark.parametrize("k", [2, 7, 1000])
     def test_near_integer_bound_is_proven_by_intervals(self, deferred, k):
@@ -324,17 +373,35 @@ class TestThresholdFloor:
     def test_interval_precision_doubles_up_to_the_cap(self, monkeypatch):
         grh_c = planted_grh_c(7)
         want = int(bound_value(71, grh_c=grh_c))
-        # from 20 bits the doubling reaches 80, which decides the planted bound
-        monkeypatch.setattr(scans, "_BOUND_PRECISION_BITS", 20)
-        assert scans._interval_floor(71, None, grh_c) == want
-        # 40 bits cannot tell the bound from 7, and 80 is past the cap
-        monkeypatch.setattr(scans, "_FLOOR_PRECISION_CAP", 40)
+        # from 5 digits the doubling reaches 40, which decides the planted bound
+        monkeypatch.setattr(scans, "_BOUND_DIGITS", 5)
+        assert scans._decimal_floor(71, None, grh_c) == want
+        # 10 digits cannot tell the bound from 7, and 20 is past the cap
+        monkeypatch.setattr(scans, "_FLOOR_DIGITS_CAP", 10)
         with pytest.raises(BudgetExceededError):
-            scans._interval_floor(71, None, grh_c)
+            scans._decimal_floor(71, None, grh_c)
+
+    def test_threshold_ignores_the_callers_decimal_context(self, delta_warm_small, capsys,
+                                                           deferred):
+        grh_c = planted_grh_c(7)
+
+        def thresholds():
+            return (bound_value(71, epsilon=0.1), bound_value(71, grh_c=grh_c),
+                    scans._threshold_floor(71, None, grh_c))
+
+        want = thresholds()
+        with decimal.localcontext() as ctx:
+            ctx.prec, ctx.rounding = 6, decimal.ROUND_FLOOR
+            assert thresholds() == want
+            assert main(PINNED_CSV_2) == EXIT_OK
+        assert deferred == [71, 71]
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "31b11e465afc9c538871ee959153d7869b001dfb68fea4c2934fc097c3f3fcec")
 
     def test_undecided_floor_exits_2(self, delta_warm_small, capsys, monkeypatch):
         grh_c = planted_grh_c(7)
-        monkeypatch.setattr(scans, "_FLOOR_PRECISION_CAP", 40)
+        monkeypatch.setattr(scans, "_FLOOR_DIGITS_CAP", 20)
         code = main(["scan", "--two-n", "2", "--x-bound", "80", "--grh-c", repr(grh_c),
                      "--format", "json"])
         assert code == EXIT_BUDGET
@@ -349,6 +416,23 @@ class TestThresholdFloor:
         assert ScanSummary.of(rows).to_json() == (
             '{"fail": 2, "pass": 0, "passFraction": 0.0, "rows": 2, "unknown": 0, "zeroRows": 0}')
 
+    def test_underflowing_bound_floors_to_zero(self, delta_warm_small, deferred):
+        # (log log p)^(3/8 - 10^20) is below the smallest double and the
+        # smallest Decimal at p = 17 and 19; the bound is positive, so its
+        # floor is 0 and both rows pass
+        rows = list(scan_rows(delta_warm_small, 2, 20, epsilon=1e20, pin=False))
+        assert deferred == [17, 19]
+        assert [(r.p, r.passes, r.bound) for r in rows] == [(17, True, 0.0), (19, True, 0.0)]
+
+    def test_pinned_bound_past_the_largest_double_prints_17_digits(self, delta_warm_small,
+                                                                   capsys):
+        # mpmath at 80 bits: 2.8025978278797432209e308 and 2.8562038174385883388e308
+        argv = ["scan", "--two-n", "2", "--x-bound", "20", "--grh-c", "1.7e308", "--format", "csv"]
+        assert main(argv) == EXIT_OK
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [(row[0], row[4]) for row in rows] == [("17", "2.8025978278797432E+308"),
+                                                      ("19", "2.8562038174385883E+308")]
+
     @pytest.mark.parametrize("two_n, x_bound, kwargs", SUMMARY_CASES)
     def test_summary_and_pinned_rows_agree(self, delta_warm_small, two_n, x_bound, kwargs):
         pinned, _ = threshold_scan(delta_warm_small, two_n, x_bound, **kwargs)
@@ -362,25 +446,6 @@ class TestThresholdFloor:
             # the cut is above the trial bound on every row, so the summary
             # splits every row it cannot close and pins the same P
             assert [r.status for r in rows] == [r.status for r in pinned]
-
-    def test_json_scans_never_load_mpmath(self):
-        script = (
-            "import os, sys\n"
-            "import taulab.scans\n"
-            "from taulab.cli import main\n"
-            "print('mpmath' in sys.modules)\n"
-            "scan = ['scan', '--two-n', '2', '--x-bound', '200', '--out', os.devnull]\n"
-            "assert main(scan + ['--format', 'json']) == 0\n"
-            "print('mpmath' in sys.modules)\n"
-            "assert main(scan + ['--format', 'csv']) == 0\n"
-            "print('mpmath' in sys.modules)\n"
-        )
-        src = str(Path(scans.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, check=True)
-        assert done.stdout.splitlines() == ["False", "False", "True"]
 
 
 # a pinned CSV and a GRH summary with pass, fail and unknown rows, at small budgets
@@ -663,17 +728,6 @@ class TestSatoTate:
         form = EigenformSpec(12, 1, table=CoefficientTable(bound=1000, entries=entries))
         with pytest.raises(IdentityViolationError):
             sato_tate_histogram(form, 1000, bins=2)
-
-    def test_expected_ignores_the_callers_mpmath_precision(self, delta_warm_small):
-        mpmath = pytest.importorskip("mpmath")
-        want = sato_tate_histogram(delta_warm_small, 10**4, bins=20).expected
-        saved = mpmath.mp.prec
-        mpmath.mp.prec = 20
-        try:
-            got = sato_tate_histogram(delta_warm_small, 10**4, bins=20).expected
-        finally:
-            mpmath.mp.prec = saved
-        assert got == want
 
     def test_csv_lines(self, delta_warm_small):
         hist = sato_tate_histogram(delta_warm_small, 10**4, bins=10)
