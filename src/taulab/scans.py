@@ -72,7 +72,7 @@ MIN_SCAN_PRIME = 17
 _BOUND_DIGITS = 40
 # the double decides a floor only this far, relatively, from every integer
 _FLOOR_MARGIN = 2.0**-40
-# a deferred floor doubles its digits from _BOUND_DIGITS up to this (10240 bits)
+# a deferred floor's digits double from _BOUND_DIGITS to this (~10240 bits)
 _FLOOR_DIGITS_CAP = 3083
 
 
@@ -112,9 +112,8 @@ def _bound_decimal(p: int, epsilon: float | None, grh_c: float | None, digits: i
     Each power x^e is exp(e ln x), never ``**``, which ``decimal`` rounds
     correctly only almost always; every step is correctly rounded.
     """
-    context = decimal.Context(prec=digits, rounding=decimal.ROUND_HALF_EVEN,
-                              Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX,
-                              traps=[decimal.InvalidOperation])
+    context = decimal.Context(prec=digits, rounding=decimal.ROUND_HALF_EVEN, Emin=decimal.MIN_EMIN,
+                              Emax=decimal.MAX_EMAX, traps=[decimal.InvalidOperation])
     with decimal.localcontext(context):
         lp = Decimal(p).ln()
         if epsilon is None:
@@ -162,28 +161,30 @@ def _threshold_floor(p: int, epsilon: float | None, grh_c: float | None) -> tupl
 
 
 def _decimal_floor(p: int, epsilon: float | None, grh_c: float | None) -> int:
-    """floor(bound) at p, proven by ``_bound_decimal`` at D = 40, 80, ... digits.
+    """floor(bound) at p by ``_bound_decimal`` at D = 40, 80, ..., _FLOOR_DIGITS_CAP digits.
 
     Each step there is off by a relative u = 5 10^-D at most.  exp turns
-    the absolute error of its argument y into a relative one, and where
-    the bound exceeds 1/2, y is off by 162u in the GRH mode (103u from
+    the absolute error of its argument y into a relative one: where the
+    bound exceeds 1/2, y is off by 162u in the GRH mode (103u from
     ln(p)/14 < 51 for any sieved p) and by 390u in the epsilon mode (an
     absolute 9.5u in ln(ln(ln p)) > 0.0405 is a relative 235u, on a term
-    below 1.6), so b is off by a relative 400u.  Below 1/2 the floor is 0
-    and y's error stays below |y|, so b < 1.  So the margin test with
-    d = 10^(4-D) = 2000u, run exactly in fractions, proves the floor; a
-    b that underflowed to 0 has floor 0.  Past ``_FLOOR_DIGITS_CAP``
-    digits it raises BudgetExceededError.
+    below 1.6), so b is off by a relative 400u, and the margin test with
+    d = 10^(4-D) = 2000u, run exactly in fractions, proves the floor.  A
+    b below 1/2 has floor 0, y < -0.69 being off by a tiny fraction of |y|:
+    a huge epsilon's b, near 10^(-epsilon/57), never becomes a fraction.
     """
     digits = _BOUND_DIGITS
     while digits <= _FLOOR_DIGITS_CAP:
-        b = Fraction(_bound_decimal(p, epsilon, grh_c, digits))
-        cut = _margin_floor(b, Fraction(1, 10 ** (digits - 4))) if b else 0
+        b = _bound_decimal(p, epsilon, grh_c, digits)
+        if b < Decimal("0.5"):
+            return 0
+        cut = _margin_floor(Fraction(b), Fraction(1, 10 ** (digits - 4)))
         if cut is not None:
             return cut
-        digits *= 2
-    raise BudgetExceededError(f"the threshold at p={p} is within 10^-{_FLOOR_DIGITS_CAP} of an "
-                              "integer: its floor is not decided", digits, _FLOOR_DIGITS_CAP)
+        digits = 2 * digits if digits == _FLOOR_DIGITS_CAP else min(2 * digits, _FLOOR_DIGITS_CAP)
+    raise BudgetExceededError(f"the threshold at p={p} is within a relative "
+                              f"10^{4 - _FLOOR_DIGITS_CAP} of an integer: its floor is not "
+                              "decided", digits, _FLOOR_DIGITS_CAP)
 
 
 @dataclass

@@ -424,6 +424,30 @@ class TestThresholdFloor:
         assert deferred == [17, 19]
         assert [(r.p, r.passes, r.bound) for r in rows] == [(17, True, 0.0), (19, True, 0.0)]
 
+    def test_tiny_decimal_bound_floors_to_zero(self, delta_warm_small, capsys, deferred):
+        # at epsilon = 10^12 the double underflows but the 40-digit bound is
+        # about 10^(-1.76 10^10): a floor of 0, decided without its fraction
+        rows = list(scan_rows(delta_warm_small, 2, 20, epsilon=1e12, pin=False))
+        assert [(r.p, r.passes, r.bound) for r in rows] == [(17, True, 0.0), (19, True, 0.0)]
+        assert main(["scan", "--two-n", "2", "--x-bound", "20", "--eps", "1e12",
+                     "--format", "csv"]) == EXIT_OK
+        assert deferred == [17, 19, 17, 19]
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "17,2,13420028104723,15936629,0.0,true,exact",
+            "19,2,-2824382481819,941460827273,0.0,true,exact"]
+
+    def test_last_floor_step_runs_at_the_cap(self, monkeypatch):
+        grh_c = planted_grh_c(7)
+        digits = []
+        real = scans._bound_decimal
+        monkeypatch.setattr(scans, "_bound_decimal",
+                            lambda *args: digits.append(args[-1]) or real(*args))
+        monkeypatch.setattr(scans, "_BOUND_DIGITS", 4)
+        monkeypatch.setattr(scans, "_FLOOR_DIGITS_CAP", 12)
+        with pytest.raises(BudgetExceededError):
+            scans._decimal_floor(71, None, grh_c)
+        assert digits == [4, 8, 12]
+
     def test_pinned_bound_past_the_largest_double_prints_17_digits(self, delta_warm_small,
                                                                    capsys):
         # mpmath at 80 bits: 2.8025978278797432209e308 and 2.8562038174385883388e308
