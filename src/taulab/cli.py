@@ -298,12 +298,12 @@ def _flags_tower(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_tower(ns: argparse.Namespace) -> int:
-    from . import hecke, identities
+    from . import identities
 
     f = _form(ns)
     for line in identities.divisibility_tower(f=f, p_max=ns.p_max, max_odd=ns.max_odd):
         raise IdentityViolationError(line.removeprefix("FAIL "))
-    primes = sum(1 for _ in hecke.iter_prime_coeffs(f, ns.p_max))
+    primes = sum(1 for p in factor.primes_up_to(ns.p_max) if f.level % p)
     if not primes:
         raise ValueError(f"no prime up to --p-max {ns.p_max} is coprime to the level {f.level}")
     _emit(ns, f"tower verified on {primes * ((ns.max_odd - 1) // 2)} (p, n) pairs")

@@ -24,8 +24,8 @@ also give the conjugacy-type class tally.
 Empirical side: walk primes p <= x and test whether d divides
 a_f(p^(q-1)) = psi_q(a_f(p)^2, p^(k-1)).  By the same homogeneity, for
 p not dividing d that holds exactly when a_f(p)^2 p^(1-k) mod d is a
-root of psi_q(X, 1) mod d, so each prime costs one modular power and a
-lookup, and psi_q is evaluated at most once per residue mod d.  The hit
+root of psi_q(X, 1) mod d: one modular power per class of (a_f(p), p)
+mod d, and psi_q evaluated at most once per residue mod d.  The hit
 frequency is compared against the density with a binomial noise band.
 
 The same root search, taken to q^2 at l = q, also decides whether
@@ -45,7 +45,7 @@ from typing import Iterator
 from . import factor
 from .cyclotomic import eval_poly_mod, psi_poly
 from .errors import BudgetExceededError
-from .hecke import EigenformSpec, iter_prime_coeffs
+from .hecke import EigenformSpec, prime_coeffs
 
 DEFAULT_ENUM_BUDGET = 10**8
 
@@ -434,8 +434,8 @@ def chebotarev_sample(
     a_f(p^(q-1)) = psi_q(a_f(p)^2, p^(k-1)) is never materialized: p^(k-1)
     is a unit mod d, so d divides it exactly when a_f(p)^2 p^(1-k) mod d
     is a root of psi_q(X, 1) mod d.  That depends only on the class of
-    (a_f(p), p) mod d, so one pass counts the primes per class and each
-    class is tested once (each residue of psi_q's argument at most once).
+    (a_f(p), p) mod d, so the primes are counted per class, keyed by the
+    int (a_f(p) mod d) d + (p mod d), and each class is tested once.
 
     The value is never zero, so ``zero_excluded`` is always 0 (the JSON
     key stays for a stable schema).  a(p^m) = U_(m+1)(a_p, p^(k-1)) is a
@@ -451,15 +451,14 @@ def chebotarev_sample(
     psi = psi_poly(q)
     is_root = cache(lambda r: eval_poly_mod(psi, r, 1, d) == 0)  # residues repeat across classes
     target = closed_form_density(q, ell, n, f.weight)
-    k = f.weight
-    classes = Counter((ap % d, p % d) for p, ap in iter_prime_coeffs(f, x_bound))
-    hits = 0
-    total = 0
-    for (a, r), count in classes.items():
+    classes = Counter(ap % d * d + p % d for p, ap in zip(*prime_coeffs(f, x_bound)))
+    hits = total = 0
+    for key, count in classes.items():
+        a, r = divmod(key, d)
         if r % ell == 0:  # p = ell, whose residue is ell itself when n >= 2
             continue
         total += count
-        if is_root(a * a * pow(r, 1 - k, d) % d):
+        if is_root(a * a * pow(r, 1 - f.weight, d) % d):
             hits += count
     return ChebotarevSample(
         f_label=f.label or ("builtin" if f.is_builtin else "table"),

@@ -30,7 +30,6 @@ import threading
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import add, sub
-from typing import Iterator
 
 from . import factor
 from .errors import BudgetExceededError, DataExhaustedError, TableFormatError
@@ -373,12 +372,12 @@ def ingest_table(path, weight: int, level: int, label: str = "") -> EigenformSpe
 
 
 def export_table(f: EigenformSpec, path, bound: int) -> None:
-    """Write the ``p,a_p`` CSV for all primes p <= bound, p not dividing N."""
+    """Write the ``p,a_p`` CSV for the primes p <= bound not dividing N (none if the walk fails)."""
+    primes, aps = prime_coeffs(f, bound)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# weight={f.weight} level={f.level} label={f.label}\n")
         fh.write("p,a_p\n")
-        for p, ap in iter_prime_coeffs(f, bound):
-            fh.write(f"{p},{ap}\n")
+        fh.writelines(f"{p},{ap}\n" for p, ap in zip(primes, aps))
 
 
 def warm_delta_cache(limit: int) -> None:
@@ -410,23 +409,19 @@ def find_first_prime_tau(limit: int) -> tuple[int, int] | None:
     return None
 
 
-def iter_prime_coeffs(f: EigenformSpec, x_bound: int) -> Iterator[tuple[int, int]]:
-    """(p, a_f(p)) for primes p <= x_bound not dividing the level.
+def prime_coeffs(f: EigenformSpec, x_bound: int) -> tuple[list[int], list[int]]:
+    """The primes p <= x_bound not dividing the level, and their a_f(p), as two lists.
 
-    The primes come from the sieve (``factor.primes_up_to``), which
-    already proves them prime, so unlike ``EigenformSpec.ap`` the walk
-    does not re-test them: a_p is read straight from the warm tau series
-    (the built-in form has level 1) or from the table, whose ``ap`` still
-    raises DataExhaustedError past its bound.  The built-in form takes
-    its series before the sieve runs, so a walk past the series ceiling
-    is refused before it sieves.
+    The sieve (``factor.primes_up_to``) already proves the primes prime,
+    so unlike ``EigenformSpec.ap`` the walk does not re-test them: a_p is
+    read by index from the warm tau series (the built-in form has level
+    1), or from the table, whose ``ap`` raises DataExhaustedError past its
+    bound.  The series is taken before the sieve runs, so a walk past the
+    series ceiling is refused before it sieves.
     """
     if f.table is None:
         series = _tau_upto(x_bound)
-        for p in factor.primes_up_to(x_bound):
-            yield p, series[p]
-        return
-    table, level = f.table, f.level
-    for p in factor.primes_up_to(x_bound):
-        if level % p:
-            yield p, table.ap(p)
+        primes = factor.primes_up_to(x_bound)
+        return primes, list(map(series.__getitem__, primes))
+    primes = [p for p in factor.primes_up_to(x_bound) if f.level % p]
+    return primes, list(map(f.table.ap, primes))

@@ -163,7 +163,7 @@ def divisibility_tower(*, f: hecke.EigenformSpec, p_max: int, max_odd: int) -> I
     Runs over the primes p <= p_max that do not divide the level and every
     odd 2n+1 <= max_odd, p first; a zero a_f(p^(d-1)) divides only zero.
     """
-    for p, ap in hecke.iter_prime_coeffs(f, p_max):
+    for p, ap in zip(*hecke.prime_coeffs(f, p_max)):
         values = hecke._coeff_powers(ap, p, f.weight, max_odd)
         for odd in range(3, max_odd + 1, 2):
             top = values[odd - 1]

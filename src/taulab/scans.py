@@ -23,10 +23,10 @@ same verdicts.
 
 Values, thresholds and the trial stage run in the calling process.  The
 split stage runs on every CPU in the process's affinity mask: one
-forked child per CPU (at most one per open row) takes every W-th open
-row, so ``taskset -c 0`` keeps it to one core.  Rho's start points
-depend only on its input, so the rows, and every byte printed from
-them, are the same at any CPU count.
+forked child per CPU (at most one per open row) draws open rows from a
+shared task pipe, so ``taskset -c 0`` keeps it to one core.  Rho's start
+points depend only on its input, so the rows, and every byte printed
+from them, are the same at any CPU count.
 
 An ``exact`` row's P is certified by Miller-Rabin (``factor.is_prime``),
 which is deterministic below 3.3e24 and uses 30 fixed bases above it, so
@@ -47,11 +47,13 @@ and keeps the double.
 
 from __future__ import annotations
 
+import contextlib
 import decimal
 import json
 import math
 import os
 import pickle
+import select
 import signal
 import threading
 from collections import Counter
@@ -63,7 +65,7 @@ from typing import BinaryIO
 
 from . import factor
 from .errors import BudgetExceededError, IdentityViolationError
-from .hecke import EigenformSpec, _coeff_from_ap, iter_prime_coeffs
+from .hecke import EigenformSpec, _coeff_from_ap, prime_coeffs
 
 # log log p > 1 from the first prime past e^e, so the threshold is a
 # positive real from here on
@@ -74,6 +76,7 @@ _BOUND_DIGITS = 40
 _FLOOR_MARGIN = 2.0**-40
 # a deferred floor's digits double from _BOUND_DIGITS to this (~10240 bits)
 _FLOOR_DIGITS_CAP = 3083
+MAX_BINS = 10**5  # the most Sato-Tate bins: a histogram's time and memory grow with the count
 
 
 def _check_mode(epsilon: float | None, grh_c: float | None) -> None:
@@ -303,7 +306,7 @@ def scan_rows(
     # for an open row, whose factorization waits in open_facs
     held: list[ScanRow | tuple[int, int, float, int]] = []
     open_facs: list[factor.Factorization] = []
-    for p, ap in iter_prime_coeffs(f, x_bound):
+    for p, ap in zip(*prime_coeffs(f, x_bound)):
         if p < MIN_SCAN_PRIME:
             continue
         value = _coeff_from_ap(ap, p, f.weight, two_n)
@@ -346,11 +349,9 @@ def _split_all(facs: list[factor.Factorization], rho_budget: int) -> list[factor
     """``factor.split_cofactor`` on each factorization, split over the CPUs.
 
     W = min(len(facs), CPUs) forked children run when W >= 2 (see
-    ``_split_forked``).  Otherwise the calls run here, as they do where
-    there is no fork, where other threads run (a fork copies no thread,
-    but may copy a lock one of them holds), or where no pipe or child
-    can be made.  Rho depends only on its input, so the results are the
-    same at any W.
+    ``_split_forked``); otherwise, or where there is no fork, where other
+    threads run (a fork copies no thread, but may copy a lock one of them
+    holds), or where no pipe or child can be made, the calls run here.
     """
     workers = min(len(facs), _cpu_count())
     if workers >= 2 and hasattr(os, "fork") and threading.active_count() == 1:
@@ -364,38 +365,50 @@ def _split_forked(facs: list[factor.Factorization], rho_budget: int,
                   workers: int) -> list[factor.Factorization] | None:
     """The split in ``workers`` forked children; None when one cannot be started.
 
-    Child w takes facs w, w + W, ... and sends back, pickled through its
-    own pipe, its results or the exception it raised, which is raised
-    here.  A child that exits nonzero died before it could answer.
-    Every child is reaped before this returns or raises; when a pipe or
-    a fork fails (out of descriptors or processes), or this process is
-    interrupted, the children are killed first.
+    Every index goes as 4 bytes into one shared task pipe, in writes of at
+    most PIPE_BUF bytes (which a pipe never splits).  Each child reads an
+    index at a time to end of file, so a slow row holds up only its
+    reader, and pickles back through its own pipe its (index, result)
+    pairs or its exception, raised here (a nonzero exit means it died).
+    Every child is reaped before this returns or raises, and killed first
+    when a pipe or fork fails or this process is interrupted.
     """
+    try:
+        task_in, task_out = os.pipe()
+    except OSError:
+        return None
     children: list[tuple[int, BinaryIO]] = []
     replies: list[bytes] | None = None
-    try:
-        for w in range(workers):
-            try:
-                children.append(_start_worker(facs[w::workers], rho_budget))
-            except OSError:
-                return None
-        replies = [pipe.read() for _, pipe in children]
-    finally:
-        statuses = _reap(children, stop=replies is None)
+    with open(task_in, "rb", buffering=0) as tasks, open(task_out, "wb", buffering=0) as queue:
+        try:
+            for _ in range(workers):
+                try:
+                    children.append(_start_worker((task_in, task_out), facs, rho_budget))
+                except OSError:
+                    return None
+            tasks.close()
+            indices = b"".join(i.to_bytes(4, "little") for i in range(len(facs)))
+            with contextlib.suppress(BrokenPipeError):  # no child left: their replies say why
+                for start in range(0, len(indices), select.PIPE_BUF):
+                    queue.write(indices[start : start + select.PIPE_BUF])
+            queue.close()
+            replies = [pipe.read() for _, pipe in children]
+        finally:
+            statuses = _reap(children, stop=replies is None)
     for status in statuses:
         if status:
             raise ChildProcessError(f"split worker exited with status {status}")
-    out: list = [None] * len(facs)
-    for w, reply in enumerate(replies):
+    out = {}
+    for reply in replies:
         error, results = pickle.loads(reply)
         if error is not None:
             raise error
-        out[w::workers] = results
-    return out
+        out.update(results)
+    return [out[i] for i in range(len(facs))]
 
 
-def _start_worker(facs: list[factor.Factorization], rho_budget: int) -> tuple[int, BinaryIO]:
-    """Fork a child that splits ``facs``; its pid and the read end of its pipe."""
+def _start_worker(tasks: tuple[int, int], facs: list, rho_budget: int) -> tuple[int, BinaryIO]:
+    """Fork a child that splits the rows it reads from ``tasks``; its pid and its reply pipe."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -404,23 +417,23 @@ def _start_worker(facs: list[factor.Factorization], rho_budget: int) -> tuple[in
         os.close(write_end)
         raise
     if pid == 0:
-        _split_worker(write_end, facs, rho_budget)
+        try:
+            try:
+                os.close(tasks[1])  # else the task pipe never reaches end of file
+                results = []
+                while index := os.read(tasks[0], 4):
+                    i = int.from_bytes(index, "little")
+                    results.append((i, factor.split_cofactor(facs[i], rho_budget)))
+                reply = None, results
+            except BaseException as exc:  # raised again in the parent
+                reply = exc, []
+            with os.fdopen(write_end, "wb") as pipe:
+                pickle.dump(reply, pipe)
+            os._exit(0)
+        finally:
+            os._exit(1)  # the reply could not be sent
     os.close(write_end)
     return pid, os.fdopen(read_end, "rb")
-
-
-def _split_worker(write_end: int, facs: list[factor.Factorization], rho_budget: int) -> None:
-    """A forked child's whole life: split, pickle (error, results) into the pipe, exit."""
-    try:
-        try:
-            reply = None, [factor.split_cofactor(fac, rho_budget) for fac in facs]
-        except BaseException as exc:  # raised again in the parent
-            reply = exc, []
-        with os.fdopen(write_end, "wb") as pipe:
-            pickle.dump(reply, pipe)
-        os._exit(0)
-    finally:
-        os._exit(1)  # the reply could not be sent
 
 
 def _reap(children: list[tuple[int, BinaryIO]], stop: bool) -> list[int]:
@@ -504,33 +517,61 @@ class SatoTateHistogram:
 def sato_tate_histogram(f: EigenformSpec, x_bound: int, bins: int = 20) -> SatoTateHistogram:
     """Histogram of a_f(p)/(2 p^((k-1)/2)) against the semicircle law.
 
-    Every normalized value must land in [-1, 1]; a value outside
-    (checked exactly on the integers) raises IdentityViolationError.
-
-    Binning is exact: with lam = a_p / (2 p^((k-1)/2)), (bins * lam)^2 is
-    bins^2 a_p^2 / den, so |z| = floor(|bins * lam|) is the integer square
-    root of its floor.  For even k, p^(k-1) is not a square, so bins * lam
-    is irrational unless a_p = 0, and z = floor(bins * lam) is -|z| - 1
-    for a_p < 0.  lam then lies in bin floor((z + bins) / 2) of [-1, 1].
+    lam lies in bin floor((z + bins) / 2) of [-1, 1], z = floor(bins * lam), decided
+    in doubles where a margin proves it, else in order by ``_exact_bin``, which raises
+    IdentityViolationError past [-1, 1].  Over MAX_BINS bins raise BudgetExceededError.
     """
     if x_bound < 10**3:
         raise ValueError(f"x bound must be at least 1000, got {x_bound}")
     if bins < 2:
         raise ValueError(f"need at least 2 bins, got {bins}")
+    if bins > MAX_BINS:
+        raise BudgetExceededError(f"{bins} bins is above the cap of {MAX_BINS}", bins, MAX_BINS)
+    primes, aps = prime_coeffs(f, x_bound)
+    keys = _double_bin_keys(primes, aps, f.weight, bins)
+    tally = Counter(keys)
+    decided = {key for key in tally if key & 1 and -bins <= key >> 1 < bins}
     counts = [0] * bins
-    total = 0
-    half = f.weight - 1
-    for p, ap in iter_prime_coeffs(f, x_bound):
-        square, den = ap * ap, 4 * p**half
-        if square > den:
-            raise IdentityViolationError(f"|a_{p}| exceeds 2 p^((k-1)/2)")
-        z = math.isqrt(bins * bins * square // den)
-        if ap < 0:
-            z = -z - 1
-        counts[min((z + bins) // 2, bins - 1)] += 1
-        total += 1
+    for key in decided:
+        counts[((key >> 1) + bins) // 2] += tally[key]
+    if len(decided) < len(tally):
+        for p, ap, key in zip(primes, aps, keys):
+            if key not in decided:
+                counts[_exact_bin(p, ap, f.weight, bins)] += 1
     width = 2.0 / bins
     expected = [st_measure(-1 + j * width, -1 + (j + 1) * width) for j in range(bins)]
-    return SatoTateHistogram(
-        bins=bins, x_bound=x_bound, counts=counts, expected=expected, sample_size=total
-    )
+    return SatoTateHistogram(bins=bins, x_bound=x_bound, counts=counts, expected=expected,
+                             sample_size=len(primes))
+
+
+def _double_bin_keys(primes: list[int], aps: list[int], weight: int, bins: int) -> list[int]:
+    """ceil(x) + floor(y) per prime; an odd key 2z + 1 decides floor(bins * lam) = z.
+
+    x, y = t (1 -+ 2^-40), t = bins * lam = (bins / 2) a_p / (sqrt(p) p^e),
+    e = (k - 2) / 2, each take seven correctly rounded steps (sqrt(p), p^e
+    and a_p to doubles, three products, one quotient) and no libm call, so
+    each is within a relative 2^-50 of its exact value and t lies strictly
+    between them.  ceil(x) = floor(y) + 1 then says no integer lies in
+    [x, y] (t > 0, as in ``_threshold_floor``) or strictly between y and x
+    (t < 0): floor(t) = floor(y).  Another odd key has |y - x| >= 1 and |z|
+    > 2^37, outside [-bins, bins), the caller's range, in which |t| < bins.
+    a_p = 0 and a denominator past the largest double give key 0, a
+    subnormal quotient (|t| < 1) keeps its sign, and OverflowError zeroes all.
+    """
+    ceil, floor, sqrt, e = math.ceil, math.floor, math.sqrt, (weight - 2) // 2
+    low, high = bins / 2 * (1 - _FLOOR_MARGIN), bins / 2 * (1 + _FLOOR_MARGIN)
+    try:
+        return [ceil((s := ap / (sqrt(p) * p**e)) * low) + floor(s * high)
+                for p, ap in zip(primes, aps)]
+    except OverflowError:
+        return [0] * len(primes)
+
+
+def _exact_bin(p: int, ap: int, weight: int, bins: int) -> int:
+    """The bin in integers: |z| = floor(|bins * lam|) is isqrt(bins^2 a_p^2 // 4 p^(k-1)), and
+    bins * lam is irrational unless a_p = 0 (p^(k-1) is no square), so z = -|z| - 1 if a_p < 0."""
+    square, den = ap * ap, 4 * p ** (weight - 1)
+    if square > den:
+        raise IdentityViolationError(f"|a_{p}| exceeds 2 p^((k-1)/2)")
+    z = math.isqrt(bins * bins * square // den)
+    return min(((-z - 1 if ap < 0 else z) + bins) // 2, bins - 1)

@@ -17,7 +17,7 @@ from taulab.hecke import (
     export_table,
     find_first_prime_tau,
     ingest_table,
-    iter_prime_coeffs,
+    prime_coeffs,
     tau_series,
 )
 
@@ -202,7 +202,7 @@ class TestDeltaCache:
         real_sieve = factor.primes_up_to
         monkeypatch.setattr(factor, "primes_up_to", lambda n: sieved.append(n) or real_sieve(n))
         with pytest.raises(BudgetExceededError):
-            list(iter_prime_coeffs(EigenformSpec.delta(), hecke.DEFAULT_SERIES_CEILING + 1))
+            prime_coeffs(EigenformSpec.delta(), hecke.DEFAULT_SERIES_CEILING + 1)
         assert sieved == []
 
 
@@ -325,6 +325,14 @@ class TestIngestion:
             assert again.ap(p) == delta_warm_small.ap(p)
             assert coeff_prime_power(again, p, 4) == coeff_prime_power(delta_warm_small, p, 4)
 
+    def test_export_past_the_table_bound_writes_nothing(self, tmp_path):
+        source = tmp_path / "ap.csv"
+        source.write_text("2,-24\n3,252\n")
+        path = tmp_path / "out.csv"
+        with pytest.raises(DataExhaustedError):
+            export_table(ingest_table(source, 12, 1), path, 5)
+        assert not path.exists()
+
     def test_well_formed_three_rows(self, tmp_path):
         path = tmp_path / "three.csv"
         path.write_text("# comment\np,a_p\n2,-24\n3,252\n5,4830\n")
@@ -376,18 +384,20 @@ class TestIngestion:
 
 class TestPrimeWalk:
     def test_builtin_walk_equals_ap(self, delta_warm_small):
-        walk = list(iter_prime_coeffs(delta_warm_small, 10**4))
-        assert walk == [(p, delta_warm_small.ap(p)) for p in factor.primes_up_to(10**4)]
+        primes, aps = prime_coeffs(delta_warm_small, 10**4)
+        assert primes == factor.primes_up_to(10**4)
+        assert aps == [delta_warm_small.ap(p) for p in primes]
 
     def test_table_walk_skips_level_and_equals_ap(self, tmp_path, delta_warm_small):
         path = tmp_path / "level10.csv"
         rows = [f"{p},{delta_warm_small.ap(p)}" for p in factor.primes_up_to(500) if 10 % p]
         path.write_text("p,a_p\n" + "\n".join(rows) + "\n")
         form = ingest_table(path, 12, 10, label="level10")
-        walk = list(iter_prime_coeffs(form, 500))
-        assert walk == [(p, form.ap(p)) for p in factor.primes_up_to(500) if 10 % p]
+        primes, aps = prime_coeffs(form, 500)
+        assert primes == [p for p in factor.primes_up_to(500) if 10 % p]
+        assert aps == [form.ap(p) for p in primes]
         with pytest.raises(DataExhaustedError):
-            list(iter_prime_coeffs(form, 503))
+            prime_coeffs(form, 503)
         with pytest.raises(DataExhaustedError):
             form.ap(503)
 

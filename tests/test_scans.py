@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from taulab import factor, scans
+from taulab import factor, hecke, scans
 from taulab.cli import EXIT_BUDGET, EXIT_OK, main
 from taulab.errors import BudgetExceededError, IdentityViolationError
 from taulab.hecke import CoefficientTable, EigenformSpec, coeff_prime_power, ingest_table
@@ -522,6 +522,38 @@ class TestSplitWorkers:
         assert outcomes[1] == outcomes[2] == outcomes[3]
         assert outcomes[1][0] == (EXIT_OK if argv[-1] == "csv" else EXIT_BUDGET)
 
+    def test_pinned_csv_is_the_same_at_any_worker_count(self, delta_warm_small, capsys,
+                                                        monkeypatch, forks):
+        # the benchmark's 2n = 2 CSV, whose rho rows are the most uneven
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(scans, "_cpu_count", lambda: cpus)
+            forks.clear()
+            assert main(PINNED_CSV_2) == EXIT_OK
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == (
+                "31b11e465afc9c538871ee959153d7869b001dfb68fea4c2934fc097c3f3fcec"), cpus
+            assert len(forks) == (0 if cpus == 1 else cpus)
+            assert_no_children()
+
+    def test_more_rows_than_one_pipe_buffer_holds(self, monkeypatch):
+        # 4-byte indices: 20000 of them fill a 64 KiB pipe, so the parent
+        # writes while the children read
+        monkeypatch.setattr(factor, "split_cofactor", lambda fac, rho_budget: -fac)
+        rows = list(range(20000))
+        assert scans._split_forked(rows, 0, 2) == [-i for i in rows]
+        assert_no_children()
+
+    def test_children_that_all_fail_stop_the_dispatch(self, monkeypatch):
+        # every child raises on its first row and exits, so the parent's
+        # writes find no reader; the children's error is what it raises
+        def broken(fac, rho_budget):
+            raise ValueError("planted split failure")
+
+        monkeypatch.setattr(factor, "split_cofactor", broken)
+        with pytest.raises(ValueError, match="planted split failure"):
+            scans._split_forked(list(range(20000)), 0, 2)
+        assert_no_children()
+
     def test_summary_below_the_trial_bound_forks_nothing(self, delta_warm_small, capsys,
                                                          monkeypatch):
         # the benchmark's eps summary: trial division at cut decides every row
@@ -745,6 +777,53 @@ class TestSatoTate:
         path.write_text("".join(f"{p},{a}\n" for p, a in entries.items()))
         hist = sato_tate_histogram(ingest_table(path, 12, 1), 1000, bins=bins)
         assert hist.counts == want
+
+    @pytest.mark.parametrize("bins", [2, 3, 7, 20, 1000, scans.MAX_BINS])
+    def test_double_bins_match_the_isqrt_oracle(self, delta, monkeypatch, bins):
+        hecke.warm_delta_cache(10**5)
+        primes, aps = hecke.prime_coeffs(delta, 10**5)
+        want = [isqrt_bin(ap, p, bins) for p, ap in zip(primes, aps)]
+        keys = scans._double_bin_keys(primes, aps, 12, bins)
+        # every prime is decided in doubles, in the bin of the exact oracle
+        assert all(key & 1 and -bins <= key >> 1 < bins for key in keys)
+        assert [((key >> 1) + bins) // 2 for key in keys] == want
+        monkeypatch.setattr(scans, "_exact_bin", lambda *args: pytest.fail("integer path"))
+        assert sato_tate_histogram(delta, 10**5, bins).counts == [want.count(j)
+                                                                  for j in range(bins)]
+
+    @pytest.mark.parametrize("bins", [2, 3, 7, 20])
+    def test_planted_edges_take_the_integer_path(self, tmp_path, delta_warm_small, monkeypatch,
+                                                 bins):
+        spied = []
+        real = scans._exact_bin
+        monkeypatch.setattr(scans, "_exact_bin",
+                            lambda p, ap, k, b: spied.append(p) or real(p, ap, k, b))
+        self.test_planted_values_land_on_their_side_of_each_edge(tmp_path, delta_warm_small,
+                                                                 bins)
+        # only planted primes, the 2 bins + 1 largest below 1000, are left
+        # open: all but a_p = -1 just below the middle edge lam = 0
+        planted = factor.primes_up_to(1000)[-(2 * bins + 1):]
+        assert set(spied) <= set(planted)
+        assert len(spied) == 2 * bins + (bins % 2)
+
+    def test_values_past_the_largest_double_take_the_integer_path(self, monkeypatch):
+        # weight 1100: p^549 overflows a double from p = 5 on, which sends every
+        # prime, 2 and 3 too, to the integers
+        entries = {p: 1 for p in factor.primes_up_to(1000)}
+        form = EigenformSpec(1100, 1, table=CoefficientTable(bound=1000, entries=entries))
+        spied = []
+        real = scans._exact_bin
+        monkeypatch.setattr(scans, "_exact_bin",
+                            lambda p, ap, k, b: spied.append(p) or real(p, ap, k, b))
+        hist = sato_tate_histogram(form, 1000, bins=20)
+        assert hist.counts == [0] * 10 + [len(entries)] + [0] * 9
+        assert spied == factor.primes_up_to(1000)
+
+    def test_bins_above_the_cap_exit_2_before_the_walk(self, capsys, monkeypatch):
+        monkeypatch.setattr(scans, "prime_coeffs", lambda *args: pytest.fail("walked"))
+        argv = ["sato-tate", "--x-bound", "1000", "--bins", str(scans.MAX_BINS + 1)]
+        assert main(argv) == EXIT_BUDGET
+        assert "above the cap of 100000" in capsys.readouterr().err
 
     def test_value_past_the_bound_raises(self):
         entries = {p: 0 for p in factor.primes_up_to(1000)}
