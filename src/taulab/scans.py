@@ -22,11 +22,11 @@ split stage only where that leaves the verdict open.  Both give the
 same verdicts.
 
 Values, thresholds and the trial stage run in the calling process.  The
-split stage runs on every CPU in the process's affinity mask: one
-forked child per CPU (at most one per open row) draws open rows from a
-shared task pipe, so ``taskset -c 0`` keeps it to one core.  Rho's start
-points depend only on its input, so the rows, and every byte printed
-from them, are the same at any CPU count.
+split stage runs on every CPU in the process's affinity mask through
+``forked.forked_map`` (one forked child per CPU, at most one per open
+row, drawing open rows on demand), so ``taskset -c 0`` keeps it to one
+core.  Rho's start points depend only on its input, so the rows, and
+every byte printed from them, are the same at any CPU count.
 
 An ``exact`` row's P is certified by Miller-Rabin (``factor.is_prime``),
 which is deterministic below 3.3e24 and uses 30 fixed bases above it, so
@@ -47,24 +47,19 @@ and keeps the double.
 
 from __future__ import annotations
 
-import contextlib
 import decimal
 import json
 import math
-import os
-import pickle
-import select
-import signal
-import threading
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import BinaryIO
+from functools import partial
 
 from . import factor
 from .errors import BudgetExceededError, IdentityViolationError
+from .forked import forked_map
 from .hecke import EigenformSpec, _coeff_from_ap, prime_coeffs
 
 # log log p > 1 from the first prime past e^e, so the threshold is a
@@ -126,8 +121,8 @@ def _bound_decimal(p: int, epsilon: float | None, grh_c: float | None, digits: i
 
 
 def _margin_floor(b: float | Fraction, margin: float | Fraction) -> int | None:
-    """floor(b) when [b(1 - margin), b(1 + margin)] holds no integer, else None."""
-    low, high = b * (1 - margin), b * (1 + margin)
+    """floor(b) when no integer lies between b(1 - margin) and b(1 + margin), else None."""
+    low, high = sorted((b * (1 - margin), b * (1 + margin)))
     cut = math.floor(low)
     return cut if cut < low and high < cut + 1 else None
 
@@ -287,7 +282,7 @@ def scan_rows(
     Rows come out in order of p.  Those before the first row the split
     stage must finish go out as they are made; the rest wait until every
     row's trial stage is done and the split stage has run on the open
-    rows at once, across the CPUs (``_split_all``).  Only an open row
+    rows at once, across the CPUs (``forked_map``).  Only an open row
     keeps its factorization until then.
 
     A vanishing coefficient would contradict the even-exponent
@@ -329,130 +324,12 @@ def scan_rows(
             held.append(row)
         else:
             yield row  # no open row before it, so it goes out at once
-    split = iter(_split_all(open_facs, rho_budget))
+    split = iter(forked_map(partial(factor.split_cofactor, rho_budget=rho_budget), open_facs))
     for row in held:
         if not isinstance(row, ScanRow):
             p, value, bound, cut = row
             row = _row(p, two_n, value, bound, cut, next(split))
         yield row
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on: its affinity mask where the OS keeps one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks (macOS, Windows)
-        return os.cpu_count() or 1
-
-
-def _split_all(facs: list[factor.Factorization], rho_budget: int) -> list[factor.Factorization]:
-    """``factor.split_cofactor`` on each factorization, split over the CPUs.
-
-    W = min(len(facs), CPUs) forked children run when W >= 2 (see
-    ``_split_forked``); otherwise, or where there is no fork, where other
-    threads run (a fork copies no thread, but may copy a lock one of them
-    holds), or where no pipe or child can be made, the calls run here.
-    """
-    workers = min(len(facs), _cpu_count())
-    if workers >= 2 and hasattr(os, "fork") and threading.active_count() == 1:
-        split = _split_forked(facs, rho_budget, workers)
-        if split is not None:
-            return split
-    return [factor.split_cofactor(fac, rho_budget) for fac in facs]
-
-
-def _split_forked(facs: list[factor.Factorization], rho_budget: int,
-                  workers: int) -> list[factor.Factorization] | None:
-    """The split in ``workers`` forked children; None when one cannot be started.
-
-    Every index goes as 4 bytes into one shared task pipe, in writes of at
-    most PIPE_BUF bytes (which a pipe never splits).  Each child reads an
-    index at a time to end of file, so a slow row holds up only its
-    reader, and pickles back through its own pipe its (index, result)
-    pairs or its exception, raised here (a nonzero exit means it died).
-    Every child is reaped before this returns or raises, and killed first
-    when a pipe or fork fails or this process is interrupted.
-    """
-    try:
-        task_in, task_out = os.pipe()
-    except OSError:
-        return None
-    children: list[tuple[int, BinaryIO]] = []
-    replies: list[bytes] | None = None
-    with open(task_in, "rb", buffering=0) as tasks, open(task_out, "wb", buffering=0) as queue:
-        try:
-            for _ in range(workers):
-                try:
-                    children.append(_start_worker((task_in, task_out), facs, rho_budget))
-                except OSError:
-                    return None
-            tasks.close()
-            indices = b"".join(i.to_bytes(4, "little") for i in range(len(facs)))
-            with contextlib.suppress(BrokenPipeError):  # no child left: their replies say why
-                for start in range(0, len(indices), select.PIPE_BUF):
-                    queue.write(indices[start : start + select.PIPE_BUF])
-            queue.close()
-            replies = [pipe.read() for _, pipe in children]
-        finally:
-            statuses = _reap(children, stop=replies is None)
-    for status in statuses:
-        if status:
-            raise ChildProcessError(f"split worker exited with status {status}")
-    out = {}
-    for reply in replies:
-        error, results = pickle.loads(reply)
-        if error is not None:
-            raise error
-        out.update(results)
-    return [out[i] for i in range(len(facs))]
-
-
-def _start_worker(tasks: tuple[int, int], facs: list, rho_budget: int) -> tuple[int, BinaryIO]:
-    """Fork a child that splits the rows it reads from ``tasks``; its pid and its reply pipe."""
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:
-        try:
-            try:
-                os.close(tasks[1])  # else the task pipe never reaches end of file
-                results = []
-                while index := os.read(tasks[0], 4):
-                    i = int.from_bytes(index, "little")
-                    results.append((i, factor.split_cofactor(facs[i], rho_budget)))
-                reply = None, results
-            except BaseException as exc:  # raised again in the parent
-                reply = exc, []
-            with os.fdopen(write_end, "wb") as pipe:
-                pickle.dump(reply, pipe)
-            os._exit(0)
-        finally:
-            os._exit(1)  # the reply could not be sent
-    os.close(write_end)
-    return pid, os.fdopen(read_end, "rb")
-
-
-def _reap(children: list[tuple[int, BinaryIO]], stop: bool) -> list[int]:
-    """Wait for every child, killing it first when ``stop``; their exit statuses.
-
-    SIGINT is held back meanwhile, so a second interrupt cannot cut the
-    loop short and leave a child unreaped.
-    """
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-    try:
-        statuses = []
-        for pid, pipe in children:
-            pipe.close()
-            if stop:
-                os.kill(pid, signal.SIGKILL)
-            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-        return statuses
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
 def threshold_scan(
@@ -539,7 +416,8 @@ def sato_tate_histogram(f: EigenformSpec, x_bound: int, bins: int = 20) -> SatoT
             if key not in decided:
                 counts[_exact_bin(p, ap, f.weight, bins)] += 1
     width = 2.0 / bins
-    expected = [st_measure(-1 + j * width, -1 + (j + 1) * width) for j in range(bins)]
+    cdf = [st_cdf(-1 + j * width) for j in range(bins + 1)]  # one st_cdf per edge
+    expected = [high - low for low, high in zip(cdf, cdf[1:])]
     return SatoTateHistogram(bins=bins, x_bound=x_bound, counts=counts, expected=expected,
                              sample_size=len(primes))
 

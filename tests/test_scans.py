@@ -6,12 +6,14 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from taulab import factor, hecke, scans
+from taulab import factor, forked, hecke, scans
 from taulab.cli import EXIT_BUDGET, EXIT_OK, main
 from taulab.errors import BudgetExceededError, IdentityViolationError
 from taulab.hecke import CoefficientTable, EigenformSpec, coeff_prime_power, ingest_table
@@ -334,6 +336,12 @@ class TestThresholdFloor:
                             lambda p, *mode: calls.append(p) or real(p, *mode))
         return calls
 
+    @pytest.mark.parametrize("b, want", [(2.5, 2), (7.0000001, 7), (7.0, None), (0.25, 0),
+                                         (-2.5, -3), (-2.0000000000001, None), (-7.0, None)])
+    def test_margin_floor_on_either_side_of_zero(self, b, want):
+        assert scans._margin_floor(b, 2.0**-40) == want
+        assert scans._margin_floor(Fraction(b), Fraction(1, 2**40)) == want
+
     @pytest.mark.parametrize("mode", THRESHOLD_MODES)
     def test_double_floor_matches_bound_value(self, deferred, mode):
         mode = dict(dict(epsilon=None, grh_c=None), **mode)
@@ -512,7 +520,7 @@ class TestSplitWorkers:
                                                     forks, argv):
         outcomes = {}
         for cpus in (1, 2, 3):
-            monkeypatch.setattr(scans, "_cpu_count", lambda: cpus)
+            monkeypatch.setattr(forked, "_cpu_count", lambda: cpus)
             forks.clear()
             code = main(argv)
             captured = capsys.readouterr()
@@ -526,7 +534,7 @@ class TestSplitWorkers:
                                                         monkeypatch, forks):
         # the benchmark's 2n = 2 CSV, whose rho rows are the most uneven
         for cpus in (1, 2, 3):
-            monkeypatch.setattr(scans, "_cpu_count", lambda: cpus)
+            monkeypatch.setattr(forked, "_cpu_count", lambda: cpus)
             forks.clear()
             assert main(PINNED_CSV_2) == EXIT_OK
             out = capsys.readouterr().out
@@ -535,23 +543,24 @@ class TestSplitWorkers:
             assert len(forks) == (0 if cpus == 1 else cpus)
             assert_no_children()
 
-    def test_more_rows_than_one_pipe_buffer_holds(self, monkeypatch):
+    def test_more_rows_than_one_pipe_buffer_holds(self, monkeypatch, forks):
         # 4-byte indices: 20000 of them fill a 64 KiB pipe, so the parent
         # writes while the children read
-        monkeypatch.setattr(factor, "split_cofactor", lambda fac, rho_budget: -fac)
+        monkeypatch.setattr(forked, "_cpu_count", lambda: 2)
         rows = list(range(20000))
-        assert scans._split_forked(rows, 0, 2) == [-i for i in rows]
+        assert forked.forked_map(lambda i: -i, rows) == [-i for i in rows]
+        assert len(forks) == 2
         assert_no_children()
 
     def test_children_that_all_fail_stop_the_dispatch(self, monkeypatch):
         # every child raises on its first row and exits, so the parent's
         # writes find no reader; the children's error is what it raises
-        def broken(fac, rho_budget):
+        def broken(i):
             raise ValueError("planted split failure")
 
-        monkeypatch.setattr(factor, "split_cofactor", broken)
+        monkeypatch.setattr(forked, "_cpu_count", lambda: 2)
         with pytest.raises(ValueError, match="planted split failure"):
-            scans._split_forked(list(range(20000)), 0, 2)
+            forked.forked_map(broken, list(range(20000)))
         assert_no_children()
 
     def test_summary_below_the_trial_bound_forks_nothing(self, delta_warm_small, capsys,
@@ -564,7 +573,7 @@ class TestSplitWorkers:
 
     def test_other_threads_keep_the_split_in_process(self, delta_warm_small, capsys,
                                                     monkeypatch):
-        monkeypatch.setattr(scans, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(forked, "_cpu_count", lambda: 2)
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked beside a thread"))
         release = threading.Event()
         other = threading.Thread(target=release.wait)
@@ -578,7 +587,7 @@ class TestSplitWorkers:
         assert capsys.readouterr().out.startswith(CSV_HEADER)
 
     def test_worker_exception_is_raised_in_the_parent(self, delta_warm_small, monkeypatch):
-        monkeypatch.setattr(scans, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(forked, "_cpu_count", lambda: 2)
         parent = os.getpid()
 
         def broken(fac, rho_budget):
@@ -591,7 +600,7 @@ class TestSplitWorkers:
         assert_no_children()
 
     def test_worker_that_dies_is_reported(self, delta_warm_small, monkeypatch):
-        monkeypatch.setattr(scans, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(forked, "_cpu_count", lambda: 2)
         parent = os.getpid()
         real = factor.split_cofactor
 
@@ -608,9 +617,9 @@ class TestSplitWorkers:
     def test_failed_fork_splits_in_process(self, delta_warm_small, monkeypatch):
         # the first child is started, the second cannot be: it is killed and
         # reaped, and the parent splits every row itself
-        monkeypatch.setattr(scans, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(forked, "_cpu_count", lambda: 1)
         expected, _ = threshold_scan(delta_warm_small, 2, 300, trial_bound=1000, rho_budget=20000)
-        monkeypatch.setattr(scans, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(forked, "_cpu_count", lambda: 2)
         real, forks = os.fork, []
 
         def second_fails():
@@ -625,9 +634,29 @@ class TestSplitWorkers:
         assert len(forks) == 2
         assert_no_children()
 
+    @pytest.mark.parametrize("failing_call", [1, 2, 3],
+                             ids=["task-pipe", "first-reply-pipe", "second-reply-pipe"])
+    def test_failed_pipe_maps_in_process(self, monkeypatch, forks, failing_call):
+        # a child started before the failing pipe is killed and reaped
+        monkeypatch.setattr(forked, "_cpu_count", lambda: 2)
+        real, calls = os.pipe, []
+
+        def pipe():
+            calls.append(1)
+            if len(calls) == failing_call:
+                raise OSError(24, "Too many open files")
+            return real()
+
+        monkeypatch.setattr(os, "pipe", pipe)
+        parent = os.getpid()
+        out = forked.forked_map(lambda i: (i * i, os.getpid()), range(5))
+        assert out == [(i * i, parent) for i in range(5)]
+        assert len(forks) == max(0, failing_call - 2)
+        assert_no_children()
+
     def test_reaping_holds_back_sigint(self, delta_warm_small, monkeypatch):
         # a SIGINT sent while the workers are reaped waits until they all are
-        monkeypatch.setattr(scans, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(forked, "_cpu_count", lambda: 2)
         real_waitpid = os.waitpid
         interrupts = []
 
@@ -645,8 +674,8 @@ class TestSplitWorkers:
 
     def test_parent_interrupted_ends_its_workers(self, delta_warm_small, monkeypatch):
         # a parent that stops while its workers run kills and reaps them
-        monkeypatch.setattr(scans, "_cpu_count", lambda: 2)
-        monkeypatch.setattr(factor, "split_cofactor", lambda fac, budget: os.pause())
+        monkeypatch.setattr(forked, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(factor, "split_cofactor", lambda fac, rho_budget: os.pause())
 
         def interrupted(*args):
             raise KeyboardInterrupt
@@ -664,10 +693,30 @@ class TestSplitWorkers:
             threshold_scan(delta_warm_small, 2, 300, trial_bound=1000, rho_budget=20000)
         assert_no_children()
 
+    def test_map_keeps_item_order_when_early_items_finish_last(self, monkeypatch, forks):
+        # the low indices sleep, so the children finish the high ones first
+        monkeypatch.setattr(forked, "_cpu_count", lambda: 2)
+
+        def slow_start(i):
+            time.sleep(0.05 if i < 4 else 0)
+            return i * i, os.getpid()
+
+        out = forked.forked_map(slow_start, range(12))
+        assert [square for square, _ in out] == [i * i for i in range(12)]
+        assert os.getpid() not in {pid for _, pid in out}
+        assert len(forks) == 2
+        assert_no_children()
+
+    @pytest.mark.parametrize("items", [[], [5]], ids=["no-items", "one-item"])
+    def test_map_of_fewer_than_two_items_forks_nothing(self, monkeypatch, items):
+        monkeypatch.setattr(forked, "_cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        assert forked.forked_map(lambda i: i + 1, items) == [i + 1 for i in items]
+
     def test_imports_load_no_process_pools(self):
         script = (
             "import sys\n"
-            "import taulab.scans, taulab.cli\n"
+            "import taulab.forked, taulab.scans, taulab.cli\n"
             "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])\n"
         )
         src = str(Path(scans.__file__).parents[1])
