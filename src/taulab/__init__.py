@@ -8,6 +8,8 @@ Modules:
 * ``density``    -- trace-zero densities over GL2 of finite rings, Chebotarev scans
 * ``factor``     -- factorization and primality plumbing
 * ``scans``      -- largest-prime-factor scans, Sato-Tate value histograms
+* ``forked``     -- ``forked_map``: the scan's split stage, one forked worker per CPU
+* ``errors``     -- the exception types the CLI maps onto exit codes
 * ``identities`` -- each promised identity written once: the checks behind ``taulab verify``,
                     ``taulab tower`` and the test suite
 * ``cli``        -- every operation as a subcommand

@@ -27,9 +27,6 @@ p not dividing d that holds exactly when a_f(p)^2 p^(1-k) mod d is a
 root of psi_q(X, 1) mod d: one modular power per class of (a_f(p), p)
 mod d, and psi_q evaluated at most once per residue mod d.  The hit
 frequency is compared against the density with a binomial noise band.
-
-The same root search, taken to q^2 at l = q, also decides whether
-psi_q(u, v) = 0 mod q^2 has a solution with u, v not both divisible by q.
 """
 
 from __future__ import annotations
@@ -134,19 +131,25 @@ class DensityReport:
 def closed_form_density(q: int, ell: int, n: int = 1, weight: int = 12) -> Fraction | None:
     """The exact density when a closed form is known, else None.
 
-    At level 1: (q-1)/(2(l-1)) when l = 1 mod q, (q-1)/(2(l+1)) when
-    l = -1 mod q, q/(q^2-1) when l = q, and 0 otherwise.  Levels n >= 2
-    scale by 1/l^(n-1) for l != q; powers of q vanish for q >= 5 and
-    have no closed form for q = 3.
+    psi_q(X, 1) has phi(q)/2 roots over the algebraic closure, and for
+    l not dividing q they lie in F_l exactly when l = +-1 mod q.  At
+    level 1 that gives phi(q)/(2(l-1)) when l = 1 mod q, phi(q)/(2(l+1))
+    when l = -1 mod q, and 0 otherwise; for prime q, l = q gives
+    q/(q^2-1).  Levels n >= 2 scale by 1/l^(n-1) for l not dividing q;
+    powers of a prime q vanish for q >= 5 and have no closed form for
+    q = 3.  For composite q no closed form is known at l | q.
     """
+    if q % ell == 0 and ell != q:
+        return None
     if n == 1:
         if ell == q:
             return Fraction(q, q * q - 1)
+        phi = sum(1 for i in range(1, q) if gcd(i, q) == 1)
         r = ell % q
         if r == 1:
-            return Fraction(q - 1, 2 * (ell - 1))
+            return Fraction(phi, 2 * (ell - 1))
         if r == q - 1:
-            return Fraction(q - 1, 2 * (ell + 1))
+            return Fraction(phi, 2 * (ell + 1))
         return Fraction(0)
     if ell == q:
         return Fraction(0) if q >= 5 else None
@@ -223,20 +226,6 @@ def _root_levels(q: int, ell: int, n: int, budget: int) -> Iterator[list[int]]:
         yield roots
 
 
-def _square_root_count(c: int, ell: int, j: int) -> int:
-    """# of s mod l^j with s^2 = c mod l^j, for odd l."""
-    c %= ell**j
-    if c == 0:
-        return ell ** (j // 2)  # s^2 = 0 exactly when l^ceil(j/2) divides s
-    v = 0
-    while c % ell == 0:
-        c //= ell
-        v += 1
-    if v % 2 or pow(c, (ell - 1) // 2, ell) != 1:
-        return 0
-    return 2 * ell ** (v // 2)
-
-
 def _fiber(r: int, ell: int, n: int) -> int:
     """# of matrices mod l^n with trace t and determinant t^2 / r, for any unit t.
 
@@ -248,8 +237,9 @@ def _fiber(r: int, ell: int, n: int) -> int:
     s = (2a - t) / t running over every residue with a, so
     N_j = l^(n-j) S_j with S_j = #{s mod l^j : s^2 = c}, whatever t is.
     With v the valuation of c mod l^n, S_j = l^(j // 2) for j <= v and is
-    then constant (``_square_root_count``), so one Horner pass over j
-    sums it in O(n) steps on numbers below l^n.  For l = 2, t is odd, so
+    then constant: 2 l^(v // 2) when v is even and c / l^v is a square
+    mod l (Euler's criterion), else 0.  So one Horner pass over j sums
+    it in O(n) steps on numbers below l^n.  For l = 2, t is odd, so
     a(t - a) is even and det odd: N_j = 0 for j >= 1.
     """
     m = ell**n
@@ -261,7 +251,8 @@ def _fiber(r: int, ell: int, n: int) -> int:
     while v < n and unit % ell == 0:
         unit //= ell
         v += 1
-    far = _square_root_count(c, ell, v + 1) if v < n else 0
+    square = v < n and v % 2 == 0 and pow(unit, (ell - 1) // 2, ell) == 1
+    far = 2 * ell ** (v // 2) if square else 0  # S_j for j > v
     acc, near = 0, 1  # sum of l^(j-1-i) S_i over i < j; l^(j // 2)
     for j in range(n):
         acc = acc * ell + (near if j <= v else far)
@@ -471,18 +462,3 @@ def chebotarev_sample(
         target=target,
         exceptional=f.is_builtin and ell in DELTA_EXCEPTIONAL_PRIMES,
     )
-
-
-def psi_insoluble_mod_q_squared(q: int) -> bool:
-    """True when psi_q(u, v) = 0 mod q^2 has no solution with gcd(u, v, q) = 1.
-
-    psi_q is homogeneous and monic in X, so for an odd prime q a zero
-    with q not dividing v is a root u / v of psi_q(X, 1) mod q^2, and
-    one with q | v has psi_q(u, v) = u^m mod q, nonzero unless q | u.
-    So the answer is that the count's root search finds no root mod q^2.
-    This is what forces the density to vanish at every power of q for
-    q >= 5.
-    """
-    _check_q(q)
-    *_, roots = _root_levels(q, q, 2, DEFAULT_ENUM_BUDGET)
-    return not roots

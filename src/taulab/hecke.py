@@ -317,12 +317,6 @@ def coeff_prime_power(f: EigenformSpec, p: int, m: int) -> int:
     return _coeff_from_ap(f.ap(p), p, f.weight, m)
 
 
-def deligne_check(f: EigenformSpec, p: int, m: int) -> bool:
-    """Exact check |a_f(p^m)| <= (m+1) p^(m(k-1)/2), compared by squaring."""
-    value = coeff_prime_power(f, p, m)
-    return value * value <= (m + 1) ** 2 * p ** (m * (f.weight - 1))
-
-
 def _deligne_ap_ok(a_p: int, p: int, weight: int) -> bool:
     return a_p * a_p <= 4 * p ** (weight - 1)
 

@@ -15,17 +15,15 @@ first row, not ab).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import comb, gcd
+from math import gcd
 
 from .cyclotomic import _int_det, _unpack_signed, eval_poly, f_poly
 from .errors import SingularMatrixError
 
 # sym_pow costs n + 1 big-integer products of O(n^2 log(entry)) bits; the
-# cap bounds what the CLI prints, (n+1)^2 entries, and the degrees the
-# orbit-sum oracle, whose cost grows like n * 2^n, may be asked for.
-# Degrees needed in practice are q - 1 for small odd primes q.
+# cap bounds what the CLI prints, (n+1)^2 entries.  Degrees needed in
+# practice are q - 1 for small odd primes q.
 MAX_SYM_DEGREE = 32
 
 
@@ -115,36 +113,6 @@ class RingMatrix:
         return RingMatrix(r, rows)
 
 
-@dataclass(frozen=True)
-class MultiIndexOrbit:
-    """The orbit of the j-th standard multi-index under coordinate permutations.
-
-    Members are the vectors in {1,2}^n with exactly j-1 twos; there are
-    C(n, j-1) of them.
-    """
-
-    n: int
-    j: int
-
-    def __post_init__(self):
-        if not (1 <= self.j <= self.n + 1):
-            raise ValueError(f"column index {self.j} out of range for degree {self.n}")
-
-    def base_vector(self) -> tuple[int, ...]:
-        return (1,) * (self.n - self.j + 1) + (2,) * (self.j - 1)
-
-    @property
-    def size(self) -> int:
-        return comb(self.n, self.j - 1)
-
-    def __iter__(self):
-        for two_positions in itertools.combinations(range(self.n), self.j - 1):
-            vec = [1] * self.n
-            for pos in two_positions:
-                vec[pos] = 2
-            yield tuple(vec)
-
-
 def _require_sym_args(a: RingMatrix, n: int):
     """Reject a bad degree or a non-invertible 2x2 matrix; return its determinant."""
     if n < 1:
@@ -183,28 +151,6 @@ def sym_pow(mat: RingMatrix, n: int) -> RingMatrix:
     for twos in range(n + 1):
         row = _unpack_signed(left ** (n - twos) * right**twos, width, n + 1)
         rows.append(tuple(row) if m is None else tuple(e % m for e in row))
-    return RingMatrix(ring, tuple(rows))
-
-
-def sym_pow_via_orbits(mat: RingMatrix, n: int) -> RingMatrix:
-    """Literal orbit enumeration, kept as an oracle for small degrees."""
-    _require_sym_args(mat, n)
-    ring = mat.ring
-    norm = ring.normalize
-    ent = mat.entries
-    rows = []
-    for i in range(1, n + 2):
-        r_i = MultiIndexOrbit(n, i).base_vector()
-        row = []
-        for j in range(1, n + 2):
-            total = 0
-            for s in MultiIndexOrbit(n, j):
-                prod = 1
-                for t_u, s_u in zip(r_i, s):
-                    prod = norm(prod * ent[t_u - 1][s_u - 1])
-                total = norm(total + prod)
-            row.append(total)
-        rows.append(tuple(row))
     return RingMatrix(ring, tuple(rows))
 
 

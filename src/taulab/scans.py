@@ -353,11 +353,6 @@ def st_cdf(t: float) -> float:
     return (math.asin(t) + t * math.sqrt(1 - t * t)) / math.pi + 0.5
 
 
-def st_measure(a: float, b: float) -> float:
-    """Semicircle measure (2/pi) integral_a^b sqrt(1-t^2) dt."""
-    return st_cdf(b) - st_cdf(a)
-
-
 @dataclass
 class SatoTateHistogram:
     bins: int

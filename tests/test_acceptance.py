@@ -18,12 +18,7 @@ import pytest
 
 from taulab import factor, identities
 from taulab.cyclotomic import classify_psi_prime_power, eval_poly, psi_poly
-from taulab.density import (
-    DensityQuery,
-    chebotarev_sample,
-    enumerate_density,
-    psi_insoluble_mod_q_squared,
-)
+from taulab.density import DensityQuery, chebotarev_sample, enumerate_density
 from taulab.hecke import EigenformSpec, delta_series_view, find_first_prime_tau
 from taulab.scans import ScanSummary, sato_tate_histogram, scan_rows
 
@@ -75,11 +70,12 @@ def test_criterion_04_density_closed_forms(holds):
     _report("04 density closed forms (q in {3,5,7}, ell <= 13, k = 12)", started, 300)
 
 
-def test_criterion_05_lift_law(holds):
+def test_criterion_05_lift_law(holds, psi_soluble_mod_q_squared):
     started = time.time()
     holds(identities.lift_ratio, cases=((3, 5), (3, 7), (5, 11)), budget=3 * 10**8)
     for q in (5, 7):
-        assert psi_insoluble_mod_q_squared(q), q
+        # no zero mod q^2 among all pairs, and so no match at level 2
+        assert not psi_soluble_mod_q_squared(q), q
         lifted = enumerate_density(DensityQuery(q, q, 2, 12))
         assert lifted.match_count == 0, q
     _report("05 lift law 1/ell and vanishing at q^2 for q in {5,7}", started, 600)

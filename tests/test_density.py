@@ -13,7 +13,6 @@ from taulab import density, factor
 from taulab.density import (
     DEFAULT_ENUM_BUDGET,
     _factor_prime_power,
-    _square_root_count,
     DELTA_EXCEPTIONAL_PRIMES,
     DensityQuery,
     LiftReport,
@@ -22,7 +21,6 @@ from taulab.density import (
     det_constrained_group_order,
     enumerate_density,
     lift_factor,
-    psi_insoluble_mod_q_squared,
     unit_power_group_order,
 )
 from taulab.cyclotomic import eval_poly_mod, psi_poly
@@ -57,7 +55,11 @@ def unit_power_subgroup(modulus, exponent):
 
 def enumerate_density_bruteforce(query):
     """Four-loop oracle: literally walk all matrices mod l^n (small moduli)."""
-    q, k, m = query.q, query.weight, query.modulus
+    return bruteforce_match_count(query.q, query.modulus, query.weight)
+
+
+def bruteforce_match_count(q, m, k=12):
+    """The four-loop count mod m for any odd q, composite q included."""
     assert m <= 128, f"brute-force oracle capped at modulus 128, got {m}"
     psi = psi_poly(q)
     dets = unit_power_subgroup(m, k - 1)
@@ -140,6 +142,16 @@ def pair_walk_count(query):
                 classes.setdefault(fiber_class(t, det, ell, n), [0, t, det])[0] += 1
     bc_table = bc_solution_table(ell, n)
     return sum(c * fiber_count(t, det, ell, n, bc_table) for c, t, det in classes.values())
+
+
+def root_count_density(q, ell, n=1, k=12):
+    """The count's density at any odd q: e traces per root of psi_q(X, 1) mod l^n, times its fiber."""
+    *_, roots = density._root_levels(q, ell, n, DEFAULT_ENUM_BUDGET)
+    m = ell**n
+    phi = m - m // ell
+    e = phi // gcd(phi, k - 1)
+    count = e * sum(density._fiber(r, ell, n) for r in roots)
+    return Fraction(count, det_constrained_group_order(ell, n, k))
 
 
 def sample_level_one_matches(q, ell, weight=12, limit=3):
@@ -255,6 +267,26 @@ class TestLevelOne:
             query = DensityQuery(q, ell, 1, 12)
             assert enumerate_density(query).match_count == enumerate_density_bruteforce(query)
 
+    def test_closed_form_at_composite_q_against_brute_force(self):
+        # psi_q(X, 1) has phi(q)/2 roots, not (q-1)/2; at l | q no closed form is claimed
+        for q, ell in [(9, 17), (9, 19), (9, 7), (9, 2), (9, 3), (15, 3), (15, 5), (21, 3), (21, 7)]:
+            want = Fraction(bruteforce_match_count(q, ell), det_constrained_group_order(ell, 1, 12))
+            assert root_count_density(q, ell) == want, (q, ell)
+            closed = closed_form_density(q, ell)
+            assert closed == (None if q % ell == 0 else want), (q, ell, closed, want)
+        assert closed_form_density(9, 17) == Fraction(1, 6)
+        assert root_count_density(9, 3) == Fraction(3, 8)
+        assert root_count_density(15, 5) == Fraction(1, 6)
+
+    def test_closed_form_at_composite_q_against_root_count(self):
+        for q, ell in [(9, 37), (15, 29), (15, 31), (21, 43)]:
+            for n in (1, 2):
+                assert closed_form_density(q, ell, n) == root_count_density(q, ell, n), (q, ell, n)
+        assert closed_form_density(9, 37) == Fraction(1, 12)
+        assert closed_form_density(15, 29) == Fraction(2, 15)
+        for n in (1, 2, 3):
+            assert closed_form_density(9, 3, n) is None and closed_form_density(15, 5, n) is None
+
     def test_weight_independence_at_level_one(self):
         # the unit-power index cancels in the ratio
         for k in (2, 12, 16, 26):
@@ -354,15 +386,26 @@ class TestLifts:
             assert len(fibers) == 2 * n + 1, (ell, n)
             assert all(len(sizes) == 1 for sizes in fibers.values()), (ell, n, fibers)
 
-    def test_square_root_count(self):
-        # the fiber's closed form reads these counts at every valuation of c,
-        # odd valuations and c = 0 included
-        for ell, j in [(3, 1), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)]:
-            m = ell**j
-            counts = [0] * m
-            for s in range(m):
-                counts[s * s % m] += 1
-            assert [_square_root_count(c, ell, j) for c in range(m)] == counts, (ell, j)
+    def test_fiber_matches_brute_force_at_every_class_of_c(self):
+        # _fiber reads the square roots of c = 1 - 4 / r at the level past its
+        # valuation; every root r that is a unit reaches every class of c
+        # (unit square or not, each valuation below n, and c = 0) except the
+        # unit squares mod 3, which are 1 mod 3 and so never 1 - 4 / r
+        for ell in (2, 3, 5, 7):
+            for n in (1, 2, 3):
+                m = ell**n
+                bc_table = bc_solution_table(ell, n)
+                classes = set()
+                for r in range(1, m):
+                    if r % ell == 0:
+                        continue
+                    for t in (1, m - 1):
+                        det = t * t * pow(r, -1, m) % m
+                        want = fiber_count(t, det, ell, n, bc_table)
+                        assert density._fiber(r, ell, n) == want, (ell, n, r, t)
+                        classes.add(fiber_class(t, det, ell, n))
+                if ell > 2:
+                    assert len(classes) == 2 * n + 1 - (ell == 3), (ell, n, classes)
 
     def test_closed_form_grid_above_level_one(self):
         for q in (3, 5, 7):
@@ -429,25 +472,23 @@ class TestLifts:
             hensel_lift_count(3, 7, (1, 0, 0, 1))
 
     def test_insolubility_mod_q_squared(self):
-        assert psi_insoluble_mod_q_squared(5)
-        assert psi_insoluble_mod_q_squared(7)
-        assert not psi_insoluble_mod_q_squared(3)
+        # no root of psi_q(X, 1) mod q^2, so no match at level 2, for q = 5 and 7
+        assert enumerate_density(DensityQuery(5, 5, 2)).match_count == 0
+        assert enumerate_density(DensityQuery(7, 7, 2)).match_count == 0
+        assert enumerate_density(DensityQuery(3, 3, 2)).match_count > 0
 
     @pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
-    def test_insolubility_matches_every_pair_mod_q_squared(self, q):
-        psi, m = psi_poly(q), q * q
-        soluble = any(
-            eval_poly_mod(psi, u, v, m) == 0
-            for u in range(m)
-            for v in range(m)
-            if u % q or v % q
-        )
-        assert psi_insoluble_mod_q_squared(q) == (not soluble)
+    def test_insolubility_matches_every_pair_mod_q_squared(self, q, psi_soluble_mod_q_squared):
+        # a zero with q not dividing v is a root u / v of psi_q(X, 1), and one
+        # with q | v is u^((q-1)/2) mod q, nonzero unless q | u; so the count
+        # at q^2 vanishes exactly when no pair is a zero
+        count = enumerate_density(DensityQuery(q, q, 2)).match_count
+        assert (count == 0) == (not psi_soluble_mod_q_squared(q))
 
     @pytest.mark.parametrize("q", [1, 2, 9, 15])
     def test_insolubility_rejects_q_not_an_odd_prime(self, q):
-        with pytest.raises(ValueError):
-            psi_insoluble_mod_q_squared(q)
+        with pytest.raises(ValueError, match="q must be an odd prime"):
+            DensityQuery(q, q, 2)
 
     def test_budget_error_carries_requirement(self):
         # the budget counts evaluations of psi_q(X, 1), one word each below

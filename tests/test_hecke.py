@@ -12,7 +12,6 @@ from taulab.errors import BudgetExceededError, DataExhaustedError, TableFormatEr
 from taulab.hecke import (
     EigenformSpec,
     coeff_prime_power,
-    deligne_check,
     delta_series_view,
     export_table,
     find_first_prime_tau,
@@ -300,11 +299,11 @@ class TestZeroPattern:
 
 
 class TestDeligneBound:
-    def test_examples(self, delta):
+    def test_examples(self, delta, deligne_check):
         assert deligne_check(delta, 2, 1)
         assert deligne_check(delta, 13, 0)
 
-    def test_sweep(self, delta_warm_small):
+    def test_sweep(self, delta_warm_small, deligne_check):
         for p in factor.primes_up_to(2000):
             for m in (1, 2, 5, 10):
                 assert deligne_check(delta_warm_small, p, m), (p, m)

@@ -9,8 +9,8 @@ from math import gcd
 
 from taulab import factor, identities
 from taulab.cyclotomic import eval_poly_mod, psi_poly
-from taulab.density import chebotarev_sample, psi_insoluble_mod_q_squared
-from taulab.hecke import coeff_prime_power, delta_series_view, deligne_check
+from taulab.density import DensityQuery, chebotarev_sample, enumerate_density
+from taulab.hecke import coeff_prime_power, delta_series_view
 
 
 def test_series_recursion_consistency_to_million(delta_warm_million, holds):
@@ -27,14 +27,15 @@ def test_multiplicativity_to_hundred_thousand(delta_warm_million):
                 assert series[a * b] == ta * series[b], (a, b)
 
 
-def test_deligne_sweep(delta_warm_million):
+def test_deligne_sweep(delta_warm_million, deligne_check):
     for p in factor.primes_up_to(10**4):
         for m in range(0, 11):
             assert deligne_check(delta_warm_million, p, m), (p, m)
 
 
-def test_insolubility_mod_121():
-    assert psi_insoluble_mod_q_squared(11)
+def test_insolubility_mod_121(psi_soluble_mod_q_squared):
+    assert enumerate_density(DensityQuery(11, 11, 2)).match_count == 0
+    assert not psi_soluble_mod_q_squared(11)
 
 
 def test_partials_nonvanishing_all_unit_pairs_mod_q_squared():

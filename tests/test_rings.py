@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import dataclass
 from math import comb, gcd
 
 import pytest
@@ -11,7 +12,6 @@ from taulab.identities import invertible_matrices
 from taulab.rings import (
     MAX_SYM_DEGREE,
     ZZ,
-    MultiIndexOrbit,
     RingMatrix,
     Zmod,
     _int_det,
@@ -19,7 +19,6 @@ from taulab.rings import (
     sym_pow,
     sym_pow_kernel_test,
     sym_pow_trace,
-    sym_pow_via_orbits,
 )
 
 
@@ -83,6 +82,61 @@ def convolution_sym_pow(entries, n, modulus=None):
     (a, b), (c, d) = entries
     return convolution_rows(binomial_powers(a, b, n, modulus), binomial_powers(c, d, n, modulus),
                             n, modulus)
+
+
+@dataclass(frozen=True)
+class MultiIndexOrbit:
+    """The orbit of the j-th standard multi-index under coordinate permutations.
+
+    Members are the vectors in {1,2}^n with exactly j-1 twos; there are
+    C(n, j-1) of them.
+    """
+
+    n: int
+    j: int
+
+    def __post_init__(self):
+        if not (1 <= self.j <= self.n + 1):
+            raise ValueError(f"column index {self.j} out of range for degree {self.n}")
+
+    def base_vector(self) -> tuple[int, ...]:
+        return (1,) * (self.n - self.j + 1) + (2,) * (self.j - 1)
+
+    @property
+    def size(self) -> int:
+        return comb(self.n, self.j - 1)
+
+    def __iter__(self):
+        for two_positions in itertools.combinations(range(self.n), self.j - 1):
+            vec = [1] * self.n
+            for pos in two_positions:
+                vec[pos] = 2
+            yield tuple(vec)
+
+
+def sym_pow_via_orbits(mat: RingMatrix, n: int) -> RingMatrix:
+    """Oracle for sym_pow: the literal orbit sum, entry by entry, for small degrees.
+
+    Entry (i, j) sums, over every arrangement s of the j-th standard
+    multi-index, the products of a[r_i[u], s[u]] with r_i the i-th one.
+    """
+    ring = mat.ring
+    norm = ring.normalize
+    ent = mat.entries
+    rows = []
+    for i in range(1, n + 2):
+        r_i = MultiIndexOrbit(n, i).base_vector()
+        row = []
+        for j in range(1, n + 2):
+            total = 0
+            for s in MultiIndexOrbit(n, j):
+                prod = 1
+                for t_u, s_u in zip(r_i, s):
+                    prod = norm(prod * ent[t_u - 1][s_u - 1])
+                total = norm(total + prod)
+            row.append(total)
+        rows.append(tuple(row))
+    return RingMatrix(ring, tuple(rows))
 
 
 class TestRings:

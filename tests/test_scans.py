@@ -26,8 +26,8 @@ from taulab.scans import (
     bound_value,
     sato_tate_histogram,
     scan_rows,
+    st_cdf,
     threshold_scan,
-    st_measure,
 )
 
 def largest_prime(n):
@@ -763,9 +763,9 @@ class TestDivisibilityTower:
 
 class TestSatoTate:
     def test_measure_normalization(self):
-        assert abs(st_measure(-1, 1) - 1.0) < 1e-12
+        assert abs(st_cdf(1) - st_cdf(-1) - 1.0) < 1e-12
         # symmetric central bin is the fattest
-        assert st_measure(-0.1, 0.1) > st_measure(0.8, 1.0)
+        assert st_cdf(0.1) - st_cdf(-0.1) > st_cdf(1.0) - st_cdf(0.8)
 
     def test_bin_quadrature_sums_to_one(self, delta_warm_small):
         hist = sato_tate_histogram(delta_warm_small, 10**4, bins=20)
