@@ -9,12 +9,16 @@ shape 4*cos^2(pi*j/n):
 * ``f_poly(n)``    -- the analogue for (X^n - Y^n)/(X - Y), with an
   extra (X+Y) factor when n is even.
 
-Construction never touches complex roots of unity: the cyclotomic
-polynomial at Y=1 is palindromic of even degree for n >= 3, so it is
-rewritten in u = X + 1/X by exact integer elimination and then shifted
-by u = T - 2.  Everything downstream (evaluation, partial derivatives,
-discriminants, prime-power classification) is exact big-integer
-arithmetic.
+Construction never touches complex roots of unity.  F_n is Lucas's
+closed form: (X^n - Y^n)/(X - Y) = U_n(P, Q) with P = X + Y, Q = XY, a
+sum of signed binomials in P^2 and Q.  psi_n is F_n divided exactly by
+psi_d for every divisor 3 <= d < n of n, since (X^n - Y^n)/(X - Y) is
+the product of Phi_d over the divisors d > 1 and F_n leaves out
+Phi_2 = X + Y.  Phi_n is built separately, by dividing x^n - 1 by the
+cyclotomic polynomials of the proper divisors, so the square-product
+identity compares two independent constructions.  Everything
+downstream (evaluation, partial derivatives, discriminants, prime-power
+classification) is exact big-integer arithmetic.
 """
 
 from __future__ import annotations
@@ -36,42 +40,6 @@ class BivariatePoly:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def to_univariate(self) -> "UnivariatePoly":
-        """Specialize Y = 1; coefficient of T^j is c_{m-j}."""
-        return UnivariatePoly(tuple(reversed(self.coeffs)))
-
-
-@dataclass(frozen=True)
-class UnivariatePoly:
-    """Dense integer polynomial, coefficients low-to-high."""
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        c = self.coeffs
-        if len(c) > 1 and c[-1] == 0:
-            end = len(c)
-            while end > 1 and c[end - 1] == 0:
-                end -= 1
-            object.__setattr__(self, "coeffs", c[:end])
-
-    @property
-    def degree(self) -> int:
-        if self.coeffs == (0,):
-            return -1
-        return len(self.coeffs) - 1
-
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> "UnivariatePoly":
-        if len(self.coeffs) == 1:
-            return UnivariatePoly((0,))
-        return UnivariatePoly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
 
 
 def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
@@ -105,7 +73,11 @@ def _cyclotomic_univariate(n: int) -> tuple[int, ...]:
 
 
 def phi_poly(n: int) -> BivariatePoly:
-    """Homogenized n-th cyclotomic polynomial; degree phi(n)."""
+    """Homogenized n-th cyclotomic polynomial; degree phi(n).
+
+    Built by cyclotomic division alone, independent of psi_poly, so the
+    square-product identity checks one construction against the other.
+    """
     if n < 1:
         raise ValueError(f"cyclotomic index must be >= 1, got {n}")
     uni = _cyclotomic_univariate(n)
@@ -113,64 +85,34 @@ def phi_poly(n: int) -> BivariatePoly:
     return BivariatePoly(tuple(reversed(uni)))
 
 
-def _palindromic_to_u(sym: list[int]) -> list[int]:
-    """Rewrite sum_{j} sym[j] * (x^j + x^-j) (j=0 term counted once) in u = x + 1/x."""
-    m = len(sym) - 1
-    s = list(sym)
-    b = [0] * (m + 1)
-    for k in range(m, -1, -1):
-        bk = s[k]
-        b[k] = bk
-        if bk:
-            for i in range(k // 2 + 1):
-                s[k - 2 * i] -= bk * comb(k, i)
-    if any(s):
-        raise ArithmeticError("input was not palindromic-symmetric")
-    return b
+@lru_cache(maxsize=None)
+def f_poly(n: int) -> BivariatePoly:
+    """Monic polynomial with (X^n-Y^n)/(X-Y) = (X+Y)^e * F_n((X+Y)^2, XY), e = n mod 2 flipped.
 
-
-def _shift_u_to_t(b: list[int]) -> list[int]:
-    """Substitute u = T - 2 into sum b_k u^k; returns coefficients in T."""
-    out = [b[-1]]
-    for k in range(len(b) - 2, -1, -1):
-        nxt = [0] * (len(out) + 1)
-        for i, c in enumerate(out):
-            nxt[i + 1] += c
-            nxt[i] -= 2 * c
-        nxt[0] += b[k]
-        out = nxt
-    return out
-
-
-def _halved_from_palindromic(uni: tuple[int, ...]) -> BivariatePoly:
-    """Shared construction: palindromic even-degree poly -> roots-shifted half."""
-    two_m = len(uni) - 1
-    m = two_m // 2
-    sym = [uni[m + j] for j in range(m + 1)]
-    in_t = _shift_u_to_t(_palindromic_to_u(sym))
-    # coefficient of T^j becomes the X^j Y^(m-j) coefficient, stored at m-j
-    return BivariatePoly(tuple(reversed(in_t)))
+    U_n(P, Q) = sum_k (-1)^k C(n-1-k, k) P^(n-1-2k) Q^k, so the
+    X^(m-k) Y^k coefficient of F_n, m = (n-1)//2, is (-1)^k C(n-1-k, k).
+    """
+    if n < 3:
+        raise ValueError(f"F is defined for n >= 3, got {n}")
+    return BivariatePoly(tuple((-1) ** k * comb(n - 1 - k, k) for k in range((n - 1) // 2 + 1)))
 
 
 @lru_cache(maxsize=None)
 def psi_poly(n: int) -> BivariatePoly:
-    """Monic degree phi(n)/2 polynomial with phi_n(X,Y) = psi_n((X+Y)^2, XY)."""
+    """Monic degree phi(n)/2 polynomial with phi_n(X,Y) = psi_n((X+Y)^2, XY).
+
+    F_n divided by psi_d for every divisor 3 <= d < n of n.  The
+    coefficient tuples are read low-to-high in Y at X = 1, where every
+    psi_d has a nonzero top coefficient psi_d(0, 1) = +-Phi_d(-1).
+    """
     if n < 3:
         raise ValueError(f"psi is defined for n >= 3, got {n}")
-    return _halved_from_palindromic(_cyclotomic_univariate(n))
-
-
-@lru_cache(maxsize=None)
-def f_poly(n: int) -> BivariatePoly:
-    """Monic polynomial with (X^n-Y^n)/(X-Y) = (X+Y)^e * F_n((X+Y)^2, XY), e = n mod 2 flipped."""
-    if n < 3:
-        raise ValueError(f"F is defined for n >= 3, got {n}")
-    if n % 2:
-        uni = (1,) * n  # 1 + x + ... + x^(n-1)
-    else:
-        # divide out (x + 1): (x^n - 1)/(x^2 - 1) = 1 + x^2 + ... + x^(n-2)
-        uni = tuple(1 if i % 2 == 0 else 0 for i in range(n - 1))
-    return _halved_from_palindromic(uni)
+    # F_n is only a step here; building it uncached keeps it out of f_poly's cache
+    coeffs = list(f_poly.__wrapped__(n).coeffs)
+    for d in range(3, n // 2 + 1):
+        if n % d == 0:
+            coeffs = _poly_divexact(coeffs, list(psi_poly(d).coeffs))
+    return BivariatePoly(tuple(coeffs))
 
 
 def eval_poly(p: BivariatePoly, x: int, y: int) -> int:
@@ -282,33 +224,25 @@ def _int_det(rows) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _sylvester_resultant(f: UnivariatePoly, g: UnivariatePoly) -> int:
-    m, n = f.degree, g.degree
-    size = m + n
-    fc = list(reversed(f.coeffs))
-    gc = list(reversed(g.coeffs))
-    rows = []
-    for i in range(n):
-        rows.append([0] * i + fc + [0] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + gc + [0] * (size - n - 1 - i))
-    return _int_det(rows)
+def discriminant(p: BivariatePoly) -> int:
+    """Discriminant of p(X, 1), via its resultant with the X-partial.
 
-
-def discriminant(f: UnivariatePoly) -> int:
-    """Discriminant via the resultant with the derivative.
-
-    Degree-1 polynomials return 1 by convention.
+    The Sylvester rows are the shifted coefficients of p(X, 1) and of
+    dp/dX(X, 1), highest power first.  Degree-1 polynomials return 1 by
+    convention; degree 0 and a zero X^m coefficient are rejected.
     """
-    d = f.degree
-    if d < 1:
+    m = p.degree
+    if m < 1:
         raise ValueError("discriminant needs degree >= 1")
-    if d == 1:
+    lead = p.coeffs[0]
+    if lead == 0:
+        raise ValueError("discriminant needs a nonzero X^m coefficient")
+    if m == 1:
         return 1
-    res = _sylvester_resultant(f, f.derivative())
-    lead = f.coeffs[-1]
-    num = (-1) ** (d * (d - 1) // 2) * res
-    q, r = divmod(num, lead)
+    dx = list(partial_derivatives(p)[0].coeffs)
+    rows = [[0] * i + list(p.coeffs) + [0] * (m - 2 - i) for i in range(m - 1)]
+    rows += [[0] * i + dx + [0] * (m - 1 - i) for i in range(m)]
+    q, r = divmod((-1) ** (m * (m - 1) // 2) * _int_det(rows), lead)
     if r:
         raise ArithmeticError("resultant not divisible by leading coefficient")
     return q

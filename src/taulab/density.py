@@ -128,7 +128,7 @@ class DensityReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
-def closed_form_density(q: int, ell: int, n: int = 1, weight: int = 12) -> Fraction | None:
+def closed_form_density(q: int, ell: int, n: int = 1) -> Fraction | None:
     """The exact density when a closed form is known, else None.
 
     psi_q(X, 1) has phi(q)/2 roots over the algebraic closure, and for
@@ -138,6 +138,10 @@ def closed_form_density(q: int, ell: int, n: int = 1, weight: int = 12) -> Fract
     q/(q^2-1).  Levels n >= 2 scale by 1/l^(n-1) for l not dividing q;
     powers of a prime q vanish for q >= 5 and have no closed form for
     q = 3.  For composite q no closed form is known at l | q.
+
+    The density does not depend on the weight k: the match count and the
+    group order both carry the factor e = phi / gcd(phi, k-1) of the
+    allowed determinants, phi = l^(n-1)(l-1), which cancels.
     """
     if q % ell == 0 and ell != q:
         return None
@@ -153,7 +157,7 @@ def closed_form_density(q: int, ell: int, n: int = 1, weight: int = 12) -> Fract
         return Fraction(0)
     if ell == q:
         return Fraction(0) if q >= 5 else None
-    base = closed_form_density(q, ell, 1, weight)
+    base = closed_form_density(q, ell, 1)
     return base / ell ** (n - 1)
 
 
@@ -312,7 +316,7 @@ def _report(query: DensityQuery, roots: list[int]) -> DensityReport:
         query=query,
         match_count=sum(count * fiber for count, fiber in fibers),
         group_order=det_constrained_group_order(ell, n, k),
-        closed_form=closed_form_density(q, ell, n, k),
+        closed_form=closed_form_density(q, ell, n),
         class_tally=_class_tally(ell, fibers) if n == 1 else None,
         # the exceptional list belongs to the built-in weight-12 form
         exceptional=k == 12 and ell in DELTA_EXCEPTIONAL_PRIMES,
@@ -441,7 +445,7 @@ def chebotarev_sample(
     _check_q(q)  # ell is proven prime above, and the form has checked its weight
     psi = psi_poly(q)
     is_root = cache(lambda r: eval_poly_mod(psi, r, 1, d) == 0)  # residues repeat across classes
-    target = closed_form_density(q, ell, n, f.weight)
+    target = closed_form_density(q, ell, n)
     classes = Counter(ap % d * d + p % d for p, ap in zip(*prime_coeffs(f, x_bound)))
     hits = total = 0
     for key, count in classes.items():

@@ -64,6 +64,17 @@ class TestCoeffAndPsi:
         code, out, _ = run(capsys, "psi", "--upto", "6")
         assert len(out.strip().splitlines()) == 4
 
+    @pytest.mark.parametrize("kind, sha256", [
+        ("psi", "2cc87e0e787d68df38b2f236643355368e03d2f99c3d1c35e2672297384f88db"),
+        ("phi", "cf97365d8ba1074b1d028e59369ab4acd26feea86a47981b8611c0fe75fe22c3"),
+        ("f", "42adbe39f587d369bbb1c039ee7d485d0566ba0bbec9c53979ff425b21da48e0"),
+    ])
+    def test_psi_dump_golden(self, capsys, kind, sha256):
+        # sha256 of every coefficient of one family for 3 <= n <= 200
+        code, out, _ = run(capsys, "psi", "--kind", kind, "--upto", "200")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
     def test_sympow(self, capsys):
         code, out, _ = run(capsys, "sympow", "--n", "2", "--entries", "1,1,0,1")
         assert code == EXIT_OK
@@ -310,7 +321,7 @@ PLANTED_FAULTS = [
     ("functoriality", "sympow", rings, "sym_pow",
      lambda real: lambda mat, n: real(mat @ mat if mat.ring.modulus == 11 else mat, n)),
     ("density_closed_forms", "density", density, "closed_form_density",
-     lambda real: lambda q, ell, n=1, k=12: real(q, ell, n, k) + ((q, ell) == (5, 11))),
+     lambda real: lambda q, ell, n=1: real(q, ell, n) + ((q, ell) == (5, 11))),
     ("lift_ratio", "density", density, "lift_factor",
      lambda real: lambda q, ell, *a, **kw: real(q, 5 if ell == 7 else ell, *a, **kw)),
     ("series_recursion", "tau", hecke, "_coeff_powers",

@@ -10,7 +10,6 @@ from taulab import factor
 from taulab.cyclotomic import (
     BivariatePoly,
     PsiPrimePowerClass,
-    UnivariatePoly,
     _unpack_signed,
     classify_psi_prime_power,
     discriminant,
@@ -216,27 +215,39 @@ class TestPartials:
 
 class TestDiscriminant:
     def test_examples(self):
-        assert discriminant(psi_poly(5).to_univariate()) == 5
-        assert discriminant(psi_poly(3).to_univariate()) == 1
-        assert abs(discriminant(psi_poly(7).to_univariate())) == 49
+        assert discriminant(psi_poly(5)) == 5
+        assert discriminant(psi_poly(3)) == 1
+        assert abs(discriminant(psi_poly(7))) == 49
 
     def test_magnitude_law(self):
         for q in (3, 5, 7, 11, 13, 17, 19):
-            tilde = psi_poly(q).to_univariate()
-            assert abs(discriminant(tilde)) == q ** ((q - 3) // 2)
+            assert abs(discriminant(psi_poly(q))) == q ** ((q - 3) // 2)
 
     def test_constant_term_is_unit(self):
         for q in ODD_PRIMES_TO_101:
-            assert abs(psi_poly(q).to_univariate()(0)) == 1
+            assert abs(psi_poly(q).coeffs[-1]) == 1
 
     def test_zero_poly_rejected(self):
         with pytest.raises(ValueError):
-            discriminant(UnivariatePoly((0,)))
+            discriminant(BivariatePoly((0,)))
 
     def test_quadratic_matches_formula(self):
         # b^2 - 4ac for a few quadratics
         for a, b, c in [(1, -3, 1), (2, 5, -7), (3, 0, 4)]:
-            assert discriminant(UnivariatePoly((c, b, a))) == b * b - 4 * a * c
+            assert discriminant(BivariatePoly((a, b, c))) == b * b - 4 * a * c
+
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        for n in range(3, 41):
+            for poly in (psi_poly(n), phi_poly(n), f_poly(n)):
+                at_y_1 = sum(c * x ** (poly.degree - i) for i, c in enumerate(poly.coeffs))
+                assert discriminant(poly) == sympy.discriminant(at_y_1, x), (n, poly)
+
+    def test_zero_leading_coefficient_rejected(self):
+        # p(X, 1) = 3X + 1 has a lower degree than p, whose X^2 coefficient is 0
+        with pytest.raises(ValueError):
+            discriminant(BivariatePoly((0, 3, 1)))
 
 
 class TestClassification:
