@@ -23,6 +23,7 @@ classification) is exact big-integer arithmetic.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd
@@ -149,21 +150,54 @@ def partial_derivatives(p: BivariatePoly) -> tuple[BivariatePoly, BivariatePoly]
     return BivariatePoly(dx), BivariatePoly(dy)
 
 
-def _unpack_signed(packed: int, width: int, count: int) -> list[int]:
-    """The integers c_0..c_{count-1} with packed = sum c_j 2^(width*j).
+# native integer format by (slot bytes, signed): the slot sizes one memoryview cast reads
+_SLOT_CODES = {(memoryview(b"").cast(code).itemsize, code.islower()): code
+               for code in "BHILQbhilq"}
 
-    Each |c_j| must be below 2^(width-1): a slot whose top bit is set is
-    read as negative and borrows one from the slot above it.
+# each slot size up to the widest native integer, rounded up to a native size
+_NATIVE_SIZE = {k: min(s for s, _ in _SLOT_CODES if s >= k)
+                for k in range(1, max(_SLOT_CODES)[0] + 1)}
+
+
+def _slot_size(bound: int) -> int:
+    """Bytes per slot for coefficients of size at most bound, with a sign bit.
+
+    Whole bytes, rounded up to the next native integer size when one is
+    that wide, so that _read_slots reads the slots in one cast.
     """
-    mask, half = (1 << width) - 1, 1 << (width - 1)
-    out = []
-    for _ in range(count):
-        slot = packed & mask
-        if slot >= half:
-            slot -= 1 << width
-        out.append(slot)
-        packed = (packed - slot) >> width
-    return out
+    size = bound.bit_length() // 8 + 1
+    return _NATIVE_SIZE.get(size, size)
+
+
+def _read_slots(packed: int, size: int, count: int, signed: bool = True) -> list[int]:
+    """The integers c_0..c_{count-1} with packed = sum c_j 2^(8 size j).
+
+    Slots are whole bytes, so the width is a bit bound rounded up to a
+    multiple of 8 (see _slot_size).  A signed pack needs every c_j in
+    [-2^(8 size - 1), 2^(8 size - 1)).  Adding the excess
+    E = sum_k 2^(8 size - 1) 2^(8 size k), the top bit of every slot, puts
+    each slot at c_j + 2^(8 size - 1) in [0, 2^(8 size)), so no slot
+    borrows from its neighbour, the rule the decimal series slots follow;
+    xor with E then leaves each slot as c_j in two's complement.  A
+    non-negative pack (every c_j in [0, 2^(8 size))) skips the excess.
+    The bytes are read by one memoryview cast when the slot size is a
+    native integer size, and by int.from_bytes per slot otherwise, so
+    the cost is linear in the size of the pack.
+    """
+    if signed:
+        excess = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+        packed = (packed + excess) ^ excess
+    code = _SLOT_CODES.get((size, signed))
+    if code is None:
+        raw = packed.to_bytes(size * count, "little")
+        return [int.from_bytes(raw[at : at + size], "little", signed=signed)
+                for at in range(0, len(raw), size)]
+    # in the host's byte order each slot reads natively; a big-endian host
+    # then holds the slots last one first
+    slots = memoryview(packed.to_bytes(size * count, sys.byteorder)).cast(code).tolist()
+    if sys.byteorder == "big":
+        slots.reverse()
+    return slots
 
 
 def substitute_square_product(p: BivariatePoly) -> BivariatePoly:
@@ -173,16 +207,19 @@ def substitute_square_product(p: BivariatePoly) -> BivariatePoly:
     determines the homogeneous result uniquely, by Horner's rule in
     (x+1)^2: H_i = H_(i-1) (x+1)^2 + c_i x^i.  The polynomials are packed
     into one integer at x = 2^K, so each step is three shifts and
-    additions, and the result is read back K bits per coefficient.
+    additions, and the result is read back in one pass of K-bit slots,
+    K a whole number of bytes.
     """
     m = p.degree
     # (x+1)^(2e) has coefficient sum 4^e, which bounds every output coefficient
-    width = sum(abs(c) << 2 * (m - i) for i, c in enumerate(p.coeffs)).bit_length() + 2
+    bound = sum(abs(c) << 2 * (m - i) for i, c in enumerate(p.coeffs))
+    size = _slot_size(bound)
+    width = 8 * size
     acc = 0
     for i, c in enumerate(p.coeffs):
         acc = (acc << 2 * width) + (acc << width + 1) + acc + (c << width * i)
     # coefficient of x^j lifts to X^j Y^(2m-j), stored at index 2m-j
-    return BivariatePoly(tuple(reversed(_unpack_signed(acc, width, 2 * m + 1))))
+    return BivariatePoly(tuple(reversed(_read_slots(acc, size, 2 * m + 1))))
 
 
 def geometric_sum_poly(n: int) -> BivariatePoly:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import decimal
+import math
 import struct
 import threading
 from dataclasses import dataclass, field
@@ -35,6 +36,9 @@ from . import factor
 from .errors import BudgetExceededError, DataExhaustedError, TableFormatError
 
 DEFAULT_SERIES_CEILING = 10**7
+# most decimal digits a single a(p^m) may have: printing is quadratic in
+# them, and an answer at the cap prints in about 2 s
+MAX_COEFF_DIGITS = 500_000
 
 mpz = int  # read only by the benchmark's environment report (perfbench/run.py)
 
@@ -308,12 +312,26 @@ def coeff_prime_power(f: EigenformSpec, p: int, m: int) -> int:
 
     One term costs O(log m) products.  Callers that need every term up
     to some m take the prefix from the recursion (``_coeff_powers``).
+
+    Deligne's bound |a(p^m)| <= (m+1) p^(m(k-1)/2) gives the answer at
+    most log10(m+1) + m(k-1)/2 log10(p) + 1 digits; past MAX_COEFF_DIGITS
+    raise BudgetExceededError before a_p is looked up, since the
+    built-in form would build the series up to p first.
     """
     if m < 0:
         raise ValueError(f"exponent must be >= 0, got {m}")
     if m == 0:
         f._check_prime(p)  # a_f(p^0) = 1 needs no a_p, but p must still be a valid prime
         return 1
+    # each unit of m adds at least log10(2)/2 > 1/8 digit, so a larger m is
+    # refused before it meets a float
+    if m > 8 * MAX_COEFF_DIGITS or (
+        math.log10(m + 1) + m * (f.weight - 1) / 2 * math.log10(p) + 1 > MAX_COEFF_DIGITS
+    ):
+        f._check_prime(p)  # a p that is not a valid prime is still bad input
+        raise BudgetExceededError(
+            f"a({p}^{m}) may have more than {MAX_COEFF_DIGITS} digits", cap=MAX_COEFF_DIGITS
+        )
     return _coeff_from_ap(f.ap(p), p, f.weight, m)
 
 

@@ -10,20 +10,23 @@ The symmetric power map sends an invertible 2x2 matrix A to the
 (n+1)x(n+1) matrix of the induced automorphism of symmetric n-tensors,
 written in the unnormalized orbit-sum basis, so off-diagonal entries
 carry binomial multiplicities (Sym^2 of [[a,b],[c,d]] has 2ab in its
-first row, not ab).
+first row, not ab).  Its rows are polynomial products; all n+1 of them
+are packed into one integer (Kronecker substitution, byte-wide slots)
+and the (n+1)^2 entries are read back from it in a single pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import getitem, mul
 
-from .cyclotomic import _int_det, _unpack_signed, eval_poly, f_poly
+from .cyclotomic import _int_det, _read_slots, _slot_size, eval_poly, f_poly
 from .errors import SingularMatrixError
 
-# sym_pow costs n + 1 big-integer products of O(n^2 log(entry)) bits; the
-# cap bounds what the CLI prints, (n+1)^2 entries.  Degrees needed in
-# practice are q - 1 for small odd primes q.
+# sym_pow costs 3n big-integer products of at most n + 1 slots of
+# O(n log(entry)) bits; the cap bounds what the CLI prints, (n+1)^2
+# entries.  Degrees needed in practice are q - 1 for small odd primes q.
 MAX_SYM_DEGREE = 32
 
 
@@ -63,7 +66,9 @@ class RingMatrix:
 
     @staticmethod
     def make(ring, rows) -> "RingMatrix":
-        rows = tuple(tuple(ring.normalize(x) for x in r) for r in rows)
+        m = ring.modulus
+        rows = tuple(tuple(map(int, r)) if m is None else tuple([int(x) % m for x in r])
+                     for r in rows)
         dim = len(rows)
         if dim == 0 or any(len(r) != dim for r in rows):
             raise ValueError("matrix must be square and non-empty")
@@ -80,7 +85,8 @@ class RingMatrix:
         return len(self.entries)
 
     def trace(self):
-        return self.ring.normalize(sum(row[i] for i, row in enumerate(self.entries)))
+        t = sum(map(getitem, self.entries, range(len(self.entries))))
+        return t if self.ring.modulus is None else t % self.ring.modulus
 
     def det(self):
         """Determinant in the ring: ad - bc at dim 2, fraction-free Bareiss above.
@@ -103,14 +109,13 @@ class RingMatrix:
     def __matmul__(self, other: "RingMatrix") -> "RingMatrix":
         if self.ring != other.ring or self.dim != other.dim:
             raise ValueError("matrix product needs matching ring and dimension")
-        r = self.ring
-        n = self.dim
-        bcols = list(zip(*other.entries))
-        rows = tuple(
-            tuple(r.normalize(sum(ra[k] * cb[k] for k in range(n))) for cb in bcols)
-            for ra in self.entries
-        )
-        return RingMatrix(r, rows)
+        cols = list(zip(*other.entries))
+        m = self.ring.modulus
+        if m is None:
+            rows = [tuple([sum(map(mul, row, col)) for col in cols]) for row in self.entries]
+        else:
+            rows = [tuple([sum(map(mul, row, col)) % m for col in cols]) for row in self.entries]
+        return RingMatrix(self.ring, tuple(rows))
 
 
 def _require_sym_args(a: RingMatrix, n: int):
@@ -133,25 +138,35 @@ def sym_pow(mat: RingMatrix, n: int) -> RingMatrix:
     Entry (i, j) is the orbit sum over all arrangements s of the j-th
     standard multi-index of the products a[r_i[u], s[u]].  Counting the
     twos of s in each of the two blocks of r_i turns that sum into the
-    coefficient of X^(j-1) in (a + bX)^(n-i+1) (c + dX)^(i-1).  Each row
-    is that product evaluated at X = 2^K as one big-integer product
-    (Kronecker substitution) and read back K bits per coefficient, with
-    K wide enough for max(|a|+|b|, |c|+|d|)^n and a sign.  The work is
-    done on the canonical integer entries and each entry is normalized
-    once; ring operations are homomorphic, so this is the same orbit sum.
+    coefficient of X^(j-1) in (a + bX)^(n-i+1) (c + dX)^(i-1).  With
+    X = 2^K (Kronecker substitution) row i is one big-integer product of
+    running powers, added in at slot (i-1)(n+1), so the whole matrix is
+    one packed integer, read back once in K-bit slots.  K holds the bound
+    max(|a|+|b|, |c|+|d|)^n on every coefficient and a sign bit, rounded
+    up to whole bytes by ``_slot_size``.  The work is done on the
+    canonical integer entries: over Z/mZ these are >= 0, so the pack is
+    read unsigned and each entry is reduced once; ring operations are
+    homomorphic, so this is the same orbit sum.
     """
     _require_sym_args(mat, n)
-    ring = mat.ring
     (a, b), (c, d) = mat.entries
-    m = ring.modulus
+    m = mat.ring.modulus
     # every coefficient of row i is at most (|a|+|b|)^(n-i) (|c|+|d|)^i in size
-    width = (max(abs(a) + abs(b), abs(c) + abs(d)) ** n).bit_length() + 2
+    size = _slot_size(max(abs(a) + abs(b), abs(c) + abs(d)) ** n)
+    width = 8 * size
     left, right = a + (b << width), c + (d << width)
-    rows = []
-    for twos in range(n + 1):
-        row = _unpack_signed(left ** (n - twos) * right**twos, width, n + 1)
-        rows.append(tuple(row) if m is None else tuple(e % m for e in row))
-    return RingMatrix(ring, tuple(rows))
+    lefts, rights = [1], [1]
+    for _ in range(n):
+        lefts.append(lefts[-1] * left)
+        rights.append(rights[-1] * right)
+    # Horner from the last row down: row i = left^(n-i) right^i lands at slot i(n+1)
+    packed, row_shift = 0, width * (n + 1)
+    for lpow, rpow in zip(lefts, reversed(rights)):
+        packed = (packed << row_shift) + lpow * rpow
+    entries = _read_slots(packed, size, (n + 1) ** 2, signed=m is None)
+    if m is not None:
+        entries = [e % m for e in entries]
+    return RingMatrix(mat.ring, tuple(zip(*[iter(entries)] * (n + 1))))
 
 
 def sym_pow_trace(mat: RingMatrix, n: int):

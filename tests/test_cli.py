@@ -56,6 +56,16 @@ class TestCoeffAndPsi:
         assert code == EXIT_OK and get_limit() == before
         assert len(out.split()[0]) > 4300
 
+    @pytest.mark.parametrize("p, m", [(2, 10**7), (1000003, 10**5), (2, 10**400)])
+    def test_coeff_past_the_digit_cap_exits_2_before_any_work(self, capsys, monkeypatch, p, m):
+        monkeypatch.setattr(hecke, "_tau_upto", lambda n: pytest.fail("series built"))
+        code, out, err = run(capsys, "coeff", "--p", str(p), "--m", str(m))
+        assert code == EXIT_BUDGET and out == ""
+        assert f"more than {hecke.MAX_COEFF_DIGITS} digits" in err
+        # a p that is not prime is bad input at any m
+        code, _, err = run(capsys, "coeff", "--p", str(p + 2), "--m", str(m))
+        assert code == EXIT_USAGE and "is not prime" in err
+
     def test_psi_dump(self, capsys):
         code, out, _ = run(capsys, "psi", "--n", "5")
         assert code == EXIT_OK and out.strip() == "PSI 5: 1 -3 1"

@@ -1,4 +1,5 @@
 import random
+import struct
 from math import comb, gcd
 from pathlib import Path
 
@@ -10,7 +11,9 @@ from taulab import factor
 from taulab.cyclotomic import (
     BivariatePoly,
     PsiPrimePowerClass,
-    _unpack_signed,
+    _SLOT_CODES,
+    _read_slots,
+    _slot_size,
     classify_psi_prime_power,
     discriminant,
     dump_poly_line,
@@ -47,17 +50,45 @@ def binomial_substitute_square_product(p):
     return BivariatePoly(tuple(reversed(out)))
 
 
-def test_unpack_signed_slot_edges():
-    rnd = random.Random(11)
-    for width in range(2, 130):
-        half = 1 << (width - 1)
-        edges = [-half, -half + 1, -1, 0, 1, half - 1]
-        for count in (1, 2, 3, 17):
-            coeffs = [rnd.choice(edges + [rnd.randrange(-half, half)]) for _ in range(count)]
-            packed = sum(c << width * j for j, c in enumerate(coeffs))
-            assert _unpack_signed(packed, width, count) == coeffs
-        # a run of top-of-range negatives borrows through every slot
-        assert _unpack_signed(sum(-half << width * j for j in range(5)), width, 5) == [-half] * 5
+class TestReadSlots:
+    """_read_slots against packs built slot by slot, at every width from 1 to 17 bytes."""
+
+    def test_signed_slot_edges(self):
+        rnd = random.Random(11)
+        for size in range(1, 18):  # 1, 2, 4, 8 are array item sizes, the rest are read per slot
+            half = 1 << (8 * size - 1)
+            edges = [-half, -half + 1, -1, 0, 1, half - 1]
+            for count in (1, 2, 3, 17):
+                coeffs = [rnd.choice(edges + [rnd.randrange(-half, half)]) for _ in range(count)]
+                packed = sum(c << 8 * size * j for j, c in enumerate(coeffs))
+                assert _read_slots(packed, size, count) == coeffs
+            # a run of top-of-range negatives would borrow through every slot
+            packed = sum(-half << 8 * size * j for j in range(5))
+            assert _read_slots(packed, size, 5) == [-half] * 5
+
+    def test_non_negative_pack_reads_without_the_excess(self):
+        rnd = random.Random(12)
+        for size in range(1, 18):
+            top = (1 << 8 * size) - 1
+            coeffs = [0, 1, top, top - 1, 1 << (8 * size - 1)]
+            coeffs += [rnd.randrange(top + 1) for _ in range(12)]
+            packed = sum(c << 8 * size * j for j, c in enumerate(coeffs))
+            assert _read_slots(packed, size, len(coeffs), signed=False) == coeffs
+
+    def test_each_format_has_the_item_size_it_reads(self):
+        assert {size for size, _ in _SLOT_CODES} >= {1, 2, 4, 8}
+        for (size, signed), code in _SLOT_CODES.items():
+            assert struct.calcsize(code) == size
+            assert code.islower() == signed
+
+    def test_slot_size_holds_the_bound_and_a_sign_bit(self):
+        for bits in range(140):
+            bound = (1 << bits) - 1  # the largest bound of this bit length
+            size = _slot_size(bound)
+            assert bound < 1 << (8 * size - 1)
+            # whole bytes: rounded up to an array item size up to 8 bytes, exact above
+            need = bits // 8 + 1
+            assert size == (next(s for s in (1, 2, 4, 8) if s >= need) if need <= 8 else need)
 
 
 class TestConstruction:

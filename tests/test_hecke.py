@@ -1,6 +1,6 @@
 import decimal
 import threading
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, log10
 
 import pytest
 from hypothesis import example, given, settings
@@ -234,6 +234,25 @@ class TestPrimePowers:
                 coeff_prime_power(form, p, 0)
         assert coeff_prime_power(EigenformSpec.delta(), 1000003, 0) == 1
         assert coeff_prime_power(table_form, 10**9 + 7, 0) == 1
+
+    def test_digit_cap_bounds_every_answer_it_lets_through(self, monkeypatch):
+        # with a 60-digit cap, Deligne's estimate passes only answers that fit,
+        # and refuses only an m whose estimate is past the cap
+        monkeypatch.setattr(hecke, "MAX_COEFF_DIGITS", 60)
+        table_form = EigenformSpec(weight=4, level=6, label="toy", table=_toy_table())
+        for form, primes in ((EigenformSpec.delta(), (2, 3, 5, 7, 13)), (table_form, (5, 7))):
+            for p in primes:
+                refused = 0
+                for m in range(1, 120):
+                    try:
+                        digits = len(str(abs(coeff_prime_power(form, p, m))))
+                    except BudgetExceededError:
+                        refused += 1
+                        digits_bound = log10(m + 1) + m * (form.weight - 1) / 2 * log10(p)
+                        assert digits_bound + 1 > 60
+                    else:
+                        assert digits <= 60
+                assert refused
 
     def test_lucas_examples(self, delta):
         # single terms from the doubling ladder against the recursion's prefix

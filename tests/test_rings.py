@@ -202,6 +202,32 @@ class TestRings:
                     mat = RingMatrix.make(ring, rows)
                     assert mat.is_identity() == (mat == ident)
 
+    @pytest.mark.parametrize("modulus", [None, 2, 11, 2**61 - 1])
+    def test_product_matches_the_triple_sum(self, modulus):
+        rnd = random.Random(modulus)
+        ring = ZZ if modulus is None else Zmod(modulus)
+        span = 10**20 if modulus is None else modulus
+        for dim in range(1, 13):
+            # signed entries over ZZ; make() reduces them into [0, m) over Z/mZ
+            x, y = ([[rnd.randint(-span, span) for _ in range(dim)] for _ in range(dim)]
+                    for _ in range(2))
+            expected = [[sum(x[i][k] * y[k][j] for k in range(dim)) for j in range(dim)]
+                        for i in range(dim)]
+            if modulus is not None:
+                expected = [[e % modulus for e in row] for row in expected]
+            product = RingMatrix.make(ring, x) @ RingMatrix.make(ring, y)
+            assert product.ring == ring
+            assert product.entries == tuple(map(tuple, expected))
+
+    def test_product_rejects_a_mismatched_ring_or_dimension(self):
+        x = RingMatrix.identity(Zmod(11), 2)
+        for other in (RingMatrix.identity(Zmod(7), 2), RingMatrix.identity(ZZ, 2),
+                      RingMatrix.identity(Zmod(11), 3)):
+            with pytest.raises(ValueError, match="matching ring and dimension"):
+                x @ other
+            with pytest.raises(ValueError, match="matching ring and dimension"):
+                other @ x
+
 
 class TestOrbits:
     def test_orbit_members_and_size(self):
@@ -218,8 +244,12 @@ class TestOrbits:
 
 class TestSymPow:
     def test_degree_one_is_identity_functor(self):
-        mat = RingMatrix.make(ZZ, [[3, 5], [1, 2]])
-        assert sym_pow(mat, 1).entries == mat.entries
+        # det 1 each; the last four have an entry that fills the bit length of
+        # the slot bound |a| + |b|, so the slot must still hold a sign bit
+        for rows in ([[3, 5], [1, 2]], [[200, 1], [199, 1]], [[-200, 1], [199, -1]],
+                     [[65000, 1], [64999, 1]], [[2**64 + 1, 1], [2**64, 1]]):
+            mat = RingMatrix.make(ZZ, rows)
+            assert sym_pow(mat, 1).entries == mat.entries
 
     def test_unipotent_square(self):
         mat = RingMatrix.make(ZZ, [[1, 1], [0, 1]])
