@@ -140,12 +140,8 @@ def _flags_psi(p: argparse.ArgumentParser) -> None:
 def _cmd_psi(ns: argparse.Namespace) -> int:
     from . import cyclotomic
 
-    kind = ns.kind.upper()
-    if ns.upto:
-        lines = [cyclotomic.dump_poly_line(kind, n) for n in range(3, ns.upto + 1)]
-        _emit(ns, "\n".join(lines))
-    else:
-        _emit(ns, cyclotomic.dump_poly_line(kind, ns.n))
+    low, high = (3, ns.upto) if ns.upto else (ns.n, ns.n)
+    _emit(ns, cyclotomic.dump_poly_lines(ns.kind.upper(), low, high))
     return EXIT_OK
 
 

@@ -29,7 +29,10 @@ from functools import lru_cache
 from math import comb, gcd
 
 from . import factor
-from .errors import IdentityViolationError
+from .errors import BudgetExceededError, IdentityViolationError
+
+# the largest index one ``psi`` request may dump alone: see ``dump_poly_lines``
+MAX_DUMP_INDEX = 6000
 
 
 @dataclass(frozen=True)
@@ -333,3 +336,19 @@ def dump_poly_line(kind: str, n: int) -> str:
         raise ValueError(f"unknown polynomial family {kind!r}")
     p = builders[kind](n)
     return f"{kind} {n}: " + " ".join(str(c) for c in p.coeffs)
+
+
+def dump_poly_lines(kind: str, low: int, high: int) -> str:
+    """``dump_poly_line`` for each index low..high, one line each.
+
+    F_n, which psi_n is divided out of, has about n/2 coefficients of up
+    to 0.21 n digits, so a request's work is taken as the sum of n^2 over
+    its indices.  Past MAX_DUMP_INDEX^2 raise BudgetExceededError before
+    any polynomial is built.  An index below 1 is left to its builder,
+    which refuses it.
+    """
+    work = high * (high + 1) * (2 * high + 1) // 6 - (low - 1) * low * (2 * low - 1) // 6
+    if low >= 1 and work > MAX_DUMP_INDEX**2:
+        raise BudgetExceededError(f"the squares of indices {low}..{high} sum past the cap of "
+                                  f"{MAX_DUMP_INDEX}^2", work, MAX_DUMP_INDEX**2)
+    return "\n".join(dump_poly_line(kind, n) for n in range(low, high + 1))

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd
-from typing import Iterator
+from typing import ClassVar, Iterator
 
 from . import factor
 from .cyclotomic import eval_poly_mod, psi_poly
@@ -363,7 +363,7 @@ class ChebotarevSample:
     x_bound: int
     hits: int
     total_primes: int
-    zero_excluded: int
+    zero_excluded: ClassVar[int] = 0  # a(p^(q-1)) never vanishes: see ``chebotarev_sample``
     target: Fraction | None
     exceptional: bool
 
@@ -462,7 +462,6 @@ def chebotarev_sample(
         x_bound=x_bound,
         hits=hits,
         total_primes=total,
-        zero_excluded=0,
         target=target,
         exceptional=f.is_builtin and ell in DELTA_EXCEPTIONAL_PRIMES,
     )

@@ -6,13 +6,15 @@ marked ``exact`` (P pinned), ``partial`` (verdict certain, largest
 prime not pinned down), or ``unknown`` (verdict undecidable within
 budget).
 
-``scan_rows`` produces the rows and ``ScanSummary.of`` folds them into
-verdict counts.  Each row runs the trial stage of ``factor`` once, and
-the split stage on what it leaves where that is needed.  The CSV pins P
-on every row where the rho budget allows: trial division to the trial
-bound, then rho, and a composite cofactor left over still clears the
-threshold when the trial bound does, since all its primes exceed that
-bound.  A summary (the CLI's json output) needs no pinned P.
+``scan_rows`` returns the rows as one list, in order of p, and
+``ScanSummary.of`` folds them into verdict counts.  Each row runs the
+trial stage of ``factor`` once; one split call then takes every row
+the trial stage left open, and each of those rows is made again in its
+place in the list.  The CSV pins P on every row where the rho budget
+allows: trial division to the trial bound, then rho, and a composite
+cofactor left over still clears the threshold when the trial bound
+does, since all its primes exceed that bound.  A summary (the CLI's
+json output) needs no pinned P.
 P(v) > bound holds exactly when v has a prime factor above cut =
 floor(bound), so while cut is below the trial bound the trial stage at
 cut decides the row; at desk scale cut is 1 (the threshold is below 2
@@ -22,7 +24,7 @@ split stage only where that leaves the verdict open.  Both give the
 same verdicts.
 
 Values, thresholds and the trial stage run in the calling process.  The
-split stage runs on every CPU in the process's affinity mask through
+one split call runs on every CPU in the process's affinity mask through
 ``forked.forked_map`` (one forked child per CPU, at most one per open
 row, drawing open rows on demand), so ``taskset -c 0`` keeps it to one
 core.  Rho's start points depend only on its input, so the rows, and
@@ -51,11 +53,12 @@ import decimal
 import json
 import math
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
+from typing import ClassVar
 
 from . import factor
 from .errors import BudgetExceededError, IdentityViolationError
@@ -211,18 +214,17 @@ class ScanSummary:
     pass_count: int
     fail_count: int
     unknown_count: int
-    zero_rows: int
+    zero_rows: ClassVar[int] = 0  # ``scan_rows`` raises on a zero value
 
     @classmethod
     def of(cls, rows: Iterable[ScanRow]) -> ScanSummary:
-        """Fold rows into verdict counts (``scan_rows`` raises on a zero value)."""
+        """Fold rows into verdict counts."""
         counts = Counter(row.passes for row in rows)
         return cls(
             total_rows=sum(counts.values()),
             pass_count=counts[True],
             fail_count=counts[False],
             unknown_count=counts[None],
-            zero_rows=0,
         )
 
     @property
@@ -267,9 +269,9 @@ def scan_rows(
     grh_c: float | None = None,
     trial_bound: int = factor.DEFAULT_TRIAL_BOUND,
     rho_budget: int = factor.DEFAULT_RHO_BUDGET,
-    pin: bool = True,
-) -> Iterator[ScanRow]:
-    """One row per prime p in [17, x]: P(a_f(p^(2n))) against the threshold.
+    pin: bool,
+) -> list[ScanRow]:
+    """One row per prime p in [17, x], in order of p: P(a_f(p^(2n))) against the threshold.
 
     Each row runs the trial stage once.  With ``pin`` it divides by the
     primes up to ``trial_bound`` and the split stage always follows, so P
@@ -279,11 +281,9 @@ def scan_rows(
     bound that never happens: a cofactor's primes all exceed cut, so the
     row passes.  The verdicts are the same either way.
 
-    Rows come out in order of p.  Those before the first row the split
-    stage must finish go out as they are made; the rest wait until every
-    row's trial stage is done and the split stage has run on the open
-    rows at once, across the CPUs (``forked_map``).  Only an open row
-    keeps its factorization until then.
+    One pass makes every row after its trial stage and notes the open
+    ones; one ``forked_map`` call then splits the open rows across the
+    CPUs, and each is made again, in its place, from its split.
 
     A vanishing coefficient would contradict the even-exponent
     nonvanishing law in this range and raises IdentityViolationError.
@@ -297,10 +297,8 @@ def scan_rows(
     if grh_c is not None:
         epsilon = None
     _check_mode(epsilon, grh_c)
-    # rows from the first open one on: a ScanRow, or (p, value, bound, cut)
-    # for an open row, whose factorization waits in open_facs
-    held: list[ScanRow | tuple[int, int, float, int]] = []
-    open_facs: list[factor.Factorization] = []
+    rows: list[ScanRow] = []
+    open_rows: list[tuple[int, int, factor.Factorization]] = []  # (index, cut, trial result)
     for p, ap in zip(*prime_coeffs(f, x_bound)):
         if p < MIN_SCAN_PRIME:
             continue
@@ -318,18 +316,14 @@ def scan_rows(
         fac = factor.trial_factor(abs(value), trial_bound if pin else min(cut, trial_bound))
         row = _row(p, two_n, value, bound, cut, fac)
         if not fac.is_complete and (pin or row.passes is None):
-            held.append((p, value, bound, cut))
-            open_facs.append(fac)
-        elif held:
-            held.append(row)
-        else:
-            yield row  # no open row before it, so it goes out at once
-    split = iter(forked_map(partial(factor.split_cofactor, rho_budget=rho_budget), open_facs))
-    for row in held:
-        if not isinstance(row, ScanRow):
-            p, value, bound, cut = row
-            row = _row(p, two_n, value, bound, cut, next(split))
-        yield row
+            open_rows.append((len(rows), cut, fac))
+        rows.append(row)
+    splits = forked_map(partial(factor.split_cofactor, rho_budget=rho_budget),
+                        [fac for _, _, fac in open_rows])
+    for (i, cut, _), fac in zip(open_rows, splits):
+        row = rows[i]
+        rows[i] = _row(row.p, two_n, row.value, row.bound, cut, fac)
+    return rows
 
 
 def threshold_scan(
@@ -342,8 +336,8 @@ def threshold_scan(
     rho_budget: int = factor.DEFAULT_RHO_BUDGET,
 ) -> tuple[list[ScanRow], ScanSummary]:
     """Every pinned row of ``scan_rows`` and their summary."""
-    rows = list(scan_rows(f, two_n, x_bound, epsilon=epsilon, grh_c=grh_c,
-                          trial_bound=trial_bound, rho_budget=rho_budget, pin=True))
+    rows = scan_rows(f, two_n, x_bound, epsilon=epsilon, grh_c=grh_c,
+                     trial_bound=trial_bound, rho_budget=rho_budget, pin=True)
     return rows, ScanSummary.of(rows)
 
 

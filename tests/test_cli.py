@@ -36,6 +36,10 @@ class TestTau:
         code, out, _ = run(capsys, "tau", "--limit", "63001", "--find-first-prime")
         assert code == EXIT_OK and out.strip() == "63001"
 
+    def test_find_first_prime_with_no_prime_value(self, capsys):
+        code, out, _ = run(capsys, "tau", "--find-first-prime", "--limit", "100")
+        assert code == EXIT_OK and out == "no prime value up to 100\n"
+
 
 class TestCoeffAndPsi:
     def test_coeff(self, capsys):
@@ -84,6 +88,28 @@ class TestCoeffAndPsi:
         code, out, _ = run(capsys, "psi", "--kind", kind, "--upto", "200")
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+    @pytest.mark.parametrize("argv", [["--n", "20000"], ["--kind", "f", "--upto", "3000"]])
+    def test_psi_past_the_cap_exits_2_before_any_work(self, capsys, monkeypatch, argv):
+        for name in ("psi_poly", "phi_poly", "f_poly"):
+            monkeypatch.setattr(cyclotomic, name, lambda n: pytest.fail("polynomial built"))
+        code, out, err = run(capsys, "psi", *argv)
+        assert code == EXIT_BUDGET and out == ""
+        assert f"past the cap of {cyclotomic.MAX_DUMP_INDEX}^2" in err
+
+    # 3^2 + ... + 475^2 is within 6000^2 and adding 476^2 passes it
+    @pytest.mark.parametrize("flag, last", [("--n", cyclotomic.MAX_DUMP_INDEX), ("--upto", 475)])
+    def test_psi_cap_refuses_from_the_first_index_past_it(self, capsys, monkeypatch, flag, last):
+        def squares(top):
+            return sum(n * n for n in (range(3, top + 1) if flag == "--upto" else [top]))
+
+        assert squares(last) <= cyclotomic.MAX_DUMP_INDEX**2 < squares(last + 1)
+        # a stand-in builder, so the cap is read from the request alone
+        monkeypatch.setattr(cyclotomic, "psi_poly", lambda n: cyclotomic.BivariatePoly((1,)))
+        code, out, _ = run(capsys, "psi", flag, str(last))
+        assert code == EXIT_OK and out.splitlines()[-1] == f"PSI {last}: 1"
+        code, out, err = run(capsys, "psi", flag, str(last + 1))
+        assert code == EXIT_BUDGET and out == "" and "past the cap" in err
 
     def test_sympow(self, capsys):
         code, out, _ = run(capsys, "sympow", "--n", "2", "--entries", "1,1,0,1")
@@ -146,6 +172,21 @@ class TestDensityCommands:
         code, out, _ = run(capsys, "chebotarev", "--q", "5", "--d", "11", "--x-bound", "2000")
         payload = json.loads(out)
         assert code == EXIT_OK and payload["target"] == "1/5"
+
+    def test_density_where_the_unit_power_group_order_differs(self, capsys):
+        code, out, _ = run(capsys, "density", "--q", "3", "--ell", "11", "--n", "2")
+        payload = json.loads(out)
+        assert code == EXIT_OK and payload["groupOrder"] == 17569200
+        assert payload["unitPowerGroupOrderDiffers"] == 193261200
+
+    def test_chebotarev_with_no_target(self, capsys):
+        code, out, _ = run(capsys, "chebotarev", "--q", "3", "--d", "9", "--x-bound", "1000")
+        payload = json.loads(out)
+        assert code == EXIT_OK and payload["target"] is None
+        assert payload["empirical"]["sigma"] == 0.0
+        assert (payload["empirical"]["hits"], payload["empirical"]["total"]) == (0, 167)
+        sample = density.chebotarev_sample(hecke.EigenformSpec.delta(), 3, 9, 1000)
+        assert sample.within_band() is None
 
 
 class TestScanCommands:
@@ -419,10 +460,14 @@ class TestFlagsPerCommand:
          "--budget: must be >= 0, got -1"),
         (["tau", "--find-first-prime", "--limit", "-5"], None, "--limit: must be >= 1, got -5"),
         (["psi", "--upto", "2"], None, "--upto: must be >= 3, got 2"),
+        # an index no builder takes is bad input, not past the psi cap
+        (["psi", "--n", "-20000"], None, "error: psi is defined for n >= 3, got -20000"),
         (["sympow", "--n", "2", "--entries", "1,0,0,1", "--mod", "0"], None,
          "error: modulus must be >= 2, got 0"),
         (["sympow", "--n", "2", "--entries", "1,0,0,1", "--mod", "-7"], None,
          "error: modulus must be >= 2, got -7"),
+        (["sympow", "--n", "2", "--entries", "1,2,3"], None,
+         "error: --entries must be four comma-separated integers a,b,c,d"),
         (["chebotarev", "--q", "5", "--d", "0", "--x-bound", "2000"], None,
          "error: modulus 0 is not a prime power"),
         (["chebotarev", "--q", "5", "--d", "1", "--x-bound", "2000"], None,
@@ -447,9 +492,9 @@ class TestFlagsPerCommand:
         (["tower", "--max-odd", "4"], None, "--max-odd: must be an odd integer >= 3, got 4"),
         (["tower", "--p-max", "1"], None, "--p-max: must be >= 2, got 1"),
     ], ids=["chebotarev-q", "lift-ell", "verify-config-limit", "scan-overridden-config-eps",
-            "density-budget", "lift-budget", "tau-limit", "psi-upto", "sympow-mod0",
-            "sympow-mod-7", "chebotarev-d0", "chebotarev-d1", "chebotarev-d-11",
-            "chebotarev-d12", "coeff-weight3", "coeff-weight4", "scan-level2",
+            "density-budget", "lift-budget", "tau-limit", "psi-upto", "psi-n-20000",
+            "sympow-mod0", "sympow-mod-7", "sympow-entries3", "chebotarev-d0", "chebotarev-d1",
+            "chebotarev-d-11", "chebotarev-d12", "coeff-weight3", "coeff-weight4", "scan-level2",
             "coeff-p10-m0", "coeff-p1-m0",
             "tower-max-odd0", "tower-max-odd4", "tower-p-max1"])
     def test_flag_checks(self, capsys, tmp_path, argv, config, says):
